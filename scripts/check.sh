@@ -4,8 +4,9 @@
 # gate — run it from the repo root:
 #
 #   scripts/check.sh              # full matrix: plain, asan, ubsan, tsan,
-#                                 # equiv, sparse, service, chaos, gc_lint,
-#                                 # gc_analyze, clang-tidy (if available)
+#                                 # equiv, sparse, service, chaos, bench,
+#                                 # gc_lint, gc_analyze, clang-tidy (if
+#                                 # available)
 #   scripts/check.sh plain lint   # just those stages
 #   JOBS=8 scripts/check.sh       # override build parallelism
 #
@@ -18,7 +19,7 @@ cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc 2>/dev/null || echo 2)}"
 STAGES=("$@")
 if [ ${#STAGES[@]} -eq 0 ]; then
-  STAGES=(plain asan ubsan tsan equiv sparse service chaos lint analyze tidy)
+  STAGES=(plain asan ubsan tsan equiv sparse service chaos bench lint analyze tidy)
 fi
 
 declare -A RESULT
@@ -78,7 +79,7 @@ for stage in "${STAGES[@]}"; do
           && cmake --build "$bdir" -j "$JOBS" --target gc_tests \
               > "$bdir.build.log" 2>&1 \
           && "$bdir/tests/gc_tests" \
-              --gtest_filter='OverlapExec.*:*/OverlapExec.*:StorageAA.*'; then
+              --gtest_filter='OverlapExec.*:*/OverlapExec.*:StorageAA.*:SparseLattice.KernelsMatchDenseReference'; then
         RESULT[equiv]="ok"
       else
         RESULT[equiv]="FAIL"; FAILED=1
@@ -139,6 +140,19 @@ for stage in "${STAGES[@]}"; do
       else
         RESULT[chaos]="FAIL"; FAILED=1
       fi ;;
+    bench)
+      # A quick traced run of the benchmark, so its own gates run on every
+      # kernel change: the 32^3 AA-fused run equals the DB-split run
+      # bit-exactly, mass drift, times_square rho/|u| sanity, bit-exact
+      # scenario replay, and traces that parse. run.py builds bench_suite
+      # from source into .bench_build/ and exits nonzero when a gate fails.
+      note "bench: bench_suite quick run with its gates"
+      if python3 bench_suite/run.py --workload all --quick --seconds 2 \
+          --trace 1; then
+        RESULT[bench]="ok"
+      else
+        RESULT[bench]="FAIL"; FAILED=1
+      fi ;;
     lint)
       note "lint: gc_lint self-scan"
       bdir=build-check/lint
@@ -180,7 +194,7 @@ for stage in "${STAGES[@]}"; do
       fi ;;
     *)
       echo "check.sh: unknown stage '$stage'" >&2
-      echo "stages: plain asan ubsan tsan equiv sparse service chaos lint analyze tidy" >&2
+      echo "stages: plain asan ubsan tsan equiv sparse service chaos bench lint analyze tidy" >&2
       exit 2 ;;
   esac
 done

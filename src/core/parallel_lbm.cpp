@@ -158,6 +158,7 @@ void ParallelLbm::node_step(Comm& comm, int node, i64 global_step) {
   const netsim::NodeGrid& grid = cfg_.grid;
   const Int3 myc = grid.coords(node);
   obs::TraceRecorder* rec = cfg_.trace;
+  const lbm::CellBox own{ld.own_lo(), ld.own_hi()};
 
   if (cfg_.faults && cfg_.faults->should_crash(node, global_step)) {
     if (rec) rec->add_counter("ft.crashes", node, 1);
@@ -195,20 +196,17 @@ void ParallelLbm::node_step(Comm& comm, int node, i64 global_step) {
     auto& u = scratch_u_[static_cast<std::size_t>(node)];
     lbm::compute_velocity_region(lat, u, ld.own_lo(), ld.own_hi());
     T.step(lat, u);
-    lbm::collide_mrt_region(lat, lbm::MrtParams::standard(cfg_.tau),
-                            ld.own_lo(), ld.own_hi());
+    lbm::collide_mrt(lat, lbm::MrtParams::standard(cfg_.tau), {}, own);
     auto& force = scratch_force_[static_cast<std::size_t>(node)];
     T.buoyancy_force(lat, force);
     lbm::apply_force_first_order_region(lat, force, ld.own_lo(),
                                         ld.own_hi());
   } else if (cfg_.collision == lbm::CollisionKind::MRT) {
     obs::ScopedSpan collide_span(rec, "collide", node, "lbm");
-    lbm::collide_mrt_region(lat, lbm::MrtParams::standard(cfg_.tau),
-                            ld.own_lo(), ld.own_hi());
+    lbm::collide_mrt(lat, lbm::MrtParams::standard(cfg_.tau), {}, own);
   } else {
     obs::ScopedSpan collide_span(rec, "collide", node, "lbm");
-    lbm::collide_bgk_region(lat, lbm::BgkParams{cfg_.tau, Vec3{}},
-                            ld.own_lo(), ld.own_hi());
+    lbm::collide_bgk(lat, lbm::BgkParams{cfg_.tau, Vec3{}}, {}, own);
   }
 
   if (cfg_.overlap) {

@@ -1,7 +1,6 @@
 #include "lbm/collision.hpp"
 
-#include <algorithm>
-
+#include "lbm/cell_pass.hpp"
 #include "lbm/stream.hpp"
 #include "obs/trace.hpp"
 
@@ -42,449 +41,47 @@ void collide_bgk_cell(Real f[Q], Real tau, Vec3 force) {
 
 namespace {
 
-/// Collides one bulk span in place: every cell is known Fluid, so the
-/// loop carries no flag test at all.
-void collide_span(Real* const planes[Q], const BgkParams& p, i64 begin,
-                  i32 len) {
-  Real f[Q];
-  for (i32 k = 0; k < len; ++k) {
-    for (int i = 0; i < Q; ++i) f[i] = planes[i][begin + k];
+/// BGK with the uniform Guo force p.force, as a cell operator.
+auto bgk_op(const BgkParams& p) {
+  return [&p](Real f[Q], i64) { collide_bgk_cell(f, p.tau, p.force); };
+}
+
+/// The fused value of one slow cell: its pulled values, collided when
+/// the cell is fluid, the inlet equilibrium when it is an inlet, and
+/// passed through otherwise (outflow).
+void fused_slow_cell(const Lattice& lat, i64 cell, const BgkParams& p,
+                     Real f[Q]) {
+  detail::pull_cell(lat, cell, f);
+  const CellType t = lat.flag(cell);
+  if (t == CellType::Fluid) {
     collide_bgk_cell(f, p.tau, p.force);
-    for (int i = 0; i < Q; ++i) planes[i][begin + k] = f[i];
+  } else if (t == CellType::Inlet) {
+    equilibrium_all(lat.inlet_density(),
+                    lat.inlet_velocity_at(lat.coords(cell)), f);
   }
 }
 
-/// Collides slices [z0, z1): bulk spans first, then the slow fluid list
-/// (both precomputed — no per-cell flag scanning).
-void collide_z_range(Lattice& lat, const CellClass& cc, const BgkParams& p,
-                     int z0, int z1) {
-  Real* planes[Q];
-  for (int i = 0; i < Q; ++i) planes[i] = lat.plane_ptr(i);
-  for (i64 s = cc.span_z[z0]; s < cc.span_z[z1]; ++s) {
-    const CellSpan sp = cc.spans[static_cast<std::size_t>(s)];
-    collide_span(planes, p, sp.begin, sp.len);
-  }
-  Real f[Q];
-  for (i64 k = cc.fluid_slow_z[z0]; k < cc.fluid_slow_z[z1]; ++k) {
-    const i64 c = cc.fluid_slow[static_cast<std::size_t>(k)];
-    for (int i = 0; i < Q; ++i) f[i] = planes[i][c];
-    collide_bgk_cell(f, p.tau, p.force);
-    for (int i = 0; i < Q; ++i) planes[i][c] = f[i];
-  }
-}
-
-// ---- sparse (compact fluid-index) collision -------------------------
-// Same span/slow split as the dense pass, with every storage access
-// routed through the compact planes: a bulk span's cells occupy
-// consecutive compact ids (the cell list preserves dense order), so
-// collide_span runs unchanged on a compact base offset. Solid cells
-// have no storage and no work.
-
-void sparse_collide_z_range(Lattice& lat, const CellClass& cc,
-                            const BgkParams& p, int z0, int z1) {
-  Real* planes[Q];
-  for (int i = 0; i < Q; ++i) planes[i] = lat.sparse_plane_ptr(i);
-  for (i64 s = cc.span_z[z0]; s < cc.span_z[z1]; ++s) {
-    const CellSpan sp = cc.spans[static_cast<std::size_t>(s)];
-    collide_span(planes, p, lat.sparse_index(sp.begin), sp.len);
-  }
-  Real f[Q];
-  for (i64 k = cc.fluid_slow_z[z0]; k < cc.fluid_slow_z[z1]; ++k) {
-    const i64 m = lat.sparse_index(cc.fluid_slow[static_cast<std::size_t>(k)]);
-    for (int i = 0; i < Q; ++i) f[i] = planes[i][m];
-    collide_bgk_cell(f, p.tau, p.force);
-    for (int i = 0; i < Q; ++i) planes[i][m] = f[i];
-  }
-}
-
-// ---- AA-pattern advancing collision ---------------------------------
-// In AA mode the collision pass is what moves data between the phase
-// machine's slot mappings: it reads each cell's 19 logical values
-// through the current (post-stream) mapping and writes the results into
-// the slots the post-collide mapping assigns, so the following parity
-// flip streams them for free. Two consequences differ from the
-// double-buffered pass:
-//
-//   * EVERY cell must be advanced, not just fluid ones — inlet, outflow
-//     and solid cells copy their values through unchanged (solid border
-//     cells hold the init equilibrium until first streamed, and the
-//     exchange pack sends border values of any flag, so dropping them
-//     would diverge from the double-buffered trajectory).
-//   * The bulk span loop must NOT use GC_RESTRICT: at odd parity the
-//     read pointer for direction i and the write pointer for OPP[i] are
-//     the same pointer by construction.
-//
-// In-place safety: each cell's read-slot set equals its write-slot set
-// (the slot group is owned by the cell under every phase), so cells can
-// be advanced in any order and in parallel.
-
-void aa_collide_cells(Lattice& lat, const CellClass& cc, const BgkParams& p,
-                      int z0, int z1) {
-  const Real* rd[Q];
-  Real* wr[Q];
-  for (int i = 0; i < Q; ++i) {
-    rd[i] = lat.aa_bulk_read_ptr(i);
-    wr[i] = lat.aa_bulk_write_ptr(i);
-  }
-  const auto& flags = lat.flags();
-  Real f[Q];
-  for (i64 s = cc.span_z[z0]; s < cc.span_z[z1]; ++s) {
-    const CellSpan sp = cc.spans[static_cast<std::size_t>(s)];
-    for (i32 k = 0; k < sp.len; ++k) {
-      const i64 c = sp.begin + k;
-      for (int i = 0; i < Q; ++i) f[i] = rd[i][c];
-      collide_bgk_cell(f, p.tau, p.force);
-      for (int i = 0; i < Q; ++i) wr[i][c] = f[i];
-    }
-  }
-  for (i64 k = cc.slow_z[z0]; k < cc.slow_z[z1]; ++k) {
-    const i64 c = cc.slow[static_cast<std::size_t>(k)];
-    lat.gather_cell(c, f);
-    if (static_cast<CellType>(flags[c]) == CellType::Fluid) {
-      collide_bgk_cell(f, p.tau, p.force);
-    }
-    lat.scatter_cell_collided(c, f);
-  }
-  for (i64 k = cc.solid_z[z0]; k < cc.solid_z[z1]; ++k) {
-    const i64 c = cc.solid[static_cast<std::size_t>(k)];
-    lat.gather_cell(c, f);
-    lat.scatter_cell_collided(c, f);
-  }
-}
-
-}  // namespace
-
-void collide_bgk(Lattice& lat, const BgkParams& p) {
-  if (lat.storage_mode() == StorageMode::AA) {
-    aa_collide_cells(lat, lat.cell_class(), p, 0, lat.dim().z);
-    lat.aa_mark_collided();
-    return;
-  }
-  if (lat.storage_mode() == StorageMode::Sparse) {
-    sparse_collide_z_range(lat, lat.cell_class(), p, 0, lat.dim().z);
-    return;
-  }
-  collide_z_range(lat, lat.cell_class(), p, 0, lat.dim().z);
-}
-
-void collide_bgk(Lattice& lat, const BgkParams& p, ThreadPool& pool) {
-  const CellClass& cc = lat.cell_class();  // build before dispatch
-  const Int3 d = lat.dim();
-  if (lat.storage_mode() == StorageMode::AA) {
-    pool.parallel_for_chunks(
-        0, d.z,
-        [&lat, &cc, &p](i64 z0, i64 z1) {
-          aa_collide_cells(lat, cc, p, static_cast<int>(z0),
-                           static_cast<int>(z1));
-        },
-        ThreadPool::min_chunk_indices(i64(d.x) * d.y));
-    lat.aa_mark_collided();
-    return;
-  }
-  if (lat.storage_mode() == StorageMode::Sparse) {
-    lat.sparse_active_cells();  // build on the calling thread
-    pool.parallel_for_chunks(
-        0, d.z,
-        [&lat, &cc, &p](i64 z0, i64 z1) {
-          sparse_collide_z_range(lat, cc, p, static_cast<int>(z0),
-                                 static_cast<int>(z1));
-        },
-        ThreadPool::min_chunk_indices(i64(d.x) * d.y));
-    return;
-  }
-  pool.parallel_for_chunks(
-      0, d.z,
-      [&lat, &cc, &p](i64 z0, i64 z1) {
-        collide_z_range(lat, cc, p, static_cast<int>(z0),
-                        static_cast<int>(z1));
-      },
-      ThreadPool::min_chunk_indices(i64(d.x) * d.y));
-}
-
-namespace {
-
-/// AA advancing collide clipped to [lo, hi) (the parallel own-region
-/// pass). Unlike the double-buffered region pass, non-fluid cells inside
-/// the box are advanced too (copy-through); ghost cells outside the box
-/// stay un-advanced, which is safe because nothing reads their logical
-/// values until unpack rewrites them under the post-collide mapping.
-void aa_collide_region(Lattice& lat, const BgkParams& p, Int3 lo, Int3 hi) {
-  const CellClass& cc = lat.cell_class();
-  const Int3 d = lat.dim();
-  const Real* rd[Q];
-  Real* wr[Q];
-  for (int i = 0; i < Q; ++i) {
-    rd[i] = lat.aa_bulk_read_ptr(i);
-    wr[i] = lat.aa_bulk_write_ptr(i);
-  }
-  const auto& flags = lat.flags();
-  Real f[Q];
-  auto in_box = [&](Int3 pos) {
-    return pos.x >= lo.x && pos.x < hi.x && pos.y >= lo.y && pos.y < hi.y;
-  };
-  for (int z = lo.z; z < hi.z; ++z) {
-    for (i64 s = cc.span_z[z]; s < cc.span_z[z + 1]; ++s) {
-      const CellSpan sp = cc.spans[static_cast<std::size_t>(s)];
-      const int y = static_cast<int>((sp.begin / d.x) % d.y);
-      if (y < lo.y || y >= hi.y) continue;
-      const int x0 = static_cast<int>(sp.begin % d.x);
-      const int xb = std::max(x0, lo.x);
-      const int xe = std::min(x0 + sp.len, hi.x);
-      if (xb >= xe) continue;
-      for (i64 c = sp.begin + (xb - x0); c < sp.begin + (xe - x0); ++c) {
-        for (int i = 0; i < Q; ++i) f[i] = rd[i][c];
-        collide_bgk_cell(f, p.tau, p.force);
-        for (int i = 0; i < Q; ++i) wr[i][c] = f[i];
-      }
-    }
-    for (i64 k = cc.slow_z[z]; k < cc.slow_z[z + 1]; ++k) {
-      const i64 c = cc.slow[static_cast<std::size_t>(k)];
-      if (!in_box(lat.coords(c))) continue;
-      lat.gather_cell(c, f);
-      if (static_cast<CellType>(flags[c]) == CellType::Fluid) {
-        collide_bgk_cell(f, p.tau, p.force);
-      }
-      lat.scatter_cell_collided(c, f);
-    }
-    for (i64 k = cc.solid_z[z]; k < cc.solid_z[z + 1]; ++k) {
-      const i64 c = cc.solid[static_cast<std::size_t>(k)];
-      if (!in_box(lat.coords(c))) continue;
-      lat.gather_cell(c, f);
-      lat.scatter_cell_collided(c, f);
-    }
-  }
-  lat.aa_mark_collided();
-}
-
-}  // namespace
-
-void collide_bgk_region(Lattice& lat, const BgkParams& p, Int3 lo, Int3 hi) {
-  if (lat.storage_mode() == StorageMode::AA) {
-    aa_collide_region(lat, p, lo, hi);
-    return;
-  }
-  if (lat.storage_mode() == StorageMode::Sparse) {
-    const CellClass& cc = lat.cell_class();
-    const Int3 d = lat.dim();
-    Real* planes[Q];
-    for (int i = 0; i < Q; ++i) planes[i] = lat.sparse_plane_ptr(i);
-    for (int z = lo.z; z < hi.z; ++z) {
-      for (i64 s = cc.span_z[z]; s < cc.span_z[z + 1]; ++s) {
-        const CellSpan sp = cc.spans[static_cast<std::size_t>(s)];
-        const int y = static_cast<int>((sp.begin / d.x) % d.y);
-        if (y < lo.y || y >= hi.y) continue;
-        const int x0 = static_cast<int>(sp.begin % d.x);
-        const int xb = std::max(x0, lo.x);
-        const int xe = std::min(x0 + sp.len, hi.x);
-        if (xb >= xe) continue;
-        collide_span(planes, p, lat.sparse_index(sp.begin + (xb - x0)),
-                     static_cast<i32>(xe - xb));
-      }
-      Real f[Q];
-      for (i64 k = cc.fluid_slow_z[z]; k < cc.fluid_slow_z[z + 1]; ++k) {
-        const i64 c = cc.fluid_slow[static_cast<std::size_t>(k)];
-        const Int3 pos = lat.coords(c);
-        if (pos.x < lo.x || pos.x >= hi.x || pos.y < lo.y || pos.y >= hi.y) {
-          continue;
-        }
-        const i64 m = lat.sparse_index(c);
-        for (int i = 0; i < Q; ++i) f[i] = planes[i][m];
-        collide_bgk_cell(f, p.tau, p.force);
-        for (int i = 0; i < Q; ++i) planes[i][m] = f[i];
-      }
-    }
-    return;
-  }
-  const CellClass& cc = lat.cell_class();
-  const Int3 d = lat.dim();
-  Real* planes[Q];
-  for (int i = 0; i < Q; ++i) planes[i] = lat.plane_ptr(i);
-  for (int z = lo.z; z < hi.z; ++z) {
-    // Bulk spans clipped to the box: a span lives in one row, so only its
-    // x extent needs clipping once the row's y is inside.
-    for (i64 s = cc.span_z[z]; s < cc.span_z[z + 1]; ++s) {
-      const CellSpan sp = cc.spans[static_cast<std::size_t>(s)];
-      const int y = static_cast<int>((sp.begin / d.x) % d.y);
-      if (y < lo.y || y >= hi.y) continue;
-      const int x0 = static_cast<int>(sp.begin % d.x);
-      const int xb = std::max(x0, lo.x);
-      const int xe = std::min(x0 + sp.len, hi.x);
-      if (xb >= xe) continue;
-      collide_span(planes, p, sp.begin + (xb - x0),
-                   static_cast<i32>(xe - xb));
-    }
-    Real f[Q];
-    for (i64 k = cc.fluid_slow_z[z]; k < cc.fluid_slow_z[z + 1]; ++k) {
-      const i64 c = cc.fluid_slow[static_cast<std::size_t>(k)];
-      const Int3 pos = lat.coords(c);
-      if (pos.x < lo.x || pos.x >= hi.x || pos.y < lo.y || pos.y >= hi.y) {
-        continue;
-      }
-      for (int i = 0; i < Q; ++i) f[i] = planes[i][c];
-      collide_bgk_cell(f, p.tau, p.force);
-      for (int i = 0; i < Q; ++i) planes[i][c] = f[i];
-    }
-  }
-}
-
-namespace {
-
-/// Sparse per-cell-force collide: forces stay indexed by dense cell, the
-/// distributions live at the compact id.
-void sparse_collide_forced_z_range(Lattice& lat, const CellClass& cc, Real tau,
-                                   const Vec3* force, int z0, int z1) {
-  Real* planes[Q];
-  for (int i = 0; i < Q; ++i) planes[i] = lat.sparse_plane_ptr(i);
-  Real f[Q];
-  for (i64 s = cc.span_z[z0]; s < cc.span_z[z1]; ++s) {
-    const CellSpan sp = cc.spans[static_cast<std::size_t>(s)];
-    const i64 m0 = lat.sparse_index(sp.begin);
-    for (i32 k = 0; k < sp.len; ++k) {
-      for (int i = 0; i < Q; ++i) f[i] = planes[i][m0 + k];
-      collide_bgk_cell(f, tau, force[sp.begin + k]);
-      for (int i = 0; i < Q; ++i) planes[i][m0 + k] = f[i];
-    }
-  }
-  for (i64 k = cc.fluid_slow_z[z0]; k < cc.fluid_slow_z[z1]; ++k) {
-    const i64 c = cc.fluid_slow[static_cast<std::size_t>(k)];
-    const i64 m = lat.sparse_index(c);
-    for (int i = 0; i < Q; ++i) f[i] = planes[i][m];
-    collide_bgk_cell(f, tau, force[c]);
-    for (int i = 0; i < Q; ++i) planes[i][m] = f[i];
-  }
-}
-
-void collide_forced_z_range(Lattice& lat, const CellClass& cc, Real tau,
-                            const Vec3* force, int z0, int z1) {
-  Real* planes[Q];
-  for (int i = 0; i < Q; ++i) planes[i] = lat.plane_ptr(i);
-  Real f[Q];
-  for (i64 s = cc.span_z[z0]; s < cc.span_z[z1]; ++s) {
-    const CellSpan sp = cc.spans[static_cast<std::size_t>(s)];
-    for (i32 k = 0; k < sp.len; ++k) {
-      const i64 c = sp.begin + k;
-      for (int i = 0; i < Q; ++i) f[i] = planes[i][c];
-      collide_bgk_cell(f, tau, force[c]);
-      for (int i = 0; i < Q; ++i) planes[i][c] = f[i];
-    }
-  }
-  for (i64 k = cc.fluid_slow_z[z0]; k < cc.fluid_slow_z[z1]; ++k) {
-    const i64 c = cc.fluid_slow[static_cast<std::size_t>(k)];
-    for (int i = 0; i < Q; ++i) f[i] = planes[i][c];
-    collide_bgk_cell(f, tau, force[c]);
-    for (int i = 0; i < Q; ++i) planes[i][c] = f[i];
-  }
-}
-
-/// AA advancing collide with a per-cell force field (see aa_collide_cells
-/// for the all-cells / no-restrict contract).
-void aa_collide_forced_cells(Lattice& lat, const CellClass& cc, Real tau,
-                             const Vec3* force, int z0, int z1) {
-  const Real* rd[Q];
-  Real* wr[Q];
-  for (int i = 0; i < Q; ++i) {
-    rd[i] = lat.aa_bulk_read_ptr(i);
-    wr[i] = lat.aa_bulk_write_ptr(i);
-  }
-  const auto& flags = lat.flags();
-  Real f[Q];
-  for (i64 s = cc.span_z[z0]; s < cc.span_z[z1]; ++s) {
-    const CellSpan sp = cc.spans[static_cast<std::size_t>(s)];
-    for (i32 k = 0; k < sp.len; ++k) {
-      const i64 c = sp.begin + k;
-      for (int i = 0; i < Q; ++i) f[i] = rd[i][c];
-      collide_bgk_cell(f, tau, force[c]);
-      for (int i = 0; i < Q; ++i) wr[i][c] = f[i];
-    }
-  }
-  for (i64 k = cc.slow_z[z0]; k < cc.slow_z[z1]; ++k) {
-    const i64 c = cc.slow[static_cast<std::size_t>(k)];
-    lat.gather_cell(c, f);
-    if (static_cast<CellType>(flags[c]) == CellType::Fluid) {
-      collide_bgk_cell(f, tau, force[c]);
-    }
-    lat.scatter_cell_collided(c, f);
-  }
-  for (i64 k = cc.solid_z[z0]; k < cc.solid_z[z1]; ++k) {
-    const i64 c = cc.solid[static_cast<std::size_t>(k)];
-    lat.gather_cell(c, f);
-    lat.scatter_cell_collided(c, f);
-  }
-}
-
-}  // namespace
-
-void collide_bgk_forced(Lattice& lat, Real tau, const Vec3* force,
-                        const StepContext& ctx) {
-  obs::ScopedSpan span(ctx.trace, "collide", ctx.rank, "lbm");
-  const CellClass& cc = lat.cell_class();  // build before dispatch
-  const Int3 d = lat.dim();
-  const bool aa = lat.storage_mode() == StorageMode::AA;
-  const bool sparse = lat.storage_mode() == StorageMode::Sparse;
-  if (sparse) lat.sparse_active_cells();  // build on the calling thread
-  if (ctx.pool) {
-    ctx.pool->parallel_for_chunks(
-        0, d.z,
-        [&lat, &cc, tau, force, aa, sparse](i64 z0, i64 z1) {
-          if (aa) {
-            aa_collide_forced_cells(lat, cc, tau, force, static_cast<int>(z0),
-                                    static_cast<int>(z1));
-          } else if (sparse) {
-            sparse_collide_forced_z_range(lat, cc, tau, force,
-                                          static_cast<int>(z0),
-                                          static_cast<int>(z1));
-          } else {
-            collide_forced_z_range(lat, cc, tau, force, static_cast<int>(z0),
-                                   static_cast<int>(z1));
-          }
-        },
-        ThreadPool::min_chunk_indices(i64(d.x) * d.y));
-  } else if (aa) {
-    aa_collide_forced_cells(lat, cc, tau, force, 0, d.z);
-  } else if (sparse) {
-    sparse_collide_forced_z_range(lat, cc, tau, force, 0, d.z);
-  } else {
-    collide_forced_z_range(lat, cc, tau, force, 0, d.z);
-  }
-  if (aa) lat.aa_mark_collided();
-}
-
-namespace {
-
-/// Fused pull+collide over slices [z0, z1): bulk spans read the 19
-/// distributions straight off restrict-qualified shifted plane pointers
-/// (the pull is just a pointer offset for classified bulk cells), collide,
-/// and write the back buffer — with no flag work at all. The slow minority
-/// takes pull_value and per-flag handling, solids are zeroed.
-void fused_z_range(Lattice& lat, const CellClass& cc, const BgkParams& p,
+/// Fused pull+collide over slices [z0, z1) into the back buffer: bulk
+/// spans read the 19 distributions straight off restrict-qualified
+/// shifted plane pointers (the pull is just an offset for classified
+/// bulk cells), collide, and write, with no flag work at all. The slow
+/// minority takes fused_slow_cell; solids are zeroed.
+template <bool kCompact>
+void fused_z_range(const Lattice& lat, const CellClass& cc,
+                   const detail::PlaneAddr<kCompact>& a, const BgkParams& p,
                    int z0, int z1) {
-  const Int3 d = lat.dim();
-  Real* dst[Q];
-  const Real* src[Q];
-  for (int i = 0; i < Q; ++i) {
-    dst[i] = lat.back_plane_ptr(i);
-    src[i] = lat.plane_ptr(i);
-  }
-  const i64 sx = 1, sy = d.x, sz = i64(d.x) * d.y;
   i64 shift[Q];
-  for (int i = 0; i < Q; ++i) {
-    shift[i] = -(C[i].x * sx + C[i].y * sy + C[i].z * sz);
-  }
-  const auto& flags = lat.flags();
-
-  for (i64 k = cc.solid_z[z0]; k < cc.solid_z[z1]; ++k) {
-    const i64 cell = cc.solid[static_cast<std::size_t>(k)];
-    for (int i = 0; i < Q; ++i) dst[i][cell] = Real(0);
-  }
+  for (int i = 0; i < Q; ++i) shift[i] = detail::pull_offset(lat.dim(), i);
+  a.zero_solids(detail::z_slice(cc.solid, cc.solid_z, z0, z1));
 
   Real f[Q];
-  for (i64 s = cc.span_z[z0]; s < cc.span_z[z1]; ++s) {
-    const CellSpan sp = cc.spans[static_cast<std::size_t>(s)];
+  for (const CellSpan& sp : detail::z_slice(cc.spans, cc.span_z, z0, z1)) {
+    const i64 out0 = a.at(sp.begin);
     const Real* GC_RESTRICT in[Q];
     Real* GC_RESTRICT out[Q];
     for (int i = 0; i < Q; ++i) {
-      in[i] = src[i] + sp.begin + shift[i];
-      out[i] = dst[i] + sp.begin;
+      in[i] = a.rd[i] + a.at(sp.begin + shift[i]);
+      out[i] = a.wr[i] + out0;
     }
     for (i32 k = 0; k < sp.len; ++k) {
       for (int i = 0; i < Q; ++i) f[i] = in[i][k];
@@ -493,153 +90,49 @@ void fused_z_range(Lattice& lat, const CellClass& cc, const BgkParams& p,
     }
   }
 
-  for (i64 k = cc.slow_z[z0]; k < cc.slow_z[z1]; ++k) {
-    const i64 cell = cc.slow[static_cast<std::size_t>(k)];
-    const Int3 pos = lat.coords(cell);
-    const CellType t = static_cast<CellType>(flags[cell]);
-    for (int i = 0; i < Q; ++i) f[i] = detail::pull_value(lat, pos, i);
-    if (t == CellType::Fluid) {
-      collide_bgk_cell(f, p.tau, p.force);
-    } else if (t == CellType::Inlet) {
-      equilibrium_all(lat.inlet_density(), lat.inlet_velocity_at(pos), f);
-    }
-    for (int i = 0; i < Q; ++i) dst[i][cell] = f[i];
+  for (const i64 cell : detail::z_slice(cc.slow, cc.slow_z, z0, z1)) {
+    fused_slow_cell(lat, cell, p, f);
+    a.store(cell, f);
   }
 }
 
-/// Sparse fused pull+collide: the dense pass over compact planes. Span
-/// base offsets go through the index map once per span; the inner loops
-/// stay branch-free. Solid cells have no storage and no work.
-void sparse_fused_z_range(Lattice& lat, const CellClass& cc,
-                          const BgkParams& p, int z0, int z1) {
-  const Int3 d = lat.dim();
-  Real* dst[Q];
-  const Real* src[Q];
-  for (int i = 0; i < Q; ++i) {
-    dst[i] = lat.sparse_back_plane_ptr(i);
-    src[i] = lat.sparse_plane_ptr(i);
-  }
-  const i64 sx = 1, sy = d.x, sz = i64(d.x) * d.y;
-  i64 shift[Q];
-  for (int i = 0; i < Q; ++i) {
-    shift[i] = -(C[i].x * sx + C[i].y * sy + C[i].z * sz);
-  }
-  const auto& flags = lat.flags();
-
-  Real f[Q];
-  for (i64 s = cc.span_z[z0]; s < cc.span_z[z1]; ++s) {
-    const CellSpan sp = cc.spans[static_cast<std::size_t>(s)];
-    const i64 out0 = lat.sparse_index(sp.begin);
-    const Real* GC_RESTRICT in[Q];
-    Real* GC_RESTRICT out[Q];
-    for (int i = 0; i < Q; ++i) {
-      in[i] = src[i] + lat.sparse_index(sp.begin + shift[i]);
-      out[i] = dst[i] + out0;
-    }
-    for (i32 k = 0; k < sp.len; ++k) {
-      for (int i = 0; i < Q; ++i) f[i] = in[i][k];
-      collide_bgk_cell(f, p.tau, p.force);
-      for (int i = 0; i < Q; ++i) out[i][k] = f[i];
-    }
-  }
-
-  for (i64 k = cc.slow_z[z0]; k < cc.slow_z[z1]; ++k) {
-    const i64 cell = cc.slow[static_cast<std::size_t>(k)];
-    const i64 m = lat.sparse_index(cell);  // slow cells are never solid
-    const Int3 pos = lat.coords(cell);
-    const CellType t = static_cast<CellType>(flags[cell]);
-    for (int i = 0; i < Q; ++i) f[i] = detail::pull_value(lat, pos, i);
-    if (t == CellType::Fluid) {
-      collide_bgk_cell(f, p.tau, p.force);
-    } else if (t == CellType::Inlet) {
-      equilibrium_all(lat.inlet_density(), lat.inlet_velocity_at(pos), f);
-    }
-    for (int i = 0; i < Q; ++i) dst[i][m] = f[i];
-  }
+template <bool kCompact>
+void fused_pass(Lattice& lat, const CellClass& cc,
+                const detail::PlaneAddr<kCompact>& a, const BgkParams& p,
+                const StepContext& ctx) {
+  detail::for_z_chunks(lat, ctx, 0, lat.dim().z, [&](int z0, int z1) {
+    fused_z_range(lat, cc, a, p, z0, z1);
+  });
+  lat.swap_buffers();
 }
 
-void check_fused_supported(const Lattice& lat) {
-  // The fused pass cannot interpose the Bouzidi correction between
-  // streaming and collision; use the separate passes for curved boundaries.
-  GC_CHECK_MSG(lat.curved_links().empty(),
-               "fused_stream_collide does not support curved links");
-}
-
-/// AA fused bulk pass: in-place advancing collide of the classified
-/// bulk spans at the current (post-flip) parity. The pulled values are
-/// already in place — the flip put them there — so this reads and
-/// rewrites each cell's own slot group only. No GC_RESTRICT (see
-/// aa_collide_cells).
-void aa_fused_bulk(Lattice& lat, const CellClass& cc, const BgkParams& p,
-                   int z0, int z1) {
-  const Real* rd[Q];
-  Real* wr[Q];
-  for (int i = 0; i < Q; ++i) {
-    rd[i] = lat.aa_bulk_read_ptr(i);
-    wr[i] = lat.aa_bulk_write_ptr(i);
-  }
-  Real f[Q];
-  for (i64 s = cc.span_z[z0]; s < cc.span_z[z1]; ++s) {
-    const CellSpan sp = cc.spans[static_cast<std::size_t>(s)];
-    for (i32 k = 0; k < sp.len; ++k) {
-      const i64 c = sp.begin + k;
-      for (int i = 0; i < Q; ++i) f[i] = rd[i][c];
-      collide_bgk_cell(f, p.tau, p.force);
-      for (int i = 0; i < Q; ++i) wr[i][c] = f[i];
-    }
-  }
-}
-
-/// AA fused step. The slow cells' fused values (pull + per-flag
-/// handling, exactly the double-buffered slow path) are computed BEFORE
-/// the parity flip into scratch; the flip then streams the bulk for
-/// free; the bulk is collided in place and the slow/solid results are
-/// scattered through the post-collide mapping. The lattice ends the
-/// step collided — the next fused call flips first.
-void aa_fused(Lattice& lat, const BgkParams& p, const StepContext& ctx) {
+/// AA fused step. The slow cells' fused values are computed BEFORE the
+/// parity flip into scratch; the flip then streams the bulk for free;
+/// the bulk is collided in place by the collide pass's span loop, and
+/// the slow/solid results are scattered through the post-collide
+/// mapping. The lattice ends the step collided: the next fused call
+/// flips first.
+void aa_fused(Lattice& lat, const CellClass& cc, const BgkParams& p,
+              const StepContext& ctx) {
   if (!lat.aa_collided()) lat.aa_adopt_collided_layout();
-  const CellClass& cc = lat.cell_class();  // build before dispatch
-  const Int3 d = lat.dim();
   const i64 nslow = static_cast<i64>(cc.slow.size());
   auto& fix = lat.aa_fix_scratch();
   fix.resize(static_cast<std::size_t>(nslow * Q));
-
-  auto slow_values = [&lat, &cc, &p, &fix](i64 k0, i64 k1) {
-    const auto& flags = lat.flags();
-    Real f[Q];
-    for (i64 k = k0; k < k1; ++k) {
-      const i64 cell = cc.slow[static_cast<std::size_t>(k)];
-      const Int3 pos = lat.coords(cell);
-      for (int i = 0; i < Q; ++i) f[i] = detail::pull_value(lat, pos, i);
-      const CellType t = static_cast<CellType>(flags[cell]);
-      if (t == CellType::Fluid) {
-        collide_bgk_cell(f, p.tau, p.force);
-      } else if (t == CellType::Inlet) {
-        equilibrium_all(lat.inlet_density(), lat.inlet_velocity_at(pos), f);
-      }
-      std::copy(f, f + Q, fix.begin() + k * Q);
-    }
-  };
-  if (ctx.pool) {
-    ctx.pool->parallel_for_chunks(0, nslow, slow_values,
-                                  ThreadPool::min_chunk_indices(256));
-  } else {
-    slow_values(0, nslow);
-  }
+  detail::for_chunks(ctx.pool, 0, nslow, ThreadPool::min_chunk_indices(256),
+                     [&](i64 k0, i64 k1) {
+                       for (i64 k = k0; k < k1; ++k) {
+                         fused_slow_cell(lat,
+                                         cc.slow[static_cast<std::size_t>(k)],
+                                         p, fix.data() + k * Q);
+                       }
+                     });
 
   lat.swap_buffers();  // flip parity: the zero-copy bulk stream
 
-  if (ctx.pool) {
-    ctx.pool->parallel_for_chunks(
-        0, d.z,
-        [&lat, &cc, &p](i64 z0, i64 z1) {
-          aa_fused_bulk(lat, cc, p, static_cast<int>(z0),
-                        static_cast<int>(z1));
-        },
-        ThreadPool::min_chunk_indices(i64(d.x) * d.y));
-  } else {
-    aa_fused_bulk(lat, cc, p, 0, d.z);
-  }
+  const detail::AaAddr bulk(lat);
+  detail::for_z_chunks(lat, ctx, 0, lat.dim().z, [&](int z0, int z1) {
+    detail::collide_spans(lat, cc, bulk, bgk_op(p), CellBox{}, z0, z1);
+  });
 
   for (i64 k = 0; k < nslow; ++k) {
     lat.scatter_cell_collided(cc.slow[static_cast<std::size_t>(k)],
@@ -652,37 +145,30 @@ void aa_fused(Lattice& lat, const BgkParams& p, const StepContext& ctx) {
 
 }  // namespace
 
+void collide_bgk(Lattice& lat, const BgkParams& p, const StepContext& ctx,
+                 const CellBox& box) {
+  detail::collide_pass(lat, bgk_op(p), ctx, box);
+}
+
 void fused_stream_collide(Lattice& lat, const BgkParams& p,
                           const StepContext& ctx) {
-  check_fused_supported(lat);
+  // The fused pass cannot interpose the Bouzidi correction between
+  // streaming and collision; use the separate passes for curved boundaries.
+  GC_CHECK_MSG(lat.curved_links().empty(),
+               "fused_stream_collide does not support curved links");
   obs::ScopedSpan span(ctx.trace, "fused", ctx.rank, "lbm");
-  if (lat.storage_mode() == StorageMode::AA) {
-    aa_fused(lat, p, ctx);
-    return;
-  }
   const CellClass& cc = lat.cell_class();  // build before dispatch
-  const Int3 d = lat.dim();
-  const bool sparse = lat.storage_mode() == StorageMode::Sparse;
-  if (sparse) lat.sparse_active_cells();  // build on the calling thread
-  if (ctx.pool) {
-    ctx.pool->parallel_for_chunks(
-        0, d.z,
-        [&lat, &cc, &p, sparse](i64 z0, i64 z1) {
-          if (sparse) {
-            sparse_fused_z_range(lat, cc, p, static_cast<int>(z0),
-                                 static_cast<int>(z1));
-          } else {
-            fused_z_range(lat, cc, p, static_cast<int>(z0),
-                          static_cast<int>(z1));
-          }
-        },
-        ThreadPool::min_chunk_indices(i64(d.x) * d.y));
-  } else if (sparse) {
-    sparse_fused_z_range(lat, cc, p, 0, d.z);
-  } else {
-    fused_z_range(lat, cc, p, 0, d.z);
+  switch (lat.storage_mode()) {
+    case StorageMode::DoubleBuffer:
+      fused_pass(lat, cc, detail::NaturalAddr::to_back(lat), p, ctx);
+      return;
+    case StorageMode::Sparse:
+      fused_pass(lat, cc, detail::CompactAddr::to_back(lat), p, ctx);
+      return;
+    case StorageMode::AA:
+      aa_fused(lat, cc, p, ctx);
+      return;
   }
-  lat.swap_buffers();
 }
 
 }  // namespace gc::lbm

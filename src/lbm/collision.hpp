@@ -6,7 +6,6 @@
 
 #include "lbm/lattice.hpp"
 #include "lbm/step_context.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gc::lbm {
 
@@ -15,29 +14,25 @@ struct BgkParams {
   Vec3 force{};          ///< uniform body force density (Guo scheme)
 };
 
-/// Collides every non-solid cell in place (current buffer).
-void collide_bgk(Lattice& lat, const BgkParams& p);
-
-/// Multithreaded variant (z-slabs on the pool; collision is per-cell
-/// local, so this is bit-identical to the serial kernel).
-void collide_bgk(Lattice& lat, const BgkParams& p, ThreadPool& pool);
-
-/// Collides cells in the box [lo, hi) only. Used by the overlap pipeline
-/// (inner cells collide while the border exchange is in flight) and by
-/// per-thread partitioning.
-void collide_bgk_region(Lattice& lat, const BgkParams& p, Int3 lo, Int3 hi);
+/// Collides the fluid cells of `box` in place (current buffer); under AA
+/// storage every cell of the box is advanced, non-fluid ones copied
+/// through. Runs on ctx.pool when set: z-chunks, bit-identical to
+/// serial, since collision is cell-local. Emits no span; callers time it
+/// in their own "collide" span.
+///
+/// `box` is the cells the caller owns, the whole lattice by default.
+/// ParallelLbm passes a rank's owned cells, so the ghost layers, which
+/// the exchange rewrites before anything reads them, are not collided.
+/// Collision never overlaps the exchange: in the overlapped step it is
+/// the inner cells' streaming (stream_inner) that runs while border
+/// messages are in flight.
+void collide_bgk(Lattice& lat, const BgkParams& p, const StepContext& ctx = {},
+                 const CellBox& box = {});
 
 /// Collides one cell given its 19 distribution values (in/out). Exposed so
 /// the simulated-GPU fragment program and the CPU kernel share one
 /// definition — keeping the two paths bit-identical.
 void collide_bgk_cell(Real f[Q], Real tau, Vec3 force);
-
-/// Per-cell spatially varying force field variant (e.g., Boussinesq
-/// buoyancy from the thermal module). `force[cell]` is the force at a cell.
-/// Runs on ctx.pool when set (z-slabs, bit-identical to serial) and emits
-/// a "collide" span on ctx.trace when attached.
-void collide_bgk_forced(Lattice& lat, Real tau, const Vec3* force,
-                        const StepContext& ctx = {});
 
 /// Fused stream+collide ("pull then collide"), the memory-traffic
 /// optimization of Massaioli & Amati cited in Section 4.4. Handles the same

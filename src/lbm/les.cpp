@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "lbm/cell_pass.hpp"
 #include "lbm/collision.hpp"
 
 namespace gc::lbm {
@@ -45,20 +46,14 @@ Real smagorinsky_tau(const Real f[Q], const SmagorinskyParams& p) {
   return static_cast<Real>(tau_eff);
 }
 
-void collide_bgk_les(Lattice& lat, const SmagorinskyParams& p) {
-  GC_CHECK_MSG(lat.storage_mode() == StorageMode::DoubleBuffer,
-               "LES collision is implemented for double-buffered storage");
-  Real* planes[Q];
-  for (int i = 0; i < Q; ++i) planes[i] = lat.plane_ptr(i);
-  Real f[Q];
-  const i64 n = lat.num_cells();
-  for (i64 c = 0; c < n; ++c) {
-    if (lat.flag(c) != CellType::Fluid) continue;
-    for (int i = 0; i < Q; ++i) f[i] = planes[i][c];
-    const Real tau = smagorinsky_tau(f, p);
-    collide_bgk_cell(f, tau, Vec3{});
-    for (int i = 0; i < Q; ++i) planes[i][c] = f[i];
-  }
+void collide_bgk_les(Lattice& lat, const SmagorinskyParams& p,
+                     const StepContext& ctx, const CellBox& box) {
+  detail::collide_pass(
+      lat,
+      [&p](Real f[Q], i64) {
+        collide_bgk_cell(f, smagorinsky_tau(f, p), Vec3{});
+      },
+      ctx, box);
 }
 
 }  // namespace gc::lbm

@@ -9,6 +9,7 @@
 #pragma once
 
 #include "lbm/lattice.hpp"
+#include "lbm/step_context.hpp"
 
 namespace gc::lbm {
 
@@ -20,7 +21,10 @@ struct SmagorinskyParams {
 /// Effective relaxation time at one cell given its distributions.
 Real smagorinsky_tau(const Real f[Q], const SmagorinskyParams& p);
 
-/// BGK collision with the locally adapted relaxation time.
-void collide_bgk_les(Lattice& lat, const SmagorinskyParams& p);
+/// BGK collision with the locally adapted relaxation time, on every
+/// storage mode: the same pass, pooling, AA and box semantics as
+/// collide_bgk.
+void collide_bgk_les(Lattice& lat, const SmagorinskyParams& p,
+                     const StepContext& ctx = {}, const CellBox& box = {});
 
 }  // namespace gc::lbm

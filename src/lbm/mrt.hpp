@@ -9,7 +9,7 @@
 #include <array>
 
 #include "lbm/lattice.hpp"
-#include "util/thread_pool.hpp"
+#include "lbm/step_context.hpp"
 
 namespace gc::lbm {
 
@@ -48,14 +48,10 @@ struct MrtParams {
   void set_viscosity_rates(Real tau);
 };
 
-/// Collides every fluid cell in place with the MRT operator.
-void collide_mrt(Lattice& lat, const MrtParams& p);
-
-/// Multithreaded variant (bit-identical; collision is per-cell local).
-void collide_mrt(Lattice& lat, const MrtParams& p, ThreadPool& pool);
-
-/// Collides only the box [lo, hi) — the distributed solver's hook.
-void collide_mrt_region(Lattice& lat, const MrtParams& p, Int3 lo, Int3 hi);
+/// Collides the fluid cells of `box` with the MRT operator: the same
+/// pass, pooling, AA and box semantics as collide_bgk.
+void collide_mrt(Lattice& lat, const MrtParams& p, const StepContext& ctx = {},
+                 const CellBox& box = {});
 
 /// Single-cell MRT collision (shared with the simulated-GPU path; the
 /// paper notes HTLBM needs "only two additional matrix multiplications").

@@ -40,11 +40,7 @@ void Solver::step() {
     const MrtParams p = cfg_.mrt ? *cfg_.mrt : MrtParams::standard(cfg_.tau);
     {
       obs::ScopedSpan span(rec, "collide", 0, "lbm");
-      if (ctx.pool) {
-        collide_mrt(lat_, p, *ctx.pool);
-      } else {
-        collide_mrt(lat_, p);
-      }
+      collide_mrt(lat_, p, ctx);
       thermal_->buoyancy_force(lat_, force_field_);
       apply_force_first_order(lat_, force_field_);
     }
@@ -54,11 +50,7 @@ void Solver::step() {
     const MrtParams p = cfg_.mrt ? *cfg_.mrt : MrtParams::standard(cfg_.tau);
     {
       obs::ScopedSpan span(rec, "collide", 0, "lbm");
-      if (ctx.pool) {
-        collide_mrt(lat_, p, *ctx.pool);
-      } else {
-        collide_mrt(lat_, p);
-      }
+      collide_mrt(lat_, p, ctx);
     }
     if (rec) t_collide = rec->now_us();
     stream(lat_, ctx);
@@ -68,11 +60,7 @@ void Solver::step() {
   } else {
     {
       obs::ScopedSpan span(rec, "collide", 0, "lbm");
-      if (ctx.pool) {
-        collide_bgk(lat_, BgkParams{cfg_.tau, cfg_.body_force}, *ctx.pool);
-      } else {
-        collide_bgk(lat_, BgkParams{cfg_.tau, cfg_.body_force});
-      }
+      collide_bgk(lat_, BgkParams{cfg_.tau, cfg_.body_force}, ctx);
     }
     if (rec) t_collide = rec->now_us();
     stream(lat_, ctx);

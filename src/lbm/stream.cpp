@@ -1,6 +1,9 @@
 #include "lbm/stream.hpp"
 
+#include <span>
+
 #include "lbm/boundary.hpp"
+#include "lbm/cell_pass.hpp"
 #include "obs/trace.hpp"
 
 namespace gc::lbm {
@@ -95,116 +98,45 @@ bool is_interior_fluid(const Lattice& lat, Int3 p) {
   return true;
 }
 
+void pull_cell(const Lattice& lat, i64 cell, Real f[Q]) {
+  const Int3 p = lat.coords(cell);
+  for (int i = 0; i < Q; ++i) f[i] = pull_value(lat, p, i);
+}
+
 }  // namespace detail
 
 namespace {
 
 /// Streams an explicit cell selection from the current into the back
-/// buffer: solid cells are zeroed, bulk-fast spans are branch-free
-/// shifted copies, and only the slow minority walks the general
-/// pull_value path. No per-cell flag scanning. The unit both the
-/// z-sliced full-lattice pass and the inner/outer partitioned passes
-/// are built on.
-void stream_cells(Lattice& lat, const CellSpan* spans, i64 nspans,
-                  const i64* slow, i64 nslow, const i64* solid, i64 nsolid) {
-  const Int3 d = lat.dim();
-  const i64 sx = 1, sy = d.x, sz = i64(d.x) * d.y;
-
-  // Per-direction linear offset of the pull source for interior cells.
+/// buffer: bulk spans are branch-free shifted copies, the slow minority
+/// walks the general pull_value path, and solid cells are zeroed where
+/// they have storage. The compact layout needs the index map only for
+/// each span's two base offsets (a bulk span's pull sources form another
+/// contiguous run of fluid cells), so the span loop stays a plain copy
+/// in both layouts. The unit both the z-sliced full-lattice pass and the
+/// inner/outer partitioned passes are built on.
+template <bool kCompact>
+void stream_cells(const Lattice& lat, const detail::PlaneAddr<kCompact>& a,
+                  std::span<const CellSpan> spans, std::span<const i64> slow,
+                  std::span<const i64> solid) {
   i64 shift[Q];
-  for (int i = 0; i < Q; ++i) {
-    shift[i] = -(C[i].x * sx + C[i].y * sy + C[i].z * sz);
-  }
+  for (int i = 0; i < Q; ++i) shift[i] = detail::pull_offset(lat.dim(), i);
+  a.zero_solids(solid);
 
-  const Real* src[Q];
-  Real* dst[Q];
-  for (int i = 0; i < Q; ++i) {
-    src[i] = lat.plane_ptr(i);
-    dst[i] = lat.back_plane_ptr(i);
-  }
-
-  for (i64 k = 0; k < nsolid; ++k) {
-    const i64 cell = solid[k];
-    for (int i = 0; i < Q; ++i) dst[i][cell] = Real(0);
-  }
-
-  for (i64 s = 0; s < nspans; ++s) {
-    const CellSpan sp = spans[s];
+  for (const CellSpan& sp : spans) {
+    const i64 out0 = a.at(sp.begin);
     for (int i = 0; i < Q; ++i) {
-      Real* GC_RESTRICT out = dst[i] + sp.begin;
-      const Real* GC_RESTRICT in = src[i] + sp.begin + shift[i];
+      Real* GC_RESTRICT out = a.wr[i] + out0;
+      const Real* GC_RESTRICT in = a.rd[i] + a.at(sp.begin + shift[i]);
       for (i32 k = 0; k < sp.len; ++k) out[k] = in[k];
     }
   }
 
-  for (i64 k = 0; k < nslow; ++k) {
-    const i64 cell = slow[k];
-    const Int3 p = lat.coords(cell);
-    for (int i = 0; i < Q; ++i) {
-      dst[i][cell] = detail::pull_value(lat, p, i);
-    }
+  Real f[Q];
+  for (const i64 cell : slow) {
+    detail::pull_cell(lat, cell, f);
+    a.store(cell, f);
   }
-}
-
-/// Streams slices [z0, z1), driven by the precomputed classification's
-/// per-z offsets.
-void stream_z_range(Lattice& lat, const CellClass& cc, int z0, int z1) {
-  stream_cells(lat, cc.spans.data() + cc.span_z[z0],
-               cc.span_z[z1] - cc.span_z[z0],
-               cc.slow.data() + cc.slow_z[z0], cc.slow_z[z1] - cc.slow_z[z0],
-               cc.solid.data() + cc.solid_z[z0],
-               cc.solid_z[z1] - cc.solid_z[z0]);
-}
-
-// ---- sparse (compact fluid-index) streaming --------------------------
-// Identical pull pattern over the compact planes. Because the compact
-// cell list preserves ascending dense order, a bulk span's cells — and
-// each direction's pull sources, which form another contiguous all-
-// active dense run — map to contiguous compact ids, so the span loop
-// stays a plain shifted copy: only the two base offsets go through the
-// index map. Solid cells have no storage, so there is nothing to zero.
-
-void sparse_stream_cells(Lattice& lat, const CellSpan* spans, i64 nspans,
-                         const i64* slow, i64 nslow) {
-  const Int3 d = lat.dim();
-  const i64 sx = 1, sy = d.x, sz = i64(d.x) * d.y;
-  i64 shift[Q];
-  for (int i = 0; i < Q; ++i) {
-    shift[i] = -(C[i].x * sx + C[i].y * sy + C[i].z * sz);
-  }
-
-  const Real* src[Q];
-  Real* dst[Q];
-  for (int i = 0; i < Q; ++i) {
-    src[i] = lat.sparse_plane_ptr(i);
-    dst[i] = lat.sparse_back_plane_ptr(i);
-  }
-
-  for (i64 s = 0; s < nspans; ++s) {
-    const CellSpan sp = spans[s];
-    const i64 out0 = lat.sparse_index(sp.begin);
-    for (int i = 0; i < Q; ++i) {
-      Real* GC_RESTRICT out = dst[i] + out0;
-      const Real* GC_RESTRICT in = src[i] + lat.sparse_index(sp.begin + shift[i]);
-      for (i32 k = 0; k < sp.len; ++k) out[k] = in[k];
-    }
-  }
-
-  for (i64 k = 0; k < nslow; ++k) {
-    const i64 cell = slow[k];
-    const i64 m = lat.sparse_index(cell);  // slow cells are never solid
-    const Int3 p = lat.coords(cell);
-    for (int i = 0; i < Q; ++i) {
-      dst[i][m] = detail::pull_value(lat, p, i);
-    }
-  }
-}
-
-void sparse_stream_z_range(Lattice& lat, const CellClass& cc, int z0, int z1) {
-  sparse_stream_cells(lat, cc.spans.data() + cc.span_z[z0],
-                      cc.span_z[z1] - cc.span_z[z0],
-                      cc.slow.data() + cc.slow_z[z0],
-                      cc.slow_z[z1] - cc.slow_z[z0]);
 }
 
 /// Re-imposes the inlet equilibrium on inlet-flagged cells (the tail of
@@ -255,205 +187,150 @@ void finish_stream(Lattice& lat) {
 // group (slot ownership is a bijection), so chunks of the slow/solid
 // lists never overlap.
 
-void aa_collect_fixups(const Lattice& lat, const i64* cells, i64 n,
+void aa_collect_fixups(const Lattice& lat, std::span<const i64> cells,
                        Real* out) {
-  for (i64 k = 0; k < n; ++k) {
-    const Int3 p = lat.coords(cells[k]);
-    Real* v = out + k * Q;
-    for (int i = 0; i < Q; ++i) v[i] = detail::pull_value(lat, p, i);
+  for (const i64 c : cells) {
+    detail::pull_cell(lat, c, out);
+    out += Q;
   }
 }
 
-void aa_scatter_fixups(Lattice& lat, const i64* cells, i64 n,
+void aa_scatter_fixups(Lattice& lat, std::span<const i64> cells,
                        const Real* vals) {
-  for (i64 k = 0; k < n; ++k) lat.scatter_cell(cells[k], vals + k * Q);
+  for (const i64 c : cells) {
+    lat.scatter_cell(c, vals);
+    vals += Q;
+  }
 }
 
-void aa_zero_solids(Lattice& lat, const i64* cells, i64 n) {
+void aa_zero_solids(Lattice& lat, std::span<const i64> cells) {
   const Real zeros[Q] = {};
-  for (i64 k = 0; k < n; ++k) lat.scatter_cell(cells[k], zeros);
+  for (const i64 c : cells) lat.scatter_cell(c, zeros);
+}
+
+void check_aa_streamable(const Lattice& lat) {
+  GC_CHECK_MSG(lat.curved_links().empty(),
+               "AA storage does not support curved boundary links");
 }
 
 void aa_stream(Lattice& lat, ThreadPool* pool) {
-  GC_CHECK_MSG(lat.curved_links().empty(),
-               "AA storage does not support curved boundary links");
+  check_aa_streamable(lat);
   const CellClass& cc = lat.cell_class();  // build before dispatch
-  const i64 nslow = static_cast<i64>(cc.slow.size());
+  const std::span<const i64> slow(cc.slow);
   auto& fix = lat.aa_fix_scratch();
-  fix.resize(static_cast<std::size_t>(nslow * Q));
+  fix.resize(slow.size() * Q);
+  const i64 min_chunk = ThreadPool::min_chunk_indices(256);
+  auto chunk = [&slow](i64 k0, i64 k1) {
+    return slow.subspan(static_cast<std::size_t>(k0),
+                        static_cast<std::size_t>(k1 - k0));
+  };
 
-  if (pool) {
-    pool->parallel_for_chunks(
-        0, nslow,
-        [&lat, &cc, &fix](i64 k0, i64 k1) {
-          aa_collect_fixups(lat, cc.slow.data() + k0, k1 - k0,
-                            fix.data() + k0 * Q);
-        },
-        ThreadPool::min_chunk_indices(256));
-  } else {
-    aa_collect_fixups(lat, cc.slow.data(), nslow, fix.data());
-  }
-
+  detail::for_chunks(pool, 0, static_cast<i64>(slow.size()), min_chunk,
+                     [&](i64 k0, i64 k1) {
+                       aa_collect_fixups(lat, chunk(k0, k1),
+                                         fix.data() + k0 * Q);
+                     });
   lat.swap_buffers();  // the zero-copy bulk stream: flip parity
-
-  const i64 nsolid = static_cast<i64>(cc.solid.size());
-  if (pool) {
-    pool->parallel_for_chunks(
-        0, nslow,
-        [&lat, &cc, &fix](i64 k0, i64 k1) {
-          aa_scatter_fixups(lat, cc.slow.data() + k0, k1 - k0,
-                            fix.data() + k0 * Q);
-        },
-        ThreadPool::min_chunk_indices(256));
-  } else {
-    aa_scatter_fixups(lat, cc.slow.data(), nslow, fix.data());
-  }
-  aa_zero_solids(lat, cc.solid.data(), nsolid);
+  detail::for_chunks(pool, 0, static_cast<i64>(slow.size()), min_chunk,
+                     [&](i64 k0, i64 k1) {
+                       aa_scatter_fixups(lat, chunk(k0, k1),
+                                         fix.data() + k0 * Q);
+                     });
+  aa_zero_solids(lat, cc.solid);
   impose_inlets(lat);
+}
+
+/// Collects the inner fixups only — no flip, no writes. Inner cells
+/// never pull from ghost layers, so this is safe to run while border
+/// messages are still in flight; aa_stream_outer completes the step.
+void aa_stream_inner(Lattice& lat, const InnerOuterClass& split) {
+  auto& pend = lat.aa_pending_scratch();
+  pend.resize(split.inner_slow.size() * Q);
+  aa_collect_fixups(lat, split.inner_slow, pend.data());
+}
+
+void aa_stream_outer(Lattice& lat, const InnerOuterClass& split) {
+  check_aa_streamable(lat);
+  auto& pend = lat.aa_pending_scratch();
+  auto& fix = lat.aa_fix_scratch();
+  GC_CHECK_MSG(pend.size() == split.inner_slow.size() * Q,
+               "stream_outer(AA) requires a matching stream_inner first");
+  fix.resize(split.outer_slow.size() * Q);
+  aa_collect_fixups(lat, split.outer_slow, fix.data());
+  lat.swap_buffers();
+  aa_scatter_fixups(lat, split.inner_slow, pend.data());
+  aa_scatter_fixups(lat, split.outer_slow, fix.data());
+  aa_zero_solids(lat, split.inner_solid);
+  aa_zero_solids(lat, split.outer_solid);
+  impose_inlets(lat);
+}
+
+/// Streams the z-slices of the whole lattice on ctx.pool, then finishes
+/// the step (swap, inlets, curved corrections).
+template <bool kCompact>
+void stream_all(Lattice& lat, const detail::PlaneAddr<kCompact>& a,
+                const StepContext& ctx) {
+  const CellClass& cc = lat.cell_class();  // build before dispatch
+  {
+    obs::ScopedSpan span(ctx.trace, "stream", ctx.rank, "lbm");
+    detail::for_z_chunks(lat, ctx, 0, lat.dim().z, [&](int z0, int z1) {
+      stream_cells(lat, a, detail::z_slice(cc.spans, cc.span_z, z0, z1),
+                   detail::z_slice(cc.slow, cc.slow_z, z0, z1),
+                   detail::z_slice(cc.solid, cc.solid_z, z0, z1));
+    });
+  }
+  obs::ScopedSpan span(ctx.trace, "finish", ctx.rank, "lbm");
+  finish_stream(lat);
 }
 
 }  // namespace
 
-void stream(Lattice& lat) {
-  if (lat.storage_mode() == StorageMode::AA) {
-    aa_stream(lat, nullptr);
-    return;
+void stream(Lattice& lat, const StepContext& ctx) {
+  switch (lat.storage_mode()) {
+    case StorageMode::DoubleBuffer:
+      stream_all(lat, detail::NaturalAddr::to_back(lat), ctx);
+      return;
+    case StorageMode::Sparse:
+      stream_all(lat, detail::CompactAddr::to_back(lat), ctx);
+      return;
+    case StorageMode::AA: {
+      obs::ScopedSpan span(ctx.trace, "stream", ctx.rank, "lbm");
+      aa_stream(lat, ctx.pool);
+      return;
+    }
   }
-  const CellClass& cc = lat.cell_class();
-  if (lat.storage_mode() == StorageMode::Sparse) {
-    lat.sparse_active_cells();  // build the compact layout before streaming
-    sparse_stream_z_range(lat, cc, 0, lat.dim().z);
-  } else {
-    stream_z_range(lat, cc, 0, lat.dim().z);
-  }
-  finish_stream(lat);
-}
-
-void stream(Lattice& lat, ThreadPool& pool) {
-  if (lat.storage_mode() == StorageMode::AA) {
-    aa_stream(lat, &pool);
-    return;
-  }
-  const CellClass& cc = lat.cell_class();  // build before dispatch
-  const Int3 d = lat.dim();
-  if (lat.storage_mode() == StorageMode::Sparse) {
-    lat.sparse_active_cells();  // build on the calling thread
-    pool.parallel_for_chunks(
-        0, d.z,
-        [&lat, &cc](i64 z0, i64 z1) {
-          sparse_stream_z_range(lat, cc, static_cast<int>(z0),
-                                static_cast<int>(z1));
-        },
-        ThreadPool::min_chunk_indices(i64(d.x) * d.y));
-  } else {
-    pool.parallel_for_chunks(
-        0, d.z,
-        [&lat, &cc](i64 z0, i64 z1) {
-          stream_z_range(lat, cc, static_cast<int>(z0), static_cast<int>(z1));
-        },
-        ThreadPool::min_chunk_indices(i64(d.x) * d.y));
-  }
-  finish_stream(lat);
 }
 
 void stream_inner(Lattice& lat, const InnerOuterClass& split) {
-  if (lat.storage_mode() == StorageMode::Sparse) {
-    lat.sparse_active_cells();  // build before streaming
-    sparse_stream_cells(lat, split.inner_spans.data(),
-                        static_cast<i64>(split.inner_spans.size()),
-                        split.inner_slow.data(),
-                        static_cast<i64>(split.inner_slow.size()));
-    return;
+  switch (lat.storage_mode()) {
+    case StorageMode::DoubleBuffer:
+      stream_cells(lat, detail::NaturalAddr::to_back(lat), split.inner_spans,
+                   split.inner_slow, split.inner_solid);
+      return;
+    case StorageMode::Sparse:
+      stream_cells(lat, detail::CompactAddr::to_back(lat), split.inner_spans,
+                   split.inner_slow, split.inner_solid);
+      return;
+    case StorageMode::AA:
+      aa_stream_inner(lat, split);
+      return;
   }
-  if (lat.storage_mode() == StorageMode::AA) {
-    // Collect the inner fixups only — no flip, no writes. Inner cells
-    // never pull from ghost layers, so this is safe to run while border
-    // messages are still in flight; stream_outer completes the step.
-    auto& pend = lat.aa_pending_scratch();
-    const i64 n = static_cast<i64>(split.inner_slow.size());
-    pend.resize(static_cast<std::size_t>(n * Q));
-    aa_collect_fixups(lat, split.inner_slow.data(), n, pend.data());
-    return;
-  }
-  stream_cells(lat, split.inner_spans.data(),
-               static_cast<i64>(split.inner_spans.size()),
-               split.inner_slow.data(),
-               static_cast<i64>(split.inner_slow.size()),
-               split.inner_solid.data(),
-               static_cast<i64>(split.inner_solid.size()));
 }
 
 void stream_outer(Lattice& lat, const InnerOuterClass& split) {
-  if (lat.storage_mode() == StorageMode::Sparse) {
-    sparse_stream_cells(lat, split.outer_spans.data(),
-                        static_cast<i64>(split.outer_spans.size()),
-                        split.outer_slow.data(),
-                        static_cast<i64>(split.outer_slow.size()));
-    finish_stream(lat);
-    return;
+  switch (lat.storage_mode()) {
+    case StorageMode::DoubleBuffer:
+      stream_cells(lat, detail::NaturalAddr::to_back(lat), split.outer_spans,
+                   split.outer_slow, split.outer_solid);
+      break;
+    case StorageMode::Sparse:
+      stream_cells(lat, detail::CompactAddr::to_back(lat), split.outer_spans,
+                   split.outer_slow, split.outer_solid);
+      break;
+    case StorageMode::AA:
+      aa_stream_outer(lat, split);
+      return;
   }
-  if (lat.storage_mode() == StorageMode::AA) {
-    GC_CHECK_MSG(lat.curved_links().empty(),
-                 "AA storage does not support curved boundary links");
-    auto& pend = lat.aa_pending_scratch();
-    auto& fix = lat.aa_fix_scratch();
-    const i64 ni = static_cast<i64>(split.inner_slow.size());
-    const i64 no = static_cast<i64>(split.outer_slow.size());
-    GC_CHECK_MSG(pend.size() == static_cast<std::size_t>(ni * Q),
-                 "stream_outer(AA) requires a matching stream_inner first");
-    fix.resize(static_cast<std::size_t>(no * Q));
-    aa_collect_fixups(lat, split.outer_slow.data(), no, fix.data());
-    lat.swap_buffers();
-    aa_scatter_fixups(lat, split.inner_slow.data(), ni, pend.data());
-    aa_scatter_fixups(lat, split.outer_slow.data(), no, fix.data());
-    aa_zero_solids(lat, split.inner_solid.data(),
-                   static_cast<i64>(split.inner_solid.size()));
-    aa_zero_solids(lat, split.outer_solid.data(),
-                   static_cast<i64>(split.outer_solid.size()));
-    impose_inlets(lat);
-    return;
-  }
-  stream_cells(lat, split.outer_spans.data(),
-               static_cast<i64>(split.outer_spans.size()),
-               split.outer_slow.data(),
-               static_cast<i64>(split.outer_slow.size()),
-               split.outer_solid.data(),
-               static_cast<i64>(split.outer_solid.size()));
-  finish_stream(lat);
-}
-
-void stream(Lattice& lat, const StepContext& ctx) {
-  if (lat.storage_mode() == StorageMode::AA) {
-    obs::ScopedSpan span(ctx.trace, "stream", ctx.rank, "lbm");
-    aa_stream(lat, ctx.pool);
-    return;
-  }
-  const CellClass& cc = lat.cell_class();  // build before dispatch
-  const Int3 d = lat.dim();
-  const bool sparse = lat.storage_mode() == StorageMode::Sparse;
-  if (sparse) lat.sparse_active_cells();  // build on the calling thread
-  {
-    obs::ScopedSpan span(ctx.trace, "stream", ctx.rank, "lbm");
-    if (ctx.pool) {
-      ctx.pool->parallel_for_chunks(
-          0, d.z,
-          [&lat, &cc, sparse](i64 z0, i64 z1) {
-            if (sparse) {
-              sparse_stream_z_range(lat, cc, static_cast<int>(z0),
-                                    static_cast<int>(z1));
-            } else {
-              stream_z_range(lat, cc, static_cast<int>(z0),
-                             static_cast<int>(z1));
-            }
-          },
-          ThreadPool::min_chunk_indices(i64(d.x) * d.y));
-    } else if (sparse) {
-      sparse_stream_z_range(lat, cc, 0, d.z);
-    } else {
-      stream_z_range(lat, cc, 0, d.z);
-    }
-  }
-  obs::ScopedSpan span(ctx.trace, "finish", ctx.rank, "lbm");
   finish_stream(lat);
 }
 

@@ -7,24 +7,18 @@
 
 #include "lbm/lattice.hpp"
 #include "lbm/step_context.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gc::lbm {
 
 /// Streams every cell from the current buffer into the back buffer,
 /// applying face boundary conditions, half-way bounce-back at solids,
 /// inlet equilibria and outflow copies; then swaps buffers and applies
-/// curved-boundary (Bouzidi) corrections for registered links.
-void stream(Lattice& lat);
-
-/// Multithreaded variant: z-slabs stream concurrently on the pool (the
-/// pull pattern has no write conflicts). Bit-identical to stream().
-void stream(Lattice& lat, ThreadPool& pool);
-
-/// Context variant: runs on ctx.pool when set and emits "stream" (pull
-/// pass) and "finish" (swap + inlet + curved corrections) spans on
-/// ctx.trace when attached. Bit-identical to stream().
-void stream(Lattice& lat, const StepContext& ctx);
+/// curved-boundary (Bouzidi) corrections for registered links. Runs on
+/// ctx.pool when set (z-slabs; the pull pattern has no write conflicts,
+/// so this is bit-identical to serial) and emits "stream" (pull pass)
+/// and "finish" (swap + inlet + curved corrections) spans on ctx.trace
+/// when attached.
+void stream(Lattice& lat, const StepContext& ctx = {});
 
 /// Streams only the inner partition of `split` into the back buffer —
 /// cells guaranteed not to read any ghost-margin texel — so it can run
@@ -45,6 +39,9 @@ namespace detail {
 /// Value pulled for direction i at cell position p, with all boundary
 /// handling. Reads the *current* buffer; callers write the back buffer.
 Real pull_value(const Lattice& lat, Int3 p, int i);
+
+/// All 19 pulled values of one cell: pull_value in every direction.
+void pull_cell(const Lattice& lat, i64 cell, Real f[Q]);
 
 /// True when all 19 pull sources of p are in-bounds fluid cells — the fast
 /// path where streaming is a plain shifted copy.

@@ -185,29 +185,6 @@ TEST(CellClass, FusedPooledBitExactVsSerialSplit) {
   }
 }
 
-TEST(CellClass, ForcedPooledBitExactVsSerial) {
-  ThreadPool pool(3);
-  Lattice serial(Int3{11, 9, 8}), pooled(Int3{11, 9, 8});
-  Rng rng(7);
-  std::vector<Vec3> force(static_cast<std::size_t>(serial.num_cells()));
-  for (auto& fv : force) {
-    fv = Vec3{Real(rng.uniform(-1e-4, 1e-4)), Real(rng.uniform(-1e-4, 1e-4)),
-              Real(rng.uniform(-1e-4, 1e-4))};
-  }
-  for (auto* lat : {&serial, &pooled}) {
-    lat->init_equilibrium(Real(1), Vec3{Real(0.03), 0, 0});
-    lat->fill_solid_box(Int3{3, 3, 3}, Int3{6, 6, 6});
-  }
-  collide_bgk_forced(serial, Real(0.8), force.data());
-  collide_bgk_forced(pooled, Real(0.8), force.data(),
-                     StepContext{&pool, nullptr, 0});
-  for (int i = 0; i < Q; ++i) {
-    for (i64 c = 0; c < serial.num_cells(); ++c) {
-      ASSERT_EQ(serial.f(i, c), pooled.f(i, c));
-    }
-  }
-}
-
 TEST(CellClass, RebuildsExactlyOncePerMutation) {
   Lattice lat(Int3{8, 8, 8});
   EXPECT_EQ(lat.cell_class_rebuilds(), 0);

@@ -122,7 +122,7 @@ TEST(Collision, RegionVariantMatchesFull) {
   randomize_positive(b, 5);
   const BgkParams p{Real(0.8), Vec3{}};
   collide_bgk(a, p);
-  collide_bgk_region(b, p, Int3{0, 0, 0}, Int3{6, 6, 6});
+  collide_bgk(b, p, {}, CellBox{Int3{0, 0, 0}, Int3{6, 6, 6}});
   for (int i = 0; i < Q; ++i) {
     for (i64 c = 0; c < a.num_cells(); ++c) {
       ASSERT_FLOAT_EQ(a.f(i, c), b.f(i, c));
@@ -134,8 +134,8 @@ TEST(Collision, RegionVariantTouchesOnlyRegion) {
   Lattice lat(Int3{6, 6, 6});
   randomize_positive(lat, 9);
   const Real before = lat.f(1, lat.idx(0, 0, 0));
-  collide_bgk_region(lat, BgkParams{Real(0.8), Vec3{}}, Int3{2, 2, 2},
-                     Int3{4, 4, 4});
+  collide_bgk(lat, BgkParams{Real(0.8), Vec3{}}, {},
+              CellBox{Int3{2, 2, 2}, Int3{4, 4, 4}});
   EXPECT_FLOAT_EQ(lat.f(1, lat.idx(0, 0, 0)), before);
   // A cell inside the region did change.
   Lattice ref(Int3{6, 6, 6});

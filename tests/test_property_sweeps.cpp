@@ -262,7 +262,7 @@ TEST(MrtRegion, MatchesFullCollideOnWholeBox) {
   }
   const lbm::MrtParams p = lbm::MrtParams::standard(Real(0.9));
   lbm::collide_mrt(a, p);
-  lbm::collide_mrt_region(b, p, Int3{0, 0, 0}, Int3{6, 6, 6});
+  lbm::collide_mrt(b, p, {}, lbm::CellBox{Int3{0, 0, 0}, Int3{6, 6, 6}});
   for (int i = 0; i < lbm::Q; ++i) {
     for (i64 c = 0; c < a.num_cells(); ++c) {
       ASSERT_EQ(a.f(i, c), b.f(i, c));

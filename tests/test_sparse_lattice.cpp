@@ -1,15 +1,18 @@
 // The sparse fluid-index backend (StorageMode::Sparse): compact layout
 // invariants against the flag field, dense <-> sparse round trips at
 // every buffer phase, accessor semantics on pruned (solid) cells, lazy
-// remapping under flag mutations, kernel equivalence against the dense
-// reference, and checkpoint save/load across storage layouts.
+// remapping under flag mutations, kernel equivalence of the AA and sparse
+// backends against the dense reference, and checkpoint save/load across
+// storage layouts.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "io/checkpoint.hpp"
 #include "lbm/collision.hpp"
+#include "lbm/les.hpp"
 #include "lbm/model.hpp"
 #include "lbm/mrt.hpp"
 #include "lbm/stream.hpp"
@@ -204,59 +207,92 @@ TEST(SparseLattice, FlagMutationRemapsSurvivingValues) {
   EXPECT_EQ(lat.f(3, probe), kept);
 }
 
-TEST(SparseLattice, KernelsMatchDenseReference) {
-  // Serial + pooled stream/collide/fused, BGK and MRT, against the dense
-  // lattice stepping the same schedule (the randomized cross-backend
-  // harness lives in test_overlap_exec.cpp; this is the focused unit).
+/// Every kernel on `mode` storage against the dense reference: serial +
+/// pooled stream with BGK, MRT and LES collides, a box-clipped collide and
+/// the fused kernel, against the dense lattice stepping the same schedule
+/// (the randomized cross-backend harness lives in test_overlap_exec.cpp;
+/// this is the focused unit).
+void expect_kernels_match_dense(StorageMode mode) {
   ThreadPool pool(3);
+  const StepContext serial;
+  const StepContext threaded(pool);
   const BgkParams bgk{Real(0.8), Vec3{}};
   const MrtParams mrt = MrtParams::standard(Real(0.8));
+  const SmagorinskyParams les;
 
   Lattice dense = make_dense();
-  Lattice sparse = make_dense();
-  sparse.convert_storage(StorageMode::Sparse);
-  for (int s = 0; s < 3; ++s) {
-    collide_bgk(dense, bgk);
-    stream(dense);
-    collide_bgk(sparse, bgk);
-    stream(sparse);
-  }
-  expect_equal_active(dense, sparse, "serial bgk+stream");
-  for (int s = 0; s < 2; ++s) {
-    collide_bgk(dense, bgk, pool);
-    stream(dense, pool);
-    collide_bgk(sparse, bgk, pool);
-    stream(sparse, pool);
-  }
-  expect_equal_active(dense, sparse, "pooled bgk+stream");
+  Lattice other = make_dense();
+  other.convert_storage(mode);
+  auto split_steps = [&](const char* label, int steps,
+                         const StepContext& ctx, const auto& collide) {
+    for (int s = 0; s < steps; ++s) {
+      collide(dense, ctx);
+      stream(dense, ctx);
+      collide(other, ctx);
+      stream(other, ctx);
+    }
+    expect_equal_active(dense, other, label);
+  };
+  auto bgk_collide = [&](Lattice& lat, const StepContext& ctx) {
+    collide_bgk(lat, bgk, ctx);
+  };
+  auto mrt_collide = [&](Lattice& lat, const StepContext& ctx) {
+    collide_mrt(lat, mrt, ctx);
+  };
+  auto les_collide = [&](Lattice& lat, const StepContext& ctx) {
+    collide_bgk_les(lat, les, ctx);
+  };
+  split_steps("serial bgk+stream", 3, serial, bgk_collide);
+  split_steps("pooled bgk+stream", 2, threaded, bgk_collide);
+  split_steps("serial mrt", 2, serial, mrt_collide);
+  split_steps("pooled mrt", 2, threaded, mrt_collide);
+  split_steps("serial les", 2, serial, les_collide);
+  split_steps("pooled les", 2, threaded, les_collide);
 
-  StepContext ctx;
-  ctx.pool = &pool;
+  // Fused steps are stream-then-collide: one leading collide puts both
+  // lattices in the post-collide state the fused cycle runs from.
+  collide_bgk(dense, bgk);
+  collide_bgk(other, bgk);
   for (int s = 0; s < 2; ++s) {
     fused_stream_collide(dense, bgk);
-    fused_stream_collide(sparse, bgk);
+    fused_stream_collide(other, bgk);
   }
-  expect_equal_active(dense, sparse, "fused serial");
+  expect_equal_active(dense, other, "fused serial");
   for (int s = 0; s < 2; ++s) {
-    fused_stream_collide(dense, bgk, ctx);
-    fused_stream_collide(sparse, bgk, ctx);
+    fused_stream_collide(dense, bgk, threaded);
+    fused_stream_collide(other, bgk, threaded);
   }
-  expect_equal_active(dense, sparse, "fused pooled");
+  expect_equal_active(dense, other, "fused pooled");
 
-  for (int s = 0; s < 2; ++s) {
-    collide_mrt(dense, mrt);
-    stream(dense);
-    collide_mrt(sparse, mrt);
-    stream(sparse);
+  // A box-clipped collide, as a distributed rank runs over its owned
+  // cells: the x edges cut bulk spans mid-row and the box takes in part
+  // of the obstacle. Under AA the cells outside the box are left
+  // un-advanced, so only the box is compared.
+  const CellBox box{Int3{3, 2, 1}, Int3{9, 8, 6}};
+  stream(dense);
+  stream(other);
+  collide_bgk(dense, bgk, serial, box);
+  collide_bgk(other, bgk, threaded, box);
+  for (int i = 0; i < Q; ++i) {
+    for (i64 c = 0; c < dense.num_cells(); ++c) {
+      const Int3 p = dense.coords(c);
+      if (dense.flag(c) == CellType::Solid || p.x < box.lo.x ||
+          p.x >= box.hi.x || p.y < box.lo.y || p.y >= box.hi.y ||
+          p.z < box.lo.z || p.z >= box.hi.z) {
+        continue;
+      }
+      ASSERT_EQ(dense.f(i, c), other.f(i, c))
+          << "box-clipped bgk: i=" << i << " cell=" << p;
+    }
   }
-  expect_equal_active(dense, sparse, "serial mrt");
-  for (int s = 0; s < 2; ++s) {
-    collide_mrt(dense, mrt, pool);
-    stream(dense, pool);
-    collide_mrt(sparse, mrt, pool);
-    stream(sparse, pool);
-  }
-  expect_equal_active(dense, sparse, "pooled mrt");
+}
+
+TEST(SparseLattice, KernelsMatchDenseReference) {
+  expect_kernels_match_dense(StorageMode::Sparse);
+}
+
+TEST(StorageAA, KernelsMatchDenseReference) {
+  expect_kernels_match_dense(StorageMode::AA);
 }
 
 TEST(SparseLattice, CopyDistributionsDemandsMatchingLayout) {
