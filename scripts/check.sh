@@ -3,10 +3,10 @@
 # invariant linter, and (when installed) clang-tidy. This is the pre-PR
 # gate — run it from the repo root:
 #
-#   scripts/check.sh              # full matrix: plain, asan, ubsan, tsan,
-#                                 # equiv, sparse, service, chaos, bench,
-#                                 # gc_lint, gc_analyze, clang-tidy (if
-#                                 # available)
+#   scripts/check.sh              # full matrix: plain, vec, asan, ubsan,
+#                                 # tsan, equiv, sparse, service, chaos,
+#                                 # bench, gc_lint, gc_analyze, clang-tidy
+#                                 # (if available)
 #   scripts/check.sh plain lint   # just those stages
 #   JOBS=8 scripts/check.sh       # override build parallelism
 #
@@ -19,7 +19,7 @@ cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc 2>/dev/null || echo 2)}"
 STAGES=("$@")
 if [ ${#STAGES[@]} -eq 0 ]; then
-  STAGES=(plain asan ubsan tsan equiv sparse service chaos bench lint analyze tidy)
+  STAGES=(plain vec asan ubsan tsan equiv sparse service chaos bench lint analyze tidy)
 fi
 
 declare -A RESULT
@@ -58,6 +58,33 @@ for stage in "${STAGES[@]}"; do
   case "$stage" in
     plain)
       build_and_test plain -- ;;
+    vec)
+      # The BGK lane operator's moment and relaxation loops must stay
+      # vectorized under the plain build's flags (no -march, no
+      # -ffast-math): compile collision.cpp with GCC's vectorizer report
+      # and require a "loop vectorized" line for each loop the source
+      # marks with a "// vec: <name>" comment.
+      note "vec: BGK lane loops stay vectorized"
+      bdir=build-check/vec
+      src=src/lbm/collision.cpp
+      rm -f "$bdir/src/CMakeFiles/gc_lbm.dir/lbm/collision.cpp.o"
+      if cmake -B "$bdir" -S . -DCMAKE_CXX_FLAGS=-fopt-info-vec-optimized \
+              > "$bdir.cfg.log" 2>&1 \
+          && make -C "$bdir/src" lbm/collision.cpp.o > "$bdir.build.log" 2>&1; then
+        RESULT[vec]="ok"
+        for loop in moments relax; do
+          line=$(grep -n "// vec: $loop\$" "$src" | cut -d: -f1)
+          if [ -z "$line" ] || ! grep -q \
+              "collision.cpp:$line:[0-9]*: optimized: loop vectorized" \
+              "$bdir.build.log"; then
+            echo "vec: the $loop loop ($src:${line:-?}) is not vectorized" >&2
+            RESULT[vec]="FAIL ($loop loop, see $bdir.build.log)"; FAILED=1
+          fi
+        done
+        grep "collision.cpp:.*loop vectorized" "$bdir.build.log" | sort | uniq -c
+      else
+        RESULT[vec]="FAIL (build, see $bdir.build.log)"; FAILED=1
+      fi ;;
     asan)
       build_and_test asan -DGC_SANITIZE=address -- -L asan ;;
     ubsan)
@@ -194,7 +221,7 @@ for stage in "${STAGES[@]}"; do
       fi ;;
     *)
       echo "check.sh: unknown stage '$stage'" >&2
-      echo "stages: plain asan ubsan tsan equiv sparse service chaos bench lint analyze tidy" >&2
+      echo "stages: plain vec asan ubsan tsan equiv sparse service chaos bench lint analyze tidy" >&2
       exit 2 ;;
   esac
 done

@@ -3,13 +3,15 @@
 // the host kernels are written the same way. A pass is an addressing
 // policy (where a cell's 19 values live in the lattice's storage mode)
 // times a cell operator (what happens to them), chunked over z on the
-// step's pool. The public kernels in collision/mrt/les/stream.cpp
-// instantiate these templates; code outside src/lbm never includes this
-// header.
+// step's pool. Bulk spans run the operator over tiles of adjacent cells,
+// the host's stand-in for the GPU's parallel pixel pipes. The public
+// kernels in collision/mrt/les/stream.cpp instantiate these templates;
+// outside src/lbm only the kernel tests include this header.
 #pragma once
 
 #include <algorithm>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "lbm/lattice.hpp"
@@ -58,6 +60,61 @@ std::span<const T> z_slice(const std::vector<T>& list,
 /// no wrap: exact for bulk-span cells, whose pull sources are interior.
 inline i64 pull_offset(Int3 d, int i) {
   return -(C[i].x + i64(d.x) * (C[i].y + i64(d.y) * C[i].z));
+}
+
+// ---- cell operators and the tile loop --------------------------------------
+
+/// Cells per tile of the bulk span loop. 8 and 16 run at the same speed
+/// on a 64^3 box; 32 is slower.
+inline constexpr int kTile = 8;
+
+/// Lane-count tag of a cell operator call. An operator is called as
+/// op(f, Lanes<L>{}) on L cells at once, f[i * L + l] holding f_i of
+/// lane l; at L = 1 that is the plain f[Q] of one cell. Every operator
+/// takes one lane. One that also takes kTile lanes runs the bulk in
+/// tiles; the others run it one cell at a time through the same loop.
+template <int L>
+struct Lanes {};
+
+template <class Op>
+inline constexpr int kLanesOf =
+    std::is_invocable_v<const Op&, Real*, Lanes<kTile>> ? kTile : 1;
+
+/// Runs op over the len cells of one bulk span, reading cell k's values
+/// at in[i][k] and writing them to out[i][k]. The cells are staged a tile
+/// at a time in a [Q][L] block, so every lane loop of the operator has a
+/// fixed trip count and the compiler vectorizes it. A partial tile is
+/// padded with copies of its last cell, which are computed and dropped.
+/// A tile is read whole before any of it is written, which is safe when
+/// in and out overlap as long as the tile's read slots are its write
+/// slots (in place, and AA: see AaAddr).
+template <class Op>
+void run_span(const Real* const in[Q], Real* const out[Q], i32 len,
+              const Op& op) {
+  constexpr int L = kLanesOf<Op>;
+  alignas(64) Real t[Q * L];
+  for (i32 k0 = 0; k0 < len; k0 += L) {
+    const int n = std::min<i32>(L, len - k0);
+    for (int i = 0; i < Q; ++i) {
+      const Real* src = in[i] + k0;
+      Real* ti = t + i * L;
+      if (n == L) {
+        for (int l = 0; l < L; ++l) ti[l] = src[l];
+      } else {
+        for (int l = 0; l < L; ++l) ti[l] = src[std::min(l, n - 1)];
+      }
+    }
+    op(t, Lanes<L>{});
+    for (int i = 0; i < Q; ++i) {
+      Real* dst = out[i] + k0;
+      const Real* ti = t + i * L;
+      if (n == L) {
+        for (int l = 0; l < L; ++l) dst[l] = ti[l];
+      } else {
+        for (int l = 0; l < n; ++l) dst[l] = ti[l];
+      }
+    }
+  }
 }
 
 // ---- addressing policies ---------------------------------------------------
@@ -133,7 +190,7 @@ using CompactAddr = PlaneAddr<true>;
 /// whole field, solid border cells hold their init values until first
 /// streamed, and the exchange packs border cells of any flag. Each
 /// cell's read-slot set equals its write-slot set, so cells can be
-/// advanced in any order and in parallel.
+/// advanced in any order and in parallel, and so can whole tiles.
 struct AaAddr {
   static constexpr bool kAdvanceAll = true;
   Lattice* lat;
@@ -161,16 +218,14 @@ inline bool covers_xy(const CellBox& box, Int3 d) {
   return box.lo.x <= 0 && box.lo.y <= 0 && box.hi.x >= d.x && box.hi.y >= d.y;
 }
 
-/// Applies op(f, cell) to the bulk spans of slices [z0, z1) inside box.
-/// A span is one row, so once its y is inside only its x extent needs
-/// clipping. The loop has no GC_RESTRICT: under AA at odd parity, rd[i]
-/// and wr[OPP[i]] are the same pointer.
+/// Applies op to the bulk spans of slices [z0, z1) inside box. A span is
+/// one row, so once its y is inside only its x extent needs clipping.
+/// Under AA at odd parity, rd[i] and wr[OPP[i]] are the same pointer.
 template <class Addr, class Op>
 void collide_spans(const Lattice& lat, const CellClass& cc, const Addr& a,
                    const Op& op, const CellBox& box, int z0, int z1) {
   const Int3 d = lat.dim();
   const bool whole = covers_xy(box, d);
-  Real f[Q];
   for (CellSpan sp : z_slice(cc.spans, cc.span_z, z0, z1)) {
     if (!whole) {
       const int y = static_cast<int>((sp.begin / d.x) % d.y);
@@ -181,17 +236,20 @@ void collide_spans(const Lattice& lat, const CellClass& cc, const Addr& a,
       sp = {sp.begin + (xb - x0), static_cast<i32>(xe - xb)};
     }
     const i64 at0 = a.at(sp.begin);
-    for (i32 k = 0; k < sp.len; ++k) {
-      for (int i = 0; i < Q; ++i) f[i] = a.rd[i][at0 + k];
-      op(f, sp.begin + k);
-      for (int i = 0; i < Q; ++i) a.wr[i][at0 + k] = f[i];
+    const Real* in[Q];
+    Real* out[Q];
+    for (int i = 0; i < Q; ++i) {
+      in[i] = a.rd[i] + at0;
+      out[i] = a.wr[i] + at0;
     }
+    run_span(in, out, sp.len, op);
   }
 }
 
-/// Applies op(f, cell) to the boundary fluid cells of slices [z0, z1)
-/// inside box, through the policy's load/store. Under AA every slow and
-/// solid cell is loaded and stored, and only the fluid ones collide.
+/// Applies op to the boundary fluid cells of slices [z0, z1) inside box,
+/// one cell at a time through the policy's load/store. Under AA every
+/// slow and solid cell is loaded and stored, and only the fluid ones
+/// collide.
 template <class Addr, class Op>
 void collide_boundary(const Lattice& lat, const CellClass& cc, const Addr& a,
                       const Op& op, const CellBox& box, int z0, int z1) {
@@ -207,7 +265,7 @@ void collide_boundary(const Lattice& lat, const CellClass& cc, const Addr& a,
         }
       }
       a.load(c, f);
-      if (lat.flag(c) == CellType::Fluid) op(f, c);
+      if (lat.flag(c) == CellType::Fluid) op(f, Lanes<1>{});
       a.store(c, f);
     }
   };
@@ -219,7 +277,7 @@ void collide_boundary(const Lattice& lat, const CellClass& cc, const Addr& a,
   }
 }
 
-/// Collides the cells of box in place with op(f, cell), chunked over z on
+/// Collides the cells of box in place with op, chunked over z on
 /// ctx.pool: the one storage-mode dispatch of every collide kernel. Only
 /// fluid cells change value. Under AA every cell in the box is advanced
 /// and the lattice is marked collided; ghost cells outside the box stay

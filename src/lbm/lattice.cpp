@@ -20,40 +20,8 @@ Lattice::Lattice(Int3 dim, StorageMode mode)
   face_bc_.fill(FaceBc::Periodic);
 }
 
-Int3 Lattice::coords(i64 cell) const {
-  const int x = static_cast<int>(cell % dim_.x);
-  const i64 rest = cell / dim_.x;
-  const int y = static_cast<int>(rest % dim_.y);
-  const int z = static_cast<int>(rest / dim_.y);
-  return {x, y, z};
-}
-
 i64 Lattice::dir_offset(int i) const {
   return C[i].x + i64(dim_.x) * (C[i].y + i64(dim_.y) * C[i].z);
-}
-
-i64 Lattice::wrapped_neighbor(i64 cell, int i, int sign) const {
-  // Per-axis periodic index wrap; C components are in {-1, 0, 1} so one
-  // correction step per axis suffices.
-  Int3 p = coords(cell);
-  p.x += sign * C[i].x;
-  p.y += sign * C[i].y;
-  p.z += sign * C[i].z;
-  if (p.x < 0) p.x += dim_.x; else if (p.x >= dim_.x) p.x -= dim_.x;
-  if (p.y < 0) p.y += dim_.y; else if (p.y >= dim_.y) p.y -= dim_.y;
-  if (p.z < 0) p.z += dim_.z; else if (p.z >= dim_.z) p.z -= dim_.z;
-  return idx(p);
-}
-
-i64 Lattice::mapped_slot(int i, i64 cell) const {
-  switch (phase_) {
-    case 1:  // even, post-collide: (OPP[i], x)
-      return plane(OPP[i]) + cell;
-    case 2:  // odd, post-stream: (OPP[i], wrap(x - c_i))
-      return plane(OPP[i]) + wrapped_neighbor(cell, i, -1);
-    default:  // 3: odd, post-collide: (i, wrap(x + c_i))
-      return plane(i) + wrapped_neighbor(cell, i, +1);
-  }
 }
 
 const Real* Lattice::aa_bulk_read_ptr(int i) const {
@@ -77,13 +45,9 @@ Real* Lattice::aa_bulk_write_ptr(int i) {
 
 void Lattice::scatter_cell_collided(i64 cell, const Real* in) {
   GC_CHECK(mode_ == StorageMode::AA && !aa_collided());
-  Real* base = buf_[cur_].data();
-  if (phase_ == 0) {
-    for (int i = 0; i < Q; ++i) base[plane(OPP[i]) + cell] = in[i];
-  } else {
-    for (int i = 0; i < Q; ++i)
-      base[plane(i) + wrapped_neighbor(cell, i, +1)] = in[i];
-  }
+  // The post-collide mapping at the current parity: 0->1 or 2->3.
+  const Int3 p = coords(cell);
+  for (int i = 0; i < Q; ++i) buf_[cur_][slot(i, p, phase_ | 1)] = in[i];
 }
 
 void Lattice::aa_adopt_collided_layout() {

@@ -128,7 +128,13 @@ class Lattice {
     return x + i64(dim_.x) * (y + i64(dim_.y) * z);
   }
   i64 idx(Int3 p) const { return idx(p.x, p.y, p.z); }
-  Int3 coords(i64 cell) const;
+  /// Inverse of idx. Inline, so callers keep the three coordinates in
+  /// registers rather than passing the struct through memory.
+  Int3 coords(i64 cell) const {
+    const i64 rest = cell / dim_.x;
+    return {static_cast<int>(cell % dim_.x), static_cast<int>(rest % dim_.y),
+            static_cast<int>(rest / dim_.y)};
+  }
 
   bool in_bounds(Int3 p) const {
     return p.x >= 0 && p.x < dim_.x && p.y >= 0 && p.y < dim_.y &&
@@ -175,6 +181,12 @@ class Lattice {
     }
     return buf_[cur_][slot(i, cell)];
   }
+  /// f(i, idx(p)) for a caller that already has the coordinates, which
+  /// the AA mapping needs: it skips the division that recovers them.
+  Real f(int i, Int3 p) const {
+    if (mode_ == StorageMode::Sparse) return f(i, idx(p));
+    return buf_[cur_][slot(i, p, phase_)];
+  }
   void set_f(int i, i64 cell, Real v) {
     if (mode_ == StorageMode::Sparse) {
       const i64 m = sparse_index(cell);
@@ -195,7 +207,8 @@ class Lattice {
       }
       return;
     }
-    for (int i = 0; i < Q; ++i) out[i] = buf_[cur_][slot(i, cell)];
+    const Int3 p = coords(cell);
+    for (int i = 0; i < Q; ++i) out[i] = buf_[cur_][slot(i, p, phase_)];
   }
   void scatter_cell(i64 cell, const Real* in) {
     if (mode_ == StorageMode::Sparse) {
@@ -204,7 +217,8 @@ class Lattice {
       for (int i = 0; i < Q; ++i) buf_[cur_][sparse_slot(i, m)] = in[i];
       return;
     }
-    for (int i = 0; i < Q; ++i) buf_[cur_][slot(i, cell)] = in[i];
+    const Int3 p = coords(cell);
+    for (int i = 0; i < Q; ++i) buf_[cur_][slot(i, p, phase_)] = in[i];
   }
   /// Writes one cell's 19 values into the slots the post-collide mapping
   /// at the current parity assigns — the per-cell form of what an
@@ -406,11 +420,34 @@ class Lattice {
  private:
   i64 plane(int i) const { return i64(i) * n_; }
 
-  /// Storage slot of logical f_i(cell) under the current phase mapping.
-  i64 slot(int i, i64 cell) const {
-    return phase_ == 0 ? plane(i) + cell : mapped_slot(i, cell);
+  /// Storage slot of logical f_i at cell p under AA phase `phase` (0 in
+  /// double-buffered mode): the one place the phase mapping is written.
+  ///   phase 0: (i, x)   1: (OPP[i], x)   2: (OPP[i], x - c_i)   3: (i, x + c_i)
+  /// Taking coordinates lets a caller that visits all 19 slots of a cell
+  /// recover them once, not once per direction. Written without a switch
+  /// so that it stays small enough to inline.
+  i64 slot(int i, Int3 p, int phase) const {
+    const int hop = phase == 2 ? -1 : phase == 3 ? 1 : 0;
+    const int dir = phase == 1 || phase == 2 ? OPP[i] : i;
+    return plane(dir) + idx(wrap(p + C[i] * hop));
   }
-  i64 mapped_slot(int i, i64 cell) const;  // phases 1-3 (AA only)
+  /// Storage slot of logical f_i(cell) under the current phase mapping,
+  /// for one-value access (f/set_f, and through them the border
+  /// exchange). Phases 0 and 1 do not wrap, so they skip the division
+  /// that recovers coordinates.
+  i64 slot(int i, i64 cell) const {
+    if (phase_ == 0) return plane(i) + cell;
+    if (phase_ == 1) return plane(OPP[i]) + cell;
+    return slot(i, coords(cell), phase_);
+  }
+  /// p wrapped periodically along every axis: the AA address bijection.
+  /// p is at most one hop outside the box, so one step per axis suffices.
+  Int3 wrap(Int3 p) const {
+    if (p.x < 0) p.x += dim_.x; else if (p.x >= dim_.x) p.x -= dim_.x;
+    if (p.y < 0) p.y += dim_.y; else if (p.y >= dim_.y) p.y -= dim_.y;
+    if (p.z < 0) p.z += dim_.z; else if (p.z >= dim_.z) p.z -= dim_.z;
+    return p;
+  }
   /// Compact-storage slot of f_i at compact id m (Sparse mode).
   i64 sparse_slot(int i, i64 m) const { return i64(i) * sparse_n_ + m; }
   /// Rebuilds the compact layout lazily after a flag change. Logically
@@ -422,8 +459,6 @@ class Lattice {
   void rebuild_sparse_layout();
   /// Linear offset of one hop along C[i] (no wrap).
   i64 dir_offset(int i) const;
-  /// Cell index one hop along sign*C[i] with per-axis periodic wrap.
-  i64 wrapped_neighbor(i64 cell, int i, int sign) const;
 
   Int3 dim_;
   i64 n_;

@@ -50,7 +50,7 @@ void collide_bgk_les(Lattice& lat, const SmagorinskyParams& p,
                      const StepContext& ctx, const CellBox& box) {
   detail::collide_pass(
       lat,
-      [&p](Real f[Q], i64) {
+      [&p](Real* f, detail::Lanes<1>) {
         collide_bgk_cell(f, smagorinsky_tau(f, p), Vec3{});
       },
       ctx, box);

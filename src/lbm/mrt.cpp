@@ -158,7 +158,8 @@ void collide_mrt_cell(Real f[Q], const MrtParams& p) {
 void collide_mrt(Lattice& lat, const MrtParams& p, const StepContext& ctx,
                  const CellBox& box) {
   detail::collide_pass(
-      lat, [&p](Real f[Q], i64) { collide_mrt_cell(f, p); }, ctx, box);
+      lat, [&p](Real* f, detail::Lanes<1>) { collide_mrt_cell(f, p); }, ctx,
+      box);
 }
 
 }  // namespace gc::lbm

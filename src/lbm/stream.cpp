@@ -48,9 +48,9 @@ Real pull_value(const Lattice& lat, Int3 p, int i) {
       case FaceBc::Inlet:
         return equilibrium(i, lat.inlet_density(), lat.inlet_velocity_at(p));
       case FaceBc::Wall:
-        return lat.f(OPP[i], lat.idx(p));  // half-way bounce-back
+        return lat.f(OPP[i], p);  // half-way bounce-back
       case FaceBc::Outflow:
-        return lat.f(i, lat.idx(p));  // zero gradient
+        return lat.f(i, p);  // zero gradient
       case FaceBc::FreeSlip: {
         // Specular reflection: pull the mirrored direction from the same
         // boundary row — only the tangential offset applies.
@@ -62,27 +62,27 @@ Real pull_value(const Lattice& lat, Int3 p, int i) {
         int face2 = -1;
         if (resolve_periodic(lat, srcm, &face2) &&
             lat.flag(srcm) != CellType::Solid) {
-          return lat.f(m, lat.idx(srcm));
+          return lat.f(m, srcm);
         }
-        return lat.f(OPP[i], lat.idx(p));  // corner fallback: bounce-back
+        return lat.f(OPP[i], p);  // corner fallback: bounce-back
       }
       case FaceBc::Periodic:
         break;  // unreachable: periodic was resolved above
     }
-    return lat.f(OPP[i], lat.idx(p));
+    return lat.f(OPP[i], p);
   }
 
   switch (lat.flag(src)) {
     case CellType::Solid:
-      return lat.f(OPP[i], lat.idx(p));  // half-way bounce-back at obstacle
+      return lat.f(OPP[i], p);  // half-way bounce-back at obstacle
     case CellType::Inlet:
       return equilibrium(i, lat.inlet_density(), lat.inlet_velocity_at(src));
     case CellType::Outflow:
-      return lat.f(i, lat.idx(p));
+      return lat.f(i, p);
     case CellType::Fluid:
       break;
   }
-  return lat.f(i, lat.idx(src));
+  return lat.f(i, src);
 }
 
 bool is_interior_fluid(const Lattice& lat, Int3 p) {

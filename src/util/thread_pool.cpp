@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
 
 namespace gc {
 
@@ -76,13 +77,25 @@ void ThreadPool::parallel_for_chunks(i64 begin, i64 end,
     return;
   }
   const i64 chunk = (n + parts - 1) / parts;
+  // A chunk that throws must not end the process on a worker thread: the
+  // first failure of this call is kept and rethrown here once every chunk
+  // has finished, so the caller sees it as if the loop ran inline.
+  std::exception_ptr failure;
   for (i64 p = 0; p < parts; ++p) {
     const i64 lo = begin + p * chunk;
     const i64 hi = std::min(end, lo + chunk);
     if (lo >= hi) break;
-    submit([&body, lo, hi] { body(lo, hi); });
+    submit([this, &body, &failure, lo, hi] {
+      try {
+        body(lo, hi);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (!failure) failure = std::current_exception();
+      }
+    });
   }
   wait();
+  if (failure) std::rethrow_exception(failure);
 }
 
 ThreadPool& ThreadPool::global() {

@@ -36,6 +36,8 @@ class ThreadPool {
   /// Static-partition parallel loop over [begin, end). Blocks until done.
   /// The body receives (index). Chunks are contiguous so kernels stay
   /// cache-friendly; with a single worker it degenerates to a serial loop.
+  /// If the body throws, the first exception is rethrown on the calling
+  /// thread after every chunk has finished (also for the chunked form).
   void parallel_for(i64 begin, i64 end, const std::function<void(i64)>& body)
       GC_EXCLUDES(mu_);
 

@@ -17,24 +17,14 @@
 #include "netsim/fault.hpp"
 #include "service/scenario.hpp"
 #include "service/scenario_service.hpp"
+#include "temp_path.hpp"
 
 namespace gc::service {
 namespace {
 
 namespace fs = std::filesystem;
 
-class TempDir {
- public:
-  explicit TempDir(const std::string& name)
-      : path_(std::string(::testing::TempDir()) + "/" + name) {
-    fs::remove_all(path_);
-  }
-  ~TempDir() { fs::remove_all(path_); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
+using test::TempPath;
 
 constexpr int kVariants = 12;  // x2 submissions = 24 scenarios
 
@@ -175,7 +165,7 @@ ChaosOutcome run_chaos(const std::string& dir, i64 budget) {
 
 TEST(ChaosTest, FaultedEnsembleIsBitExactAndDeterministic) {
   // Ground truth: the same matrix on a fault-free, unbounded service.
-  TempDir clean_dir("chaos_clean");
+  TempPath clean_dir("chaos_clean");
   i64 clean_bytes = 0;
   std::vector<ScenarioBytes> truth;
   {
@@ -194,7 +184,7 @@ TEST(ChaosTest, FaultedEnsembleIsBitExactAndDeterministic) {
   // The chaos budget holds ~a third of the working set, so serving all
   // 12 keys forces eviction and recomputation throughout.
   const i64 budget = clean_bytes / 3;
-  TempDir chaos_a("chaos_run_a");
+  TempPath chaos_a("chaos_run_a");
   const ChaosOutcome a = run_chaos(chaos_a.path(), budget);
 
   // Bit-exactness: every scenario under faults + eviction + tampering
@@ -212,7 +202,7 @@ TEST(ChaosTest, FaultedEnsembleIsBitExactAndDeterministic) {
 
   // Determinism: an identical chaos service (same seeds, fresh
   // directory) lands on the same bytes.
-  TempDir chaos_b("chaos_run_b");
+  TempPath chaos_b("chaos_run_b");
   const ChaosOutcome b = run_chaos(chaos_b.path(), budget);
   for (int i = 0; i < kVariants; ++i) {
     const auto u = static_cast<std::size_t>(i);

@@ -2,7 +2,6 @@
 // links, and robust rejection of malformed files.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -12,6 +11,7 @@
 #include "lbm/stream.hpp"
 #include "util/checksum.hpp"
 #include "util/rng.hpp"
+#include "temp_path.hpp"
 
 namespace gc::io {
 namespace {
@@ -19,16 +19,7 @@ namespace {
 using lbm::FaceBc;
 using lbm::Lattice;
 
-class TempFile {
- public:
-  explicit TempFile(const char* name)
-      : path_(std::string(::testing::TempDir()) + "/" + name) {}
-  ~TempFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
+using test::TempPath;
 
 Lattice make_state() {
   Lattice lat(Int3{9, 7, 5});
@@ -48,7 +39,7 @@ Lattice make_state() {
 }
 
 TEST(Checkpoint, RoundTripIsBitIdentical) {
-  TempFile f("state.gclb");
+  TempPath f("state.gclb");
   const Lattice original = make_state();
   save_checkpoint(f.path(), original);
   const Lattice restored = load_checkpoint(f.path());
@@ -72,7 +63,7 @@ TEST(Checkpoint, RoundTripIsBitIdentical) {
 }
 
 TEST(Checkpoint, RestoredStateEvolvesIdentically) {
-  TempFile f("evolve.gclb");
+  TempPath f("evolve.gclb");
   Lattice a = make_state();
   save_checkpoint(f.path(), a);
   Lattice b = load_checkpoint(f.path());
@@ -91,13 +82,13 @@ TEST(Checkpoint, RestoredStateEvolvesIdentically) {
 }
 
 TEST(Checkpoint, RejectsWrongMagic) {
-  TempFile f("bogus.gclb");
+  TempPath f("bogus.gclb");
   std::ofstream(f.path()) << "not a checkpoint at all";
   EXPECT_THROW(load_checkpoint(f.path()), Error);
 }
 
 TEST(Checkpoint, RejectsTruncatedFile) {
-  TempFile f("trunc.gclb");
+  TempPath f("trunc.gclb");
   save_checkpoint(f.path(), make_state());
   // Truncate to half size.
   std::ifstream in(f.path(), std::ios::binary);
@@ -132,7 +123,7 @@ void spit(const std::string& path, const std::string& content) {
 }  // namespace
 
 TEST(CheckpointV2, RejectsFlippedBodyByte) {
-  TempFile f("flip.gclb");
+  TempPath f("flip.gclb");
   save_checkpoint(f.path(), make_state());
   std::string content = slurp(f.path());
   content[content.size() / 2] ^= 0x10;  // one bit, deep in the body
@@ -141,7 +132,7 @@ TEST(CheckpointV2, RejectsFlippedBodyByte) {
 }
 
 TEST(CheckpointV2, RejectsWrongVersion) {
-  TempFile f("ver.gclb");
+  TempPath f("ver.gclb");
   save_checkpoint(f.path(), make_state());
   std::string content = slurp(f.path());
   content[4] ^= 0x7f;  // the version word follows the 4-byte magic
@@ -152,7 +143,7 @@ TEST(CheckpointV2, RejectsWrongVersion) {
 TEST(CheckpointV2, RejectsTruncatedTail) {
   // A single missing byte must be caught (the header records the exact
   // body size), not just gross truncation.
-  TempFile f("tail.gclb");
+  TempPath f("tail.gclb");
   save_checkpoint(f.path(), make_state());
   const std::string content = slurp(f.path());
   spit(f.path(), content.substr(0, content.size() - 1));
@@ -160,14 +151,14 @@ TEST(CheckpointV2, RejectsTruncatedTail) {
 }
 
 TEST(CheckpointV2, RejectsTrailingGarbage) {
-  TempFile f("tail2.gclb");
+  TempPath f("tail2.gclb");
   save_checkpoint(f.path(), make_state());
   spit(f.path(), slurp(f.path()) + 'x');
   EXPECT_THROW(load_checkpoint(f.path()), Error);
 }
 
 TEST(CheckpointV2, CommitsAtomicallyWithoutTmpResidue) {
-  TempFile f("clean.gclb");
+  TempPath f("clean.gclb");
   save_checkpoint(f.path(), make_state());
   EXPECT_FALSE(std::filesystem::exists(f.path() + ".tmp"));
   // Overwriting an existing checkpoint is also a tmp+rename commit.
@@ -177,7 +168,7 @@ TEST(CheckpointV2, CommitsAtomicallyWithoutTmpResidue) {
 }
 
 TEST(CheckpointV2, ManifestRoundTrips) {
-  TempFile f("m.gcmf");
+  TempPath f("m.gcmf");
   ClusterManifest m;
   m.step = 123;
   m.grid = Int3{2, 2, 1};
@@ -219,7 +210,7 @@ std::string downgrade_to_v2(const std::string& v3) {
 }  // namespace
 
 TEST(CheckpointV3, RecordsAndDetectsStorageMode) {
-  TempFile f("mode.gclb");
+  TempPath f("mode.gclb");
   for (const lbm::StorageMode mode :
        {lbm::StorageMode::DoubleBuffer, lbm::StorageMode::AA}) {
     Lattice lat(Int3{6, 5, 4}, mode);
@@ -236,7 +227,7 @@ TEST(CheckpointV3, RecordsAndDetectsStorageMode) {
 }
 
 TEST(CheckpointV3, ExplicitModeOverridesTheHeader) {
-  TempFile f("override.gclb");
+  TempPath f("override.gclb");
   Lattice lat(Int3{6, 5, 4}, lbm::StorageMode::AA);
   lat.init_equilibrium(Real(1), Vec3{0.02f, 0, 0});
   save_checkpoint(f.path(), lat);
@@ -251,7 +242,7 @@ TEST(CheckpointV3, ExplicitModeOverridesTheHeader) {
 }
 
 TEST(CheckpointV3, LoadsLegacyV2FilesAsDoubleBuffer) {
-  TempFile f("legacy.gclb");
+  TempPath f("legacy.gclb");
   const Lattice original = make_state();
   save_checkpoint(f.path(), original);
   spit(f.path(), downgrade_to_v2(slurp(f.path())));
@@ -270,7 +261,7 @@ TEST(CheckpointV3, LoadsLegacyV2FilesAsDoubleBuffer) {
 }
 
 TEST(CheckpointV3, RejectsInvalidStorageModeByte) {
-  TempFile f("badmode.gclb");
+  TempPath f("badmode.gclb");
   save_checkpoint(f.path(), make_state());
   std::string content = slurp(f.path());
   const std::size_t header = 4 + 4 + 8 + 4;
@@ -283,7 +274,7 @@ TEST(CheckpointV3, RejectsInvalidStorageModeByte) {
 }
 
 TEST(CheckpointV2, ManifestRejectsCorruption) {
-  TempFile f("mbad.gcmf");
+  TempPath f("mbad.gcmf");
   ClusterManifest m;
   m.step = 5;
   m.rank_files = {"rank_0000.gclb"};

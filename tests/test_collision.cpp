@@ -2,8 +2,12 @@
 // and equivalence of the fused stream+collide kernel.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <set>
+#include <string>
 
+#include "lbm/cell_pass.hpp"
 #include "lbm/collision.hpp"
 #include "lbm/macroscopic.hpp"
 #include "lbm/stream.hpp"
@@ -197,6 +201,123 @@ TEST(Collision, FusedEquivalentToSeparatePasses) {
           << "i=" << i << " cell=" << c;
     }
   }
+}
+
+// ---- lane tiles ------------------------------------------------------------
+// The bulk span loop runs BGK on tiles of detail::kTile cells and pads the
+// last, partial tile of a span. These tests cut rows into bulk spans of
+// every length from 1 to 2 kTile + 1 (one partial tile, whole tiles, and
+// whole tiles followed by a partial one) and hold the tiled kernels to
+// the one-cell operator.
+
+constexpr int kMaxSpan = 2 * detail::kTile + 1;
+
+/// Rows (y, z) with odd y and z, one per span length len, get solids at
+/// x = 2 and x = len + 5: the bulk span between them is x = 4 .. len + 3.
+/// No other row holds a solid, so every neighbor of those cells is fluid.
+/// 9 z-slices of rows make the z-chunks of a pooled pass split.
+Lattice make_tiled_rows(StorageMode mode) {
+  const Int3 dim{kMaxSpan + 9, 2 * kMaxSpan + 1, 19};
+  Lattice lat(dim, mode);
+  for (int z = 1; z < dim.z - 1; z += 2) {
+    for (int len = 1; len <= kMaxSpan; ++len) {
+      const int y = 2 * len - 1;
+      lat.set_flag(Int3{2, y, z}, CellType::Solid);
+      lat.set_flag(Int3{len + 5, y, z}, CellType::Solid);
+    }
+  }
+  Rng rng(17);
+  Real f[Q];
+  for (i64 c = 0; c < lat.num_cells(); ++c) {
+    const Vec3 u{Real(0.05 * (2 * rng.uniform() - 1)),
+                 Real(0.05 * (2 * rng.uniform() - 1)),
+                 Real(0.05 * (2 * rng.uniform() - 1))};
+    equilibrium_all(Real(1 + 0.02 * (rng.uniform() - 0.5)), u, f);
+    for (int i = 0; i < Q; ++i) {
+      lat.set_f(i, c, f[i] * Real(rng.uniform(0.9, 1.1)));
+    }
+  }
+  return lat;
+}
+
+/// collide_bgk_cell on every fluid cell, one cell at a time through
+/// Lattice::f/set_f: the reference the tiled kernels must equal.
+void collide_cell_by_cell(Lattice& lat, const BgkParams& p) {
+  Real f[Q];
+  for (i64 c = 0; c < lat.num_cells(); ++c) {
+    if (lat.flag(c) != CellType::Fluid) continue;
+    for (int i = 0; i < Q; ++i) f[i] = lat.f(i, c);
+    collide_bgk_cell(f, p.tau, p.force);
+    for (int i = 0; i < Q; ++i) lat.set_f(i, c, f[i]);
+  }
+}
+
+/// First cell/direction whose bits differ, or "" when none does.
+std::string first_bit_difference(const Lattice& a, const Lattice& b) {
+  for (i64 c = 0; c < a.num_cells(); ++c) {
+    for (int i = 0; i < Q; ++i) {
+      if (std::bit_cast<u32>(a.f(i, c)) != std::bit_cast<u32>(b.f(i, c))) {
+        return "f" + std::to_string(i) + " at cell " + std::to_string(c);
+      }
+    }
+  }
+  return "";
+}
+
+TEST(CollisionTiles, GeometryHasSpansOfEveryLength) {
+  const Lattice lat = make_tiled_rows(StorageMode::DoubleBuffer);
+  std::set<i32> lengths;
+  for (const CellSpan& sp : lat.cell_class().spans) lengths.insert(sp.len);
+  for (int len = 1; len <= kMaxSpan; ++len) {
+    EXPECT_TRUE(lengths.count(len)) << "no bulk span of length " << len;
+  }
+}
+
+TEST(CollisionTiles, EverySpanLengthMatchesTheOneCellOperator) {
+  ThreadPool pool(3);
+  const BgkParams unforced{Real(0.8), Vec3{}};
+  const BgkParams forced{Real(0.7), Vec3{Real(1e-4), Real(-2e-4), Real(3e-5)}};
+  for (const StorageMode mode :
+       {StorageMode::DoubleBuffer, StorageMode::Sparse, StorageMode::AA}) {
+    const int parities = mode == StorageMode::AA ? 2 : 1;
+    for (int odd = 0; odd < parities; ++odd) {
+      for (const BgkParams* p : {&unforced, &forced}) {
+        for (ThreadPool* run_on : {static_cast<ThreadPool*>(nullptr), &pool}) {
+          Lattice lat = make_tiled_rows(mode);
+          if (odd) {  // one collide and flip: the AA lattice at phase 2
+            collide_bgk(lat, unforced);
+            stream(lat);
+          }
+          Lattice ref = lat;
+          collide_bgk(lat, *p, StepContext(run_on));
+          collide_cell_by_cell(ref, *p);
+          EXPECT_EQ(first_bit_difference(lat, ref), "")
+              << storage_mode_name(mode) << (odd ? " odd" : " even")
+              << (p->force.x != 0 ? " forced" : " unforced")
+              << (run_on ? " pooled" : " serial");
+        }
+      }
+    }
+  }
+}
+
+TEST(CollisionTiles, AaFusedEqualsDoubleBufferSplit) {
+  // Fused steps are stream-then-collide, so the split run takes one extra
+  // collide and the fused run one leading collide.
+  ThreadPool pool(3);
+  const BgkParams p{Real(0.8), Vec3{}};
+  const int steps = 4;
+  Lattice split = make_tiled_rows(StorageMode::DoubleBuffer);
+  Lattice fused = make_tiled_rows(StorageMode::AA);
+  for (int s = 0; s < steps; ++s) {
+    collide_bgk(split, p);
+    stream(split);
+  }
+  collide_bgk(split, p);
+  const StepContext ctx{&pool};
+  collide_bgk(fused, p, ctx);
+  for (int s = 0; s < steps; ++s) fused_stream_collide(fused, p, ctx);
+  EXPECT_EQ(first_bit_difference(split, fused), "");
 }
 
 TEST(Collision, FusedRejectsCurvedLinks) {

@@ -16,6 +16,7 @@
 #include "lbm/solver.hpp"
 #include "netsim/mpilite.hpp"
 #include "obs/trace.hpp"
+#include "temp_path.hpp"
 
 namespace gc {
 namespace {
@@ -34,18 +35,7 @@ using netsim::Payload;
 
 /// Scratch directory removed on destruction (cluster checkpoints are
 /// whole directories, not single files).
-class TempDirGuard {
- public:
-  explicit TempDirGuard(const char* name)
-      : path_(std::string(::testing::TempDir()) + "/" + name) {
-    std::filesystem::remove_all(path_);
-  }
-  ~TempDirGuard() { std::filesystem::remove_all(path_); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
+using test::TempPath;
 
 /// Same non-trivial setup as the parallel-vs-serial keystone test: mixed
 /// face BCs, spatially varying state, an obstacle crossing block borders.
@@ -369,7 +359,7 @@ TEST(Sentinel, ParallelSentinelReportsFailingRank) {
 
   // Corrupt rank 1's local state through the checkpoint clone path (the
   // locals themselves are owned by the simulation).
-  TempDirGuard dir("sentinel_inject");
+  TempPath dir("sentinel_inject");
   std::filesystem::create_directories(dir.path());
   const std::string path = dir.path() + "/local.gclb";
   io::save_checkpoint(path, sim.local(1));
@@ -392,7 +382,7 @@ TEST(Sentinel, ParallelSentinelReportsFailingRank) {
 TEST(Recovery, ClusterCheckpointRoundTripBitIdentical) {
   const Int3 dim{16, 16, 8};
   const Lattice init = make_global(dim);
-  TempDirGuard dir("ckpt_roundtrip");
+  TempPath dir("ckpt_roundtrip");
 
   ParallelConfig cfg;
   cfg.grid = netsim::NodeGrid{Int3{2, 2, 1}};
@@ -412,7 +402,7 @@ TEST(Recovery, ClusterCheckpointRoundTripBitIdentical) {
 TEST(Recovery, ManifestRejectsMismatchedSimulation) {
   const Int3 dim{16, 16, 8};
   const Lattice init = make_global(dim);
-  TempDirGuard dir("ckpt_mismatch");
+  TempPath dir("ckpt_mismatch");
 
   ParallelConfig cfg;
   cfg.grid = netsim::NodeGrid{Int3{2, 2, 1}};
@@ -451,7 +441,7 @@ TEST(Recovery, RecoversFromCrashDropsAndCorruptionBitExact) {
   cfg.sentinel = lbm::SentinelThresholds{};
   cfg.trace = &rec;
 
-  TempDirGuard dir("ckpt_recovery");
+  TempPath dir("ckpt_recovery");
   ParallelLbm sim(init, cfg);
   RecoveryConfig rc;
   rc.dir = dir.path();
@@ -494,7 +484,7 @@ TEST(Recovery, RethrowsOncePastMaxRollbacks) {
   cfg.faults = &faults;
   cfg.reliability = {2.0, 2, 1.0, 1.0};
 
-  TempDirGuard dir("ckpt_giveup");
+  TempPath dir("ckpt_giveup");
   ParallelLbm sim(init, cfg);
   RecoveryConfig rc;
   rc.dir = dir.path();

@@ -1,13 +1,13 @@
 // IO: VTK and PPM writers produce well-formed files; CSV round-trips.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "io/csv.hpp"
 #include "io/ppm_writer.hpp"
 #include "io/vtk_writer.hpp"
+#include "temp_path.hpp"
 
 namespace gc::io {
 namespace {
@@ -19,19 +19,10 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
-class TempFile {
- public:
-  explicit TempFile(const char* name)
-      : path_(std::string(::testing::TempDir()) + "/" + name) {}
-  ~TempFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
+using test::TempPath;
 
 TEST(Vtk, ScalarFileHasHeaderAndData) {
-  TempFile f("scalar.vtk");
+  TempPath f("scalar.vtk");
   const Int3 dim{2, 2, 2};
   std::vector<float> data{1, 2, 3, 4, 5, 6, 7, 8};
   write_vtk_scalar(f.path(), dim, data, "rho");
@@ -44,14 +35,14 @@ TEST(Vtk, ScalarFileHasHeaderAndData) {
 }
 
 TEST(Vtk, ScalarSizeMismatchThrows) {
-  TempFile f("bad.vtk");
+  TempPath f("bad.vtk");
   EXPECT_THROW(write_vtk_scalar(f.path(), Int3{2, 2, 2},
                                 std::vector<float>(7), "x"),
                Error);
 }
 
 TEST(Vtk, VectorFile) {
-  TempFile f("vec.vtk");
+  TempPath f("vec.vtk");
   const Int3 dim{2, 1, 1};
   std::vector<Vec3> data{Vec3{1, 2, 3}, Vec3{4, 5, 6}};
   write_vtk_vector(f.path(), dim, data, "velocity");
@@ -61,7 +52,7 @@ TEST(Vtk, VectorFile) {
 }
 
 TEST(Vtk, PolylinesFile) {
-  TempFile f("lines.vtk");
+  TempPath f("lines.vtk");
   std::vector<std::vector<Vec3>> lines{
       {Vec3{0, 0, 0}, Vec3{1, 0, 0}, Vec3{2, 0, 0}},
       {Vec3{5, 5, 5}, Vec3{6, 6, 6}},
@@ -75,7 +66,7 @@ TEST(Vtk, PolylinesFile) {
 }
 
 TEST(Ppm, WritesValidBinaryImage) {
-  TempFile f("slice.ppm");
+  TempPath f("slice.ppm");
   const Int3 dim{4, 3, 2};
   std::vector<float> data(static_cast<std::size_t>(dim.volume()));
   for (std::size_t i = 0; i < data.size(); ++i) data[i] = float(i);
@@ -86,14 +77,14 @@ TEST(Ppm, WritesValidBinaryImage) {
 }
 
 TEST(Ppm, RejectsBadSlice) {
-  TempFile f("bad.ppm");
+  TempPath f("bad.ppm");
   EXPECT_THROW(
       write_ppm_slice(f.path(), Int3{2, 2, 2}, std::vector<float>(8), 5),
       Error);
 }
 
 TEST(Csv, WritesTable) {
-  TempFile f("t.csv");
+  TempPath f("t.csv");
   Table t;
   t.set_header({"nodes", "ms"});
   t.row().cell(4L).cell(266.0, 1);

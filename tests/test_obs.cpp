@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <new>
@@ -18,6 +17,7 @@
 #include "netsim/mpilite.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
+#include "temp_path.hpp"
 
 // Global allocation counter backing the zero-allocation guard. Replacing
 // operator new is binary-wide, so keep the bookkeeping trivially cheap.
@@ -338,7 +338,8 @@ TEST(Obs, OverlapTimelineExportsToTrace) {
 TEST(Obs, WriteChromeTraceProducesReadableFile) {
   obs::TraceRecorder rec;
   rec.record_span("collide", "lbm", 0, 0, 100);
-  const std::string path = ::testing::TempDir() + "/gc_trace_test.json";
+  const test::TempPath file("gc_trace_test.json");
+  const std::string& path = file.path();
   obs::write_chrome_trace(path, rec);
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
@@ -347,7 +348,6 @@ TEST(Obs, WriteChromeTraceProducesReadableFile) {
   const obs::ParsedTrace parsed = obs::parse_chrome_trace(ss.str());
   ASSERT_EQ(parsed.spans.size(), 1u);
   EXPECT_EQ(parsed.spans[0].name, "collide");
-  std::remove(path.c_str());
 }
 
 TEST(Obs, NoRecorderAddsZeroAllocationsToSolverStep) {

@@ -18,24 +18,14 @@
 #include "service/scenario.hpp"
 #include "service/scenario_service.hpp"
 #include "util/timer.hpp"
+#include "temp_path.hpp"
 
 namespace gc::service {
 namespace {
 
 namespace fs = std::filesystem;
 
-class TempDir {
- public:
-  explicit TempDir(const char* name)
-      : path_(std::string(::testing::TempDir()) + "/" + name) {
-    fs::remove_all(path_);
-  }
-  ~TempDir() { fs::remove_all(path_); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
+using test::TempPath;
 
 ScenarioRequest small_request() {
   ScenarioRequest req;
@@ -164,7 +154,7 @@ netsim::ReliabilityConfig fast_reliability(double timeout_ms, int retries) {
 }
 
 TEST(ResilienceTest, RetryLandsOnADifferentPartition) {
-  TempDir dir("res_retry");
+  TempPath dir("res_retry");
   obs::TraceRecorder rec;
   // Slot 0 drops every message on the floor; slot 1 is healthy. The
   // first attempt must fail with CommTimeout and the retry must route
@@ -188,7 +178,7 @@ TEST(ResilienceTest, RetryLandsOnADifferentPartition) {
 }
 
 TEST(ResilienceTest, AllPartitionsFailingYieldsScenarioFailed) {
-  TempDir dir("res_allfail");
+  TempPath dir("res_allfail");
   netsim::FaultSpec dead_a(7);
   dead_a.blackholes.push_back(netsim::ChannelBlackhole{});
   netsim::FaultSpec dead_b(8);
@@ -210,7 +200,7 @@ TEST(ResilienceTest, AllPartitionsFailingYieldsScenarioFailed) {
 // --- deadlines -------------------------------------------------------------
 
 TEST(ResilienceTest, DeadlineExpiredInQueueIsTyped) {
-  TempDir dir("res_queue_deadline");
+  TempPath dir("res_queue_deadline");
   obs::TraceRecorder rec;
   ServiceConfig cfg = small_config(dir.path());
   cfg.trace = &rec;
@@ -230,7 +220,7 @@ TEST(ResilienceTest, DeadlineExpiredInQueueIsTyped) {
 }
 
 TEST(ResilienceTest, WatchdogAbortsAStuckLease) {
-  TempDir dir("res_watchdog");
+  TempPath dir("res_watchdog");
   obs::TraceRecorder rec;
   // Slot 0 is a tar pit: everything blackholed under a 10-second receive
   // timeout, so without the watchdog the run would hang for ~100 s.
@@ -259,7 +249,7 @@ TEST(ResilienceTest, WatchdogAbortsAStuckLease) {
 // --- stop(deadline) --------------------------------------------------------
 
 TEST(ResilienceTest, StopDrainsInFlightWorkWhenGivenTime) {
-  TempDir dir("res_stop_drain");
+  TempPath dir("res_stop_drain");
   ScenarioService svc(small_config(dir.path()));
   std::future<ScenarioResult> f1 = svc.submit(small_request());
   ScenarioRequest other = small_request();
@@ -276,7 +266,7 @@ TEST(ResilienceTest, StopDrainsInFlightWorkWhenGivenTime) {
 }
 
 TEST(ResilienceTest, StopZeroFailsTheRemainderTyped) {
-  TempDir dir("res_stop_now");
+  TempPath dir("res_stop_now");
   ServiceConfig cfg = small_config(dir.path());
   cfg.workers = 1;
   cfg.partitions = 1;
@@ -308,7 +298,7 @@ TEST(ResilienceTest, StopZeroFailsTheRemainderTyped) {
 }
 
 TEST(ResilienceTest, StopZeroAbortsAnInFlightRun) {
-  TempDir dir("res_stop_abort");
+  TempPath dir("res_stop_abort");
   ServiceConfig cfg = small_config(dir.path());
   cfg.workers = 1;
   cfg.partitions = 1;
@@ -342,7 +332,7 @@ lbm::Lattice test_flow() { return build_scenario_lattice(small_request()); }
 
 /// Committed entry size (checkpoint + manifest) for test_flow lattices.
 i64 measure_entry_bytes() {
-  TempDir dir("fcb_measure");
+  TempPath dir("fcb_measure");
   FlowCache cache(dir.path());
   cache.get_or_compute(test_key(0), &test_flow);
   return cache.bytes();
@@ -351,7 +341,7 @@ i64 measure_entry_bytes() {
 TEST(FlowCacheBoundTest, EvictsLeastRecentlyUsedUnderBudget) {
   const i64 entry = measure_entry_bytes();
   ASSERT_GT(entry, 0);
-  TempDir dir("fcb_lru");
+  TempPath dir("fcb_lru");
   FlowCacheConfig cfg;
   cfg.max_bytes = entry * 2 + entry / 2;  // room for two entries, not three
   obs::TraceRecorder rec;
@@ -377,7 +367,7 @@ TEST(FlowCacheBoundTest, EvictsLeastRecentlyUsedUnderBudget) {
 
 TEST(FlowCacheBoundTest, BudgetHoldsEvenWhenOneEntryExceedsIt) {
   const i64 entry = measure_entry_bytes();
-  TempDir dir("fcb_tiny");
+  TempPath dir("fcb_tiny");
   FlowCacheConfig cfg;
   cfg.max_bytes = entry / 2;
   FlowCache cache(dir.path(), cfg);
@@ -392,7 +382,7 @@ TEST(FlowCacheBoundTest, BudgetHoldsEvenWhenOneEntryExceedsIt) {
 }
 
 TEST(FlowCacheBoundTest, StartupScavengesCrashDebris) {
-  TempDir dir("fcb_scavenge");
+  TempPath dir("fcb_scavenge");
   fs::create_directories(dir.path());
   // Crash debris of three kinds: a torn atomic write, a checkpoint whose
   // process died before the manifest (the commit crash window), and a
@@ -410,7 +400,7 @@ TEST(FlowCacheBoundTest, StartupScavengesCrashDebris) {
 }
 
 TEST(FlowCacheBoundTest, CrashWindowCheckpointWithoutManifestIsRecomputed) {
-  TempDir dir("fcb_crashwindow");
+  TempPath dir("fcb_crashwindow");
   std::string mani;
   {
     FlowCache cache(dir.path());
@@ -433,7 +423,7 @@ TEST(FlowCacheBoundTest, CrashWindowCheckpointWithoutManifestIsRecomputed) {
 
 TEST(FlowCacheBoundTest, SingleFlightSurvivesABoundedBudget) {
   const i64 entry = measure_entry_bytes();
-  TempDir dir("fcb_singleflight");
+  TempPath dir("fcb_singleflight");
   FlowCacheConfig cfg;
   cfg.max_bytes = entry * 2;
   FlowCache cache(dir.path(), cfg);

@@ -12,24 +12,14 @@
 #include "service/flow_cache.hpp"
 #include "service/scenario.hpp"
 #include "service/scenario_service.hpp"
+#include "temp_path.hpp"
 
 namespace gc::service {
 namespace {
 
 namespace fs = std::filesystem;
 
-class TempDir {
- public:
-  explicit TempDir(const char* name)
-      : path_(std::string(::testing::TempDir()) + "/" + name) {
-    fs::remove_all(path_);
-  }
-  ~TempDir() { fs::remove_all(path_); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
+using test::TempPath;
 
 // A tiny but non-trivial scenario: a handful of small buildings in a
 // 24x16x8 box under an eastward wind, sized so a spin-up runs in
@@ -156,7 +146,7 @@ TEST(PartitionPoolTest, LeasesAreExclusiveAndReleasedOnDestruction) {
 }
 
 TEST(ScenarioServiceTest, CachedScenarioIsBitExactVsCold) {
-  TempDir dir("svc_bitexact");
+  TempPath dir("svc_bitexact");
   ServiceConfig cfg = small_config(dir.path());
   ScenarioService svc(cfg);
 
@@ -188,7 +178,7 @@ TEST(ScenarioServiceTest, CachedScenarioIsBitExactVsCold) {
 }
 
 TEST(ScenarioServiceTest, CacheSurvivesServiceRestart) {
-  TempDir dir("svc_restart");
+  TempPath dir("svc_restart");
   const ScenarioRequest req = small_request();
   ScenarioResult cold{};
   {
@@ -206,7 +196,7 @@ TEST(ScenarioServiceTest, CacheSurvivesServiceRestart) {
 }
 
 TEST(ScenarioServiceTest, GeometryChangeInvalidatesTheCacheEntry) {
-  TempDir dir("svc_invalidate");
+  TempPath dir("svc_invalidate");
   ScenarioService svc(small_config(dir.path()));
 
   const ScenarioRequest req = small_request();
@@ -227,7 +217,7 @@ TEST(ScenarioServiceTest, GeometryChangeInvalidatesTheCacheEntry) {
 }
 
 TEST(ScenarioServiceTest, SparseRequestNeverServedFromDenseCacheEntry) {
-  TempDir dir("svc_sparse_invalidate");
+  TempPath dir("svc_sparse_invalidate");
   ScenarioService svc(small_config(dir.path()));
 
   const ScenarioRequest dense_req = small_request();
@@ -256,7 +246,7 @@ TEST(ScenarioServiceTest, SparseRequestNeverServedFromDenseCacheEntry) {
 }
 
 TEST(ScenarioServiceTest, ConcurrentSameKeyRequestsRunTheLbmOnce) {
-  TempDir dir("svc_singleflight");
+  TempPath dir("svc_singleflight");
   ServiceConfig cfg = small_config(dir.path());
   cfg.workers = 4;
   cfg.partitions = 4;
@@ -284,7 +274,7 @@ TEST(ScenarioServiceTest, ConcurrentSameKeyRequestsRunTheLbmOnce) {
 }
 
 TEST(ScenarioServiceTest, BoundedQueueRefusesWhenFullAndRecovers) {
-  TempDir dir("svc_queue");
+  TempPath dir("svc_queue");
   ServiceConfig cfg = small_config(dir.path());
   cfg.queue_capacity = 2;
   cfg.workers = 1;
@@ -309,7 +299,7 @@ TEST(ScenarioServiceTest, BoundedQueueRefusesWhenFullAndRecovers) {
 }
 
 TEST(ScenarioServiceTest, CorruptedCacheEntryIsRecomputedNotServed) {
-  TempDir dir("svc_corrupt");
+  TempPath dir("svc_corrupt");
   const ScenarioRequest req = small_request();
   ScenarioResult cold{};
   std::string ckpt_path;
@@ -342,7 +332,7 @@ TEST(ScenarioServiceTest, CorruptedCacheEntryIsRecomputedNotServed) {
 }
 
 TEST(ScenarioServiceTest, ServiceMetricsLandInTheTrace) {
-  TempDir dir("svc_obs");
+  TempPath dir("svc_obs");
   obs::TraceRecorder rec;
   ServiceConfig cfg = small_config(dir.path());
   cfg.trace = &rec;
@@ -368,7 +358,7 @@ TEST(ScenarioServiceTest, ServiceMetricsLandInTheTrace) {
 }
 
 TEST(ScenarioServiceTest, DistinctWindsBatchAcrossPartitions) {
-  TempDir dir("svc_batch");
+  TempPath dir("svc_batch");
   ServiceConfig cfg = small_config(dir.path());
   cfg.workers = 2;
   cfg.partitions = 2;

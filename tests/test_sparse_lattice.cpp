@@ -6,7 +6,6 @@
 // storage layouts.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -18,20 +17,12 @@
 #include "lbm/stream.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+#include "temp_path.hpp"
 
 namespace gc::lbm {
 namespace {
 
-class TempFile {
- public:
-  explicit TempFile(const char* name)
-      : path_(std::string(::testing::TempDir()) + "/" + name) {}
-  ~TempFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
+using test::TempPath;
 
 /// A double-buffered lattice with mixed BCs, a solid obstacle and a
 /// spatially varying near-equilibrium state — the dense reference every
@@ -321,7 +312,7 @@ TEST(SparseLattice, CurvedLinksAreRejectedWithTypedError) {
 }
 
 TEST(SparseCheckpoint, SaveLoadRoundTripsAcrossLayouts) {
-  TempFile f("sparse.gclb");
+  TempPath f("sparse.gclb");
   const Lattice dense = make_dense();
   Lattice sparse = make_dense();
   sparse.convert_storage(StorageMode::Sparse);
@@ -350,7 +341,7 @@ TEST(SparseCheckpoint, SaveLoadRoundTripsAcrossLayouts) {
 }
 
 TEST(SparseCheckpoint, RestoredSparseStateEvolvesIdentically) {
-  TempFile f("sparse_evolve.gclb");
+  TempPath f("sparse_evolve.gclb");
   Lattice a = make_dense();
   a.convert_storage(StorageMode::Sparse);
   io::save_checkpoint(f.path(), a);

@@ -20,6 +20,7 @@
 #include "netsim/fault.hpp"
 #include "obs/trace.hpp"
 #include "util/rng.hpp"
+#include "temp_path.hpp"
 
 namespace gc {
 namespace {
@@ -29,18 +30,7 @@ using lbm::Lattice;
 using lbm::StorageMode;
 
 /// Scratch directory removed on destruction.
-class TempDirGuard {
- public:
-  explicit TempDirGuard(const char* name)
-      : path_(std::string(::testing::TempDir()) + "/" + name) {
-    std::filesystem::remove_all(path_);
-  }
-  ~TempDirGuard() { std::filesystem::remove_all(path_); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
+using test::TempPath;
 
 /// Non-trivial domain: mixed face BCs, spatially varying state, a solid
 /// box crossing the middle (slow cells, solids and bulk spans all
@@ -277,7 +267,7 @@ TEST(StorageAA, StorageBytesRoughlyHalved) {
 // --- checkpointing from every phase ---------------------------------------
 
 TEST(StorageAA, CheckpointRoundTripsFromRelocatedPhases) {
-  TempDirGuard dir("aa_ckpt_phases");
+  TempPath dir("aa_ckpt_phases");
   Lattice lat = make_state(Int3{9, 8, 6}, StorageMode::AA);
   const lbm::BgkParams p{Real(0.8), Vec3{}};
 
@@ -314,7 +304,7 @@ TEST(StorageAA, CheckpointRoundTripsFromRelocatedPhases) {
 }
 
 TEST(StorageAA, RestoredAaStateEvolvesIdentically) {
-  TempDirGuard dir("aa_ckpt_evolve");
+  TempPath dir("aa_ckpt_evolve");
   const std::string path = dir.path() + ".gclb";
   Lattice lat = make_state(Int3{10, 8, 6}, StorageMode::AA);
   const lbm::BgkParams p{Real(0.8), Vec3{}};
@@ -361,7 +351,7 @@ TEST(StorageAA, RecoveryRollbackMatchesCleanDoubleBufferRun) {
   cfg.faults = &faults;
   cfg.reliability = netsim::ReliabilityConfig{10.0, 60, 1.3, 6.0};
 
-  TempDirGuard dir("aa_ckpt_recovery");
+  TempPath dir("aa_ckpt_recovery");
   core::ParallelLbm sim(init, cfg);
   core::RecoveryConfig rc;
   rc.dir = dir.path();

@@ -130,6 +130,27 @@ TEST(ThreadPool, EmptyRangeIsNoop) {
   EXPECT_FALSE(called);
 }
 
+TEST(ThreadPool, ChunkExceptionIsRethrownOnTheCaller) {
+  // Every chunk runs on a worker and every chunk throws: the caller gets
+  // one of the exceptions only after all chunks have finished, and the
+  // pool stays usable.
+  ThreadPool pool(2);
+  std::atomic<int> finished{0};
+  EXPECT_THROW(pool.parallel_for_chunks(0, 8,
+                                        [&finished](i64 lo, i64) {
+                                          finished.fetch_add(1);
+                                          GC_CHECK_MSG(lo < 0, "chunk " << lo);
+                                        }),
+               Error);
+  EXPECT_EQ(finished.load(), 2);
+
+  std::atomic<i64> covered{0};
+  pool.parallel_for_chunks(0, 8, [&covered](i64 lo, i64 hi) {
+    covered.fetch_add(hi - lo);
+  });
+  EXPECT_EQ(covered.load(), 8);
+}
+
 TEST(ThreadPool, SubmitAndWait) {
   ThreadPool pool(2);
   std::atomic<int> count{0};
