@@ -1,5 +1,6 @@
 #include "io/checkpoint.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -37,27 +38,6 @@ class BodyWriter {
   std::string buf_;
 };
 
-/// Cursor over a fully validated body; every read is bounds-checked so a
-/// malformed length field cannot run off the end.
-class BodyReader {
- public:
-  explicit BodyReader(const std::string& buf) : buf_(buf) {}
-  template <typename T>
-  void pod(T& v) {
-    bytes(&v, sizeof(T));
-  }
-  void bytes(void* p, std::size_t n) {
-    GC_CHECK_MSG(pos_ + n <= buf_.size(), "truncated checkpoint body");
-    std::memcpy(p, buf_.data() + pos_, n);
-    pos_ += n;
-  }
-  bool at_end() const { return pos_ == buf_.size(); }
-
- private:
-  const std::string& buf_;
-  std::size_t pos_ = 0;
-};
-
 /// Writes [magic][version][body_size][crc][body] to `path + ".tmp"` and
 /// commits with an atomic rename.
 void write_envelope(const std::string& path, const char magic[4], u32 version,
@@ -86,41 +66,98 @@ void write_envelope(const std::string& path, const char magic[4], u32 version,
   }
 }
 
-/// Reads and fully validates an envelope: magic, version (within
-/// [min_version, max_version]), exact body size, CRC32. Returns the body
-/// and, via `version_out`, the version actually found.
-std::string read_envelope(const std::string& path, const char magic[4],
-                          u32 min_version, u32 max_version,
-                          const char* what, u32* version_out = nullptr) {
-  std::ifstream in(path, std::ios::binary);
-  GC_CHECK_MSG(in.good(), "cannot open " << path);
+/// Streams one envelope's body from disk, one field at a time. The
+/// constructor checks magic, version and that the header's body size is
+/// exactly what the file holds, before anything is read or allocated;
+/// each later read is bounds-checked against that size, lands straight
+/// in its destination and is folded into the CRC in kChunk pieces while
+/// they are still in cache. The CRC is known only at the end, so a
+/// decoder validates what it reads as it goes and calls finish() before
+/// it hands anything out.
+class EnvelopeReader {
+ public:
+  EnvelopeReader(const std::string& path, const char magic[4],
+                 u32 min_version, u32 max_version, const char* what)
+      : path_(path), what_(what), in_(path, std::ios::binary) {
+    GC_CHECK_MSG(in_.good(), "cannot open " << path);
+    in_.seekg(0, std::ios::end);
+    const std::streamoff file_bytes = in_.tellg();
+    in_.seekg(0);
 
-  char m[4];
-  in.read(m, sizeof(m));
-  GC_CHECK_MSG(in.good() && std::memcmp(m, magic, 4) == 0,
-               path << " is not a gpucluster " << what);
-  u32 version = 0;
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  GC_CHECK_MSG(in.good() && version >= min_version && version <= max_version,
-               "unsupported " << what << " version " << version);
-  if (version_out) *version_out = version;
-  u64 size = 0;
-  u32 crc = 0;
-  in.read(reinterpret_cast<char*>(&size), sizeof(size));
-  in.read(reinterpret_cast<char*>(&crc), sizeof(crc));
-  GC_CHECK_MSG(in.good(), "truncated " << what << " header in " << path);
+    char m[4];
+    in_.read(m, sizeof(m));
+    GC_CHECK_MSG(in_.good() && std::memcmp(m, magic, 4) == 0,
+                 path << " is not a gpucluster " << what);
+    in_.read(reinterpret_cast<char*>(&version_), sizeof(version_));
+    GC_CHECK_MSG(
+        in_.good() && version_ >= min_version && version_ <= max_version,
+        "unsupported " << what << " version " << version_);
+    u64 size = 0;
+    in_.read(reinterpret_cast<char*>(&size), sizeof(size));
+    in_.read(reinterpret_cast<char*>(&expected_crc_), sizeof(expected_crc_));
+    GC_CHECK_MSG(in_.good() && file_bytes >= kHeaderBytes,
+                 "truncated " << what << " header in " << path);
+    const u64 held = static_cast<u64>(file_bytes - kHeaderBytes);
+    GC_CHECK_MSG(size <= held, path << " is truncated: body has " << held
+                                    << " of " << size << " bytes");
+    GC_CHECK_MSG(size == held, path << " has trailing bytes after the body");
+    remaining_ = size;
+  }
 
-  std::string body(static_cast<std::size_t>(size), '\0');
-  in.read(body.data(), static_cast<std::streamsize>(size));
-  GC_CHECK_MSG(static_cast<u64>(in.gcount()) == size,
-               path << " is truncated: body has " << in.gcount()
-                    << " of " << size << " bytes");
-  in.get();
-  GC_CHECK_MSG(in.eof(), path << " has trailing bytes after the body");
-  GC_CHECK_MSG(crc32(body.data(), body.size()) == crc,
-               path << " failed its CRC32 check (corrupted " << what << ")");
-  return body;
-}
+  u32 version() const { return version_; }
+  /// Body bytes not read yet.
+  u64 remaining() const { return remaining_; }
+
+  template <typename T>
+  void pod(T& v) {
+    bytes(&v, sizeof(T));
+  }
+  void bytes(void* dst, std::size_t n) {
+    GC_CHECK_MSG(n <= remaining_, "truncated " << what_ << " body");
+    auto* p = static_cast<char*>(dst);
+    while (n > 0) {
+      const std::size_t k = std::min(n, kChunk);
+      in_.read(p, static_cast<std::streamsize>(k));
+      GC_CHECK_MSG(static_cast<std::size_t>(in_.gcount()) == k,
+                   path_ << " is truncated");
+      crc_ = crc32(p, k, crc_);
+      p += k;
+      n -= k;
+      remaining_ -= k;
+    }
+  }
+  /// Streams the unread rest of the body through the CRC.
+  void skip_rest() {
+    std::vector<char> chunk(
+        static_cast<std::size_t>(std::min<u64>(remaining_, kChunk)));
+    while (remaining_ > 0) {
+      bytes(chunk.data(),
+            static_cast<std::size_t>(std::min<u64>(remaining_, chunk.size())));
+    }
+  }
+  /// Requires the body to be consumed exactly and to match its CRC.
+  void finish() const {
+    GC_CHECK_MSG(remaining_ == 0, what_ << " body has trailing bytes");
+    GC_CHECK_MSG(crc_ == expected_crc_, path_ << " failed its CRC32 check "
+                                              << "(corrupted " << what_
+                                              << ")");
+  }
+
+ private:
+  /// [magic 4][version 4][body_size 8][crc 4]
+  static constexpr std::streamoff kHeaderBytes = 20;
+  /// Read granularity: small enough to stay in L2 between the read and
+  /// its CRC pass.
+  static constexpr std::size_t kChunk = std::size_t{256} << 10;
+
+  std::string path_;
+  const char* what_;
+  std::ifstream in_;
+  u32 version_ = 0;
+  u32 expected_crc_ = 0;
+  u32 crc_ = 0;
+  u64 remaining_ = 0;
+};
 }  // namespace
 
 void save_checkpoint(const std::string& path, const lbm::Lattice& lat) {
@@ -175,7 +212,7 @@ namespace {
 
 /// Reads the dims / velocity-count / storage-mode header prefix shared by
 /// v2 and v3 bodies (v2 has no storage byte: DoubleBuffer).
-lbm::StorageMode read_header_prefix(BodyReader& body, u32 version, Int3* d) {
+lbm::StorageMode read_header_prefix(EnvelopeReader& body, Int3* d) {
   body.pod(d->x);
   body.pod(d->y);
   body.pod(d->z);
@@ -183,26 +220,40 @@ lbm::StorageMode read_header_prefix(BodyReader& body, u32 version, Int3* d) {
   body.pod(q);
   GC_CHECK_MSG(q == static_cast<u32>(lbm::Q),
                "checkpoint has " << q << " velocities, expected " << lbm::Q);
-  if (version < 3) return lbm::StorageMode::DoubleBuffer;
+  if (body.version() < 3) return lbm::StorageMode::DoubleBuffer;
   u8 mode;
   body.pod(mode);
-  const u8 max_mode = version >= 4 ? static_cast<u8>(lbm::StorageMode::Sparse)
-                                   : static_cast<u8>(lbm::StorageMode::AA);
+  const u8 max_mode = body.version() >= 4
+                          ? static_cast<u8>(lbm::StorageMode::Sparse)
+                          : static_cast<u8>(lbm::StorageMode::AA);
   GC_CHECK_MSG(mode <= max_mode, "invalid storage mode in checkpoint");
   return static_cast<lbm::StorageMode>(mode);
 }
 
+/// The dims come from a body whose CRC is checked only once it has all
+/// been read, so they may be corrupt: before they size any allocation,
+/// require them to be positive and their cells (a flag byte and Q
+/// values each) to fit in the `body_bytes` still unread. Divides rather
+/// than multiplies, so no product can overflow.
+void check_dims_fit(Int3 d, u64 body_bytes) {
+  GC_CHECK_MSG(d.x > 0 && d.y > 0 && d.z > 0,
+               "invalid checkpoint dimensions " << d);
+  u64 cells = body_bytes / (1 + lbm::Q * sizeof(Real));
+  for (const int extent : {d.x, d.y, d.z}) {
+    GC_CHECK_MSG(static_cast<u64>(extent) <= cells,
+                 "checkpoint dimensions " << d << " exceed its "
+                                          << body_bytes << "-byte body");
+    cells /= static_cast<u64>(extent);
+  }
+}
+
 lbm::Lattice load_checkpoint_impl(const std::string& path,
                                   const lbm::StorageMode* forced_mode) {
-  u32 version = 0;
-  const std::string raw =
-      read_envelope(path, kMagic, kMinVersion, kVersion, "checkpoint",
-                    &version);
-  BodyReader body(raw);
-
+  EnvelopeReader body(path, kMagic, kMinVersion, kVersion, "checkpoint");
   Int3 d;
-  const lbm::StorageMode recorded = read_header_prefix(body, version, &d);
+  const lbm::StorageMode recorded = read_header_prefix(body, &d);
   const lbm::StorageMode mode = forced_mode ? *forced_mode : recorded;
+  check_dims_fit(d, body.remaining());
 
   // A fresh DoubleBuffer/AA lattice is in the natural layout (AA phase
   // 0), so the planes can be read straight into plane_ptr. A sparse
@@ -248,7 +299,7 @@ lbm::Lattice load_checkpoint_impl(const std::string& path,
     body.pod(link.q);
     lat.add_curved_link(link);
   }
-  GC_CHECK_MSG(body.at_end(), "checkpoint body has trailing bytes");
+  body.finish();
   if (sparse_target) lat.convert_storage(lbm::StorageMode::Sparse);
   return lat;
 }
@@ -264,12 +315,12 @@ lbm::Lattice load_checkpoint(const std::string& path, lbm::StorageMode mode) {
 }
 
 CheckpointInfo read_checkpoint_info(const std::string& path) {
+  EnvelopeReader body(path, kMagic, kMinVersion, kVersion, "checkpoint");
   CheckpointInfo info;
-  const std::string raw =
-      read_envelope(path, kMagic, kMinVersion, kVersion, "checkpoint",
-                    &info.version);
-  BodyReader body(raw);
-  info.storage = read_header_prefix(body, info.version, &info.dim);
+  info.version = body.version();
+  info.storage = read_header_prefix(body, &info.dim);
+  body.skip_rest();
+  body.finish();
   return info;
 }
 
@@ -291,10 +342,8 @@ void save_manifest(const std::string& path, const ClusterManifest& m) {
 }
 
 ClusterManifest load_manifest(const std::string& path) {
-  const std::string raw = read_envelope(path, kManifestMagic,
-                                        kManifestVersion, kManifestVersion,
-                                        "manifest");
-  BodyReader body(raw);
+  EnvelopeReader body(path, kManifestMagic, kManifestVersion,
+                      kManifestVersion, "manifest");
   ClusterManifest m;
   body.pod(m.step);
   body.pod(m.grid.x);
@@ -314,7 +363,7 @@ ClusterManifest load_manifest(const std::string& path) {
     body.bytes(name.data(), len);
     m.rank_files.push_back(std::move(name));
   }
-  GC_CHECK_MSG(body.at_end(), "manifest body has trailing bytes");
+  body.finish();
   return m;
 }
 

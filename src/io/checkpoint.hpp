@@ -6,10 +6,15 @@
 // Integrity (format v4): every file is an envelope of
 //   [magic][u32 version][u64 body_size][u32 body_crc32][body]
 // written to a temporary sibling and committed with an atomic rename, so
-// a crash mid-write leaves either the old file or none. Loading verifies
-// magic, version, exact body size (truncation detection) and CRC32, and
-// throws gc::Error on any mismatch — a flipped byte or a half-written
-// file can never be mistaken for valid state.
+// a crash mid-write leaves either the old file or none. Loading streams
+// the body once, straight into its destination, and checks in this
+// order: magic and version; body_size against the bytes the file holds
+// (truncation and trailing bytes), before anything is allocated; for a
+// lattice, its dims against the body size, before the lattice is built;
+// each field's range as it is read; and last, that the body was consumed
+// exactly and matches its CRC32. Any mismatch throws gc::Error — a
+// flipped byte or a half-written file can never be mistaken for valid
+// state, nor size an allocation.
 //
 // v3 additionally records the StorageMode the saved simulation was
 // running (the distribution planes themselves are always serialized in
@@ -44,8 +49,8 @@ lbm::Lattice load_checkpoint(const std::string& path);
 lbm::Lattice load_checkpoint(const std::string& path, lbm::StorageMode mode);
 
 /// Header facts of a checkpoint, without materializing the lattice.
-/// (The envelope is still fully CRC-validated — a checkpoint is small
-/// next to the simulation it snapshots.)
+/// (The rest of the body still streams through the CRC check — a
+/// checkpoint is small next to the simulation it snapshots.)
 struct CheckpointInfo {
   Int3 dim{};
   lbm::StorageMode storage = lbm::StorageMode::DoubleBuffer;

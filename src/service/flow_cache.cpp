@@ -35,6 +35,19 @@ struct Digest64 {
   u64 value() const { return (static_cast<u64>(hi) << 32) | lo; }
 };
 
+/// Runs `fn` when the enclosing scope ends, however it ends.
+template <typename Fn>
+class ScopeExit {
+ public:
+  explicit ScopeExit(Fn fn) : fn_(std::move(fn)) {}
+  ~ScopeExit() { fn_(); }
+  ScopeExit(const ScopeExit&) = delete;
+  ScopeExit& operator=(const ScopeExit&) = delete;
+
+ private:
+  Fn fn_;
+};
+
 }  // namespace
 
 u64 geometry_hash(const lbm::Lattice& lat) {
@@ -253,20 +266,21 @@ FlowCache::Entry FlowCache::get_or_compute(
         const auto it = entries_.find(stem);
         if (it != entries_.end()) it->second.last_use = ++use_seq_;
         lock.unlock();
+        // Unpin on every way out of the restore, an unexpected exception
+        // included: a stem left pinned could never be evicted.
+        const ScopeExit unpin([this, &stem] {
+          std::lock_guard<std::mutex> relock(mu_);
+          restoring_.erase(stem);
+        });
         try {
           io::ClusterManifest m = io::load_manifest(mani);
-          Entry e{io::load_checkpoint(dir_ + "/" + m.rank_files.at(0)),
-                  /*hit=*/true, /*steady_step=*/m.step};
-          {
-            std::unique_lock<std::mutex> relock(mu_);
-            restoring_.erase(stem);
-          }
-          return e;
+          return Entry{io::load_checkpoint(dir_ + "/" + m.rank_files.at(0)),
+                       /*hit=*/true, /*steady_step=*/m.step};
         } catch (const Error&) {
-          // Torn or corrupted entry: drop it and fall through to a
-          // fresh compute. The hit we just counted becomes a miss.
-          std::unique_lock<std::mutex> relock(mu_);
-          restoring_.erase(stem);
+          // Torn or corrupted entry: drop it (still pinned) and fall
+          // through to a fresh compute. The hit we just counted becomes
+          // a miss.
+          std::lock_guard<std::mutex> relock(mu_);
           stats_.hits -= 1;
           std::filesystem::remove(mani);
           std::filesystem::remove(ckpt);

@@ -12,8 +12,9 @@
 // Entry format: one storage-agnostic lattice checkpoint (io/checkpoint,
 // CRC-enveloped, atomic-rename commit) plus a ClusterManifest written
 // LAST — manifest presence implies a complete entry, exactly the commit
-// protocol the recovery layer uses. A torn or corrupted entry fails its
-// CRC on load and is silently invalidated and recomputed.
+// protocol the recovery layer uses. A torn or corrupted entry fails a
+// decode check on load (size, dims or CRC, each a gc::Error) and is
+// silently invalidated and recomputed.
 //
 // Concurrency: get_or_compute is single-flight per key. Concurrent
 // requests for the same key block until the one compute commits, then

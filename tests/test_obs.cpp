@@ -5,10 +5,7 @@
 // zero allocations to the Solver::step hot path.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <fstream>
-#include <new>
 #include <sstream>
 
 #include "core/overlap.hpp"
@@ -17,42 +14,8 @@
 #include "netsim/mpilite.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
+#include "alloc_probe.hpp"
 #include "temp_path.hpp"
-
-// Global allocation counter backing the zero-allocation guard. Replacing
-// operator new is binary-wide, so keep the bookkeeping trivially cheap.
-namespace {
-std::atomic<long> g_allocations{0};
-}  // namespace
-
-// noinline keeps GCC from inlining the malloc/free pairs into callers'
-// new-expressions, where -Wmismatched-new-delete mis-pairs them.
-__attribute__((noinline)) void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-__attribute__((noinline)) void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-__attribute__((noinline)) void operator delete(void* p) noexcept {
-  std::free(p);
-}
-__attribute__((noinline)) void operator delete[](void* p) noexcept {
-  std::free(p);
-}
-__attribute__((noinline)) void operator delete(void* p,
-                                               std::size_t) noexcept {
-  std::free(p);
-}
-__attribute__((noinline)) void operator delete[](void* p,
-                                                 std::size_t) noexcept {
-  std::free(p);
-}
 
 namespace gc {
 namespace {
@@ -360,9 +323,9 @@ TEST(Obs, NoRecorderAddsZeroAllocationsToSolverStep) {
   solver.step();  // warm up: builds the cell classification lazily
   solver.step();
 
-  const long before = g_allocations.load();
+  const long before = test::allocation_count();
   for (int s = 0; s < 10; ++s) solver.step();
-  EXPECT_EQ(g_allocations.load(), before);
+  EXPECT_EQ(test::allocation_count(), before);
 }
 
 }  // namespace

@@ -331,6 +331,47 @@ TEST(ScenarioServiceTest, CorruptedCacheEntryIsRecomputedNotServed) {
   EXPECT_EQ(redo.concentration, cold.concentration);
 }
 
+TEST(ScenarioServiceTest, CorruptedSizeFieldIsRecomputedNotServed) {
+  TempPath dir("svc_corrupt_size");
+  const ScenarioRequest req = small_request();
+  ScenarioResult cold{};
+  std::string ckpt_path;
+  {
+    ScenarioService svc(small_config(dir.path()));
+    cold = svc.submit(req).get();
+    const lbm::Lattice lat = build_scenario_lattice(req);
+    ckpt_path = svc.cache().checkpoint_path(scenario_flow_key(req, lat));
+  }
+  ASSERT_TRUE(fs::exists(ckpt_path));
+
+  // Flip a high byte of the envelope's u64 body size (bytes 8-15, little
+  // endian): the header now claims ~2^62 bytes. The load must fail with a
+  // typed error before sizing anything from it, and the cache must drop
+  // the entry and recompute.
+  {
+    std::fstream f(ckpt_path, std::ios::in | std::ios::out | std::ios::binary);
+    char b = 0;
+    f.seekg(15);
+    f.read(&b, 1);
+    b = static_cast<char>(b ^ 0x40);
+    f.seekp(15);
+    f.write(&b, 1);
+  }
+
+  ScenarioService svc(small_config(dir.path()));
+  const ScenarioResult redo = svc.submit(req).get();
+  EXPECT_FALSE(redo.cache_hit);
+  EXPECT_EQ(redo.concentration, cold.concentration);
+  const FlowCache::Stats st = svc.cache().stats();
+  EXPECT_EQ(st.hits, 0);
+  EXPECT_EQ(st.misses, 1);
+  EXPECT_EQ(st.computes, 1);
+  // The recomputed entry replaced the corrupt one and serves hits again.
+  const ScenarioResult again = svc.submit(req).get();
+  EXPECT_TRUE(again.cache_hit);
+  EXPECT_EQ(again.concentration, cold.concentration);
+}
+
 TEST(ScenarioServiceTest, ServiceMetricsLandInTheTrace) {
   TempPath dir("svc_obs");
   obs::TraceRecorder rec;

@@ -1,14 +1,22 @@
-// Utility layer: RNG determinism and distributions, thread pool, tables.
+// Utility layer: RNG determinism and distributions, thread pool, tables,
+// and the CRC32 every on-disk and wire format depends on.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <fstream>
+#include <iterator>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "io/checkpoint.hpp"
+#include "util/checksum.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
+#include "temp_path.hpp"
 
 namespace gc {
 namespace {
@@ -65,6 +73,82 @@ TEST(Rng, SplitStreamsAreIndependentButDeterministic) {
   Rng a(5), b(5);
   Rng as = a.split(), bs = b.split();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(as.next_u64(), bs.next_u64());
+}
+
+/// Bit-serial CRC32 over the reflected polynomial 0xEDB88320, one byte
+/// at a time: the definition crc32 must reproduce, written without its
+/// tables.
+u32 reference_crc32(const unsigned char* p, std::size_t n, u32 seed) {
+  u32 c = ~seed;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+  }
+  return ~c;
+}
+
+std::vector<unsigned char> seeded_bytes(std::size_t n, u64 seed) {
+  std::vector<unsigned char> v(n);
+  Rng rng(seed);
+  for (unsigned char& b : v) {
+    b = static_cast<unsigned char>(rng.next_u64() >> 56);
+  }
+  return v;
+}
+
+TEST(Crc32, StandardCheckValue) {
+  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(crc32("", 0), 0u);
+  EXPECT_EQ(crc32("", 0, 0x1234abcdu), 0x1234abcdu);  // no bytes, no change
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAlignmentAndSplit) {
+  // Lengths up to 80 cover no, one and several 16-byte strides plus every
+  // tail; starting offsets 0-15 cover every alignment of those strides.
+  const std::vector<unsigned char> buf = seeded_bytes(16 + 80, 77);
+  for (std::size_t align = 0; align < 16; ++align) {
+    const unsigned char* p = buf.data() + align;
+    for (std::size_t len = 0; len <= 80; ++len) {
+      const u32 want = reference_crc32(p, len, 0);
+      ASSERT_EQ(crc32(p, len, 0x5eedu), reference_crc32(p, len, 0x5eedu))
+          << "align " << align << " len " << len;
+      for (std::size_t split = 0; split <= len; ++split) {
+        ASSERT_EQ(crc32(p + split, len - split, crc32(p, split)), want)
+            << "align " << align << " len " << len << " split " << split;
+      }
+    }
+  }
+}
+
+TEST(Crc32, SeededBufferAndCheckpointKeepTheirRecordedValues) {
+  // Recorded values. Every checkpoint, manifest, flow-cache stem and
+  // MpiLite envelope on disk or in flight depends on them; a CRC that
+  // is wrong but self-consistent would pass every round trip and still
+  // make all of those unreadable.
+  const std::vector<unsigned char> mib =
+      seeded_bytes(std::size_t{1} << 20, 2024);
+  EXPECT_EQ(crc32(mib.data(), mib.size()), 0x68418893u);
+
+  lbm::Lattice lat(Int3{9, 7, 5});
+  lat.set_face_bc(lbm::FACE_XMIN, lbm::FaceBc::Inlet);
+  lat.set_face_bc(lbm::FACE_XMAX, lbm::FaceBc::Outflow);
+  lat.set_face_bc(lbm::FACE_ZMAX, lbm::FaceBc::FreeSlip);
+  lat.set_inlet(Real(1.02), Vec3{0.04f, -0.01f, 0.02f});
+  Rng rng(123);
+  for (int i = 0; i < lbm::Q; ++i) {
+    for (i64 c = 0; c < lat.num_cells(); ++c) {
+      lat.set_f(i, c, Real(rng.uniform(0.01, 0.1)));
+    }
+  }
+  lat.fill_solid_box(Int3{3, 3, 1}, Int3{5, 5, 3});
+  lat.add_curved_link({lat.idx(2, 3, 1), 1, Real(0.37)});
+  test::TempPath f("crc_pin.gclb");
+  io::save_checkpoint(f.path(), lat);
+  std::ifstream in(f.path(), std::ios::binary);
+  const std::string file((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(file.size(), 24334u);
+  EXPECT_EQ(crc32(file.data(), file.size()), 0xf8215d3eu);
 }
 
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
