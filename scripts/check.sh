@@ -97,16 +97,18 @@ for stage in "${STAGES[@]}"; do
     equiv)
       # The randomized overlap/serial equivalence harness, which sweeps
       # ALL lattice storage modes (double-buffered, in-place AA and the
-      # sparse fluid-index layout) per seeded config, plus the dedicated
-      # AA storage suite. Bit-exactness across storage modes is a merge
-      # gate.
-      note "equiv: equivalence harness across storage modes"
+      # sparse fluid-index layout) per seeded config, the dedicated AA
+      # storage suite, and both distributed drivers (host lattices and
+      # simulated GPUs) against the serial reference and each other — one
+      # border-exchange pipeline runs under both. Bit-exactness across
+      # storage modes and drivers is a merge gate.
+      note "equiv: equivalence harness across storage modes and drivers"
       bdir=build-check/equiv
       if cmake -B "$bdir" -S . > "$bdir.cfg.log" 2>&1 \
           && cmake --build "$bdir" -j "$JOBS" --target gc_tests \
               > "$bdir.build.log" 2>&1 \
           && "$bdir/tests/gc_tests" \
-              --gtest_filter='OverlapExec.*:*/OverlapExec.*:StorageAA.*:SparseLattice.KernelsMatchDenseReference'; then
+              --gtest_filter='OverlapExec.*:*/OverlapExec.*:StorageAA.*:SparseLattice.KernelsMatchDenseReference:Parallel.*:*/ParallelVsSerial.*:GpuCluster.*:*/GpuClusterVsSerial.*'; then
         RESULT[equiv]="ok"
       else
         RESULT[equiv]="FAIL"; FAILED=1

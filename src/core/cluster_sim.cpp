@@ -19,11 +19,7 @@ netsim::TrafficMatrix ClusterSimulator::traffic_bytes_per_step(
     bytes[k].assign(step.size(), 0);
     for (std::size_t pi = 0; pi < step.size(); ++pi) {
       const netsim::ExchangePair& p = step[pi];
-      const Int3 off = grid.coords(p.b) - grid.coords(p.a);
-      int face = -1;
-      for (int a = 0; a < 3; ++a) {
-        if (off[a] != 0) face = 2 * a + (off[a] > 0 ? 1 : 0);
-      }
+      const int face = netsim::face_toward(grid.coords(p.b) - grid.coords(p.a));
       bytes[k][pi] += decomp.face_area(p.a, face) * 5 * rb;
     }
   }
@@ -110,22 +106,13 @@ StepBreakdown ClusterSimulator::simulate_step(const ClusterScenario& sc) const {
       // Ablation: direct second-nearest-neighbor messages, unscheduled.
       std::vector<netsim::Message> diag;
       for (int node = 0; node < n; ++node) {
-        for (int a = 0; a < 3; ++a) {
-          for (int b = a + 1; b < 3; ++b) {
-            for (int sa = -1; sa <= 1; sa += 2) {
-              for (int sb = -1; sb <= 1; sb += 2) {
-                Int3 off{0, 0, 0};
-                off[a] = sa;
-                off[b] = sb;
-                const int nb2 = decomp.neighbor(node, off);
-                if (nb2 < 0) continue;
-                int free_axis = 3 - a - b;
-                const i64 sz = decomp.block(node).size()[free_axis] *
-                               static_cast<i64>(sizeof(Real));
-                diag.push_back(netsim::Message{node, nb2, sz});
-              }
-            }
-          }
+        for (const Int3 off : netsim::diagonal_offsets()) {
+          const int nb2 = decomp.neighbor(node, off);
+          if (nb2 < 0) continue;
+          const int free_axis = off.x == 0 ? 0 : (off.y == 0 ? 1 : 2);
+          const i64 sz = decomp.block(node).size()[free_axis] *
+                         static_cast<i64>(sizeof(Real));
+          diag.push_back(netsim::Message{node, nb2, sz});
         }
       }
       out.net_total_ms += sw.direct_exchange_seconds(diag, n) * 1e3;

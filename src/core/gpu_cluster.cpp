@@ -1,385 +1,51 @@
 #include "core/gpu_cluster.hpp"
 
-#include <algorithm>
-
-#include "netsim/tags.hpp"
-
 namespace gc::core {
-
-using gpulbm::outgoing_directions;
-using lbm::Face;
-using lbm::FaceBc;
-using netsim::Comm;
-using netsim::Payload;
-
-namespace {
-
-/// Local in-slice coordinate of a node's own border layer at `face`.
-int own_border_coord(const LocalDomain& ld, int face) {
-  const int axis = face / 2;
-  return (face % 2 == 0) ? ld.own_lo()[axis] : ld.own_hi()[axis] - 1;
-}
-
-int ghost_coord(const LocalDomain& ld, int face) {
-  const int axis = face / 2;
-  return (face % 2 == 0) ? ld.own_lo()[axis] - 1 : ld.own_hi()[axis];
-}
-
-/// Index of direction `dir` within outgoing_directions(face).
-int dir_slot(Face face, int dir) {
-  const auto dirs = outgoing_directions(face);
-  for (int k = 0; k < 5; ++k) {
-    if (dirs[static_cast<std::size_t>(k)] == dir) return k;
-  }
-  GC_CHECK_MSG(false, "direction " << dir << " does not leave face " << face);
-  return -1;
-}
-
-/// Diagonal chunk for grid offset `off`, cut from the already-read x-face
-/// border payload (the corner line is part of the x-face border).
-Payload extract_edge_chunk(const LocalDomain& ld, int dz,
-                           const std::map<int, Payload>& face_payload,
-                           Int3 off) {
-  const int fx = off.x > 0 ? lbm::FACE_XMAX : lbm::FACE_XMIN;
-  const auto it = face_payload.find(fx);
-  GC_CHECK(it != face_payload.end());
-  const int t0 = ld.own_lo().y;
-  const int bw = ld.own_hi().y - t0;
-  const int t = (off.y > 0 ? ld.own_hi().y - 1 : ld.own_lo().y) - t0;
-  const int k = dir_slot(static_cast<Face>(fx), lbm::direction_index(off));
-  Payload chunk;
-  chunk.reserve(static_cast<std::size_t>(dz));
-  for (int z = 0; z < dz; ++z) {
-    chunk.push_back(
-        it->second[(static_cast<std::size_t>(z) * bw + t) * 5 +
-                   static_cast<std::size_t>(k)]);
-  }
-  return chunk;
-}
-}  // namespace
 
 GpuClusterLbm::GpuClusterLbm(const lbm::Lattice& global, GpuClusterConfig cfg)
     : cfg_(cfg),
-      decomp_(cfg.fluid_balanced
-                  ? Decomposition3(global.dim(), cfg.grid, global.flags())
-                  : Decomposition3(global.dim(), cfg.grid)),
-      sched_(netsim::CommSchedule::pairwise(cfg.grid)),
-      world_(cfg.grid.num_nodes()) {
+      ex_(global, cfg.grid, cfg.fluid_balanced, /*indirect_diagonals=*/true) {
   GC_CHECK_MSG(cfg.grid.dims.z == 1,
                "GpuClusterLbm decomposes in 2D (dims.z must be 1)");
-  GC_CHECK(global.curved_links().empty());
-  for (int a = 0; a < 2; ++a) {
-    if (cfg.grid.dims[a] > 1) {
-      GC_CHECK_MSG(
-          global.face_bc(static_cast<Face>(2 * a)) != FaceBc::Periodic &&
-              global.face_bc(static_cast<Face>(2 * a + 1)) !=
-                  FaceBc::Periodic,
-          "decomposed axis " << a << " cannot be periodic");
-    }
-  }
-  routes_ = netsim::plan_indirect_routes(sched_);
-
-  const int n = decomp_.num_nodes();
-  forward_store_.resize(static_cast<std::size_t>(n));
-  hidden_ms_.assign(static_cast<std::size_t>(n), 0.0);
-  for (int node = 0; node < n; ++node) {
-    const LocalDomain ld = LocalDomain::make(decomp_, node);
-    domains_.push_back(ld);
-
-    // Build the local host lattice (flags, BCs, initial state) exactly as
-    // core::ParallelLbm does, then hand it to a fresh simulated GPU.
-    lbm::Lattice local(ld.local_dim());
-    for (int face = 0; face < 6; ++face) {
-      const int axis = face / 2;
-      const bool has_neighbor =
-          (face % 2 == 0) ? ld.ghost_lo[axis] == 1 : ld.ghost_hi[axis] == 1;
-      local.set_face_bc(static_cast<Face>(face),
-                        has_neighbor
-                            ? FaceBc::Outflow
-                            : global.face_bc(static_cast<Face>(face)));
-    }
-    local.set_inlet(global.inlet_density(), global.inlet_velocity());
-    const Int3 dl = ld.local_dim();
-    for (int z = 0; z < dl.z; ++z) {
-      for (int y = 0; y < dl.y; ++y) {
-        for (int x = 0; x < dl.x; ++x) {
-          const Int3 g = Int3{x, y, z} + ld.global.lo - ld.ghost_lo;
-          const i64 lc = local.idx(x, y, z);
-          const i64 gcell = global.idx(g);
-          local.set_flag(lc, global.flag(gcell));
-          for (int i = 0; i < lbm::Q; ++i) {
-            local.set_f(i, lc, global.f(i, gcell));
-          }
-        }
-      }
-    }
-    devices_.push_back(
-        std::make_unique<gpusim::GpuDevice>(cfg.gpu, cfg.bus));
-    gpus_.push_back(std::make_unique<gpulbm::GpuLbmSolver>(*devices_.back(),
-                                                           local, cfg.tau));
+  for (int node = 0; node < ex_.num_nodes(); ++node) {
+    nodes_.push_back(std::make_unique<GpuNode>(*ex_.scatter(global, node),
+                                               ex_.domain(node), cfg.tau,
+                                               cfg.gpu, cfg.bus));
   }
 }
 
-void GpuClusterLbm::node_step(Comm& comm, int node) {
-  gpulbm::GpuLbmSolver& gpu = *gpus_[static_cast<std::size_t>(node)];
-  const LocalDomain& ld = domains_[static_cast<std::size_t>(node)];
-  const netsim::NodeGrid& grid = cfg_.grid;
-  const Int3 myc = grid.coords(node);
-  const int dz = ld.local_dim().z;
-
-  gpu.collide_pass();
-
-  // Gather + read back the post-collision border of every neighbor face
-  // (the Section 4.3 single-read optimization, on the simulated AGP bus).
-  std::map<int, Payload> face_payload;
-  for (const auto& [face, nb] : decomp_.axial_neighbors(node)) {
-    (void)nb;
-    const int axis = face / 2;
-    const int t_axis = axis == 0 ? 1 : 0;
-    face_payload[face] = gpu.read_border_plane(
-        static_cast<Face>(face), own_border_coord(ld, face),
-        ld.own_lo()[t_axis], ld.own_hi()[t_axis], 0, dz);
-  }
-
-  auto& store = forward_store_[static_cast<std::size_t>(node)];
-
-  for (int k = 0; k < sched_.num_steps(); ++k) {
-    int partner = -1;
-    for (const netsim::ExchangePair& p :
-         sched_.steps[static_cast<std::size_t>(k)]) {
-      if (p.a == node) partner = p.b;
-      if (p.b == node) partner = p.a;
-    }
-    int face = -1;
-    if (partner >= 0) {
-      const Int3 off = grid.coords(partner) - myc;
-      for (int a = 0; a < 3; ++a) {
-        if (off[a] != 0) face = 2 * a + (off[a] > 0 ? 1 : 0);
-      }
-      comm.send(partner, netsim::kFace, face_payload.at(face));
-    }
-
-    for (const netsim::IndirectRoute& r : routes_) {
-      if (r.src == node && r.first_step == k) {
-        comm.send(r.via, netsim::kHop1Base + r.dst,
-                  extract_edge_chunk(ld, dz, face_payload,
-                                     grid.coords(r.dst) - myc));
-      }
-      if (r.via == node && r.second_step == k) {
-        auto it = store.find({r.src, r.dst});
-        GC_CHECK(it != store.end());
-        comm.send(r.dst, netsim::kHop2Base + r.src, std::move(it->second));
-        store.erase(it);
-      }
-    }
-
-    if (partner >= 0) {
-      const Payload data = comm.recv(partner, netsim::kFace);
-      const int axis = face / 2;
-      const int t_axis = axis == 0 ? 1 : 0;
-      gpu.write_ghost_plane(static_cast<Face>(face), ghost_coord(ld, face),
-                            ld.own_lo()[t_axis], ld.own_hi()[t_axis], 0, dz,
-                            data);
-    }
-    for (const netsim::IndirectRoute& r : routes_) {
-      if (r.via == node && r.first_step == k) {
-        store[{r.src, r.dst}] = comm.recv(r.src, netsim::kHop1Base + r.dst);
-      }
-      if (r.dst == node && r.second_step == k) {
-        const Payload data = comm.recv(r.via, netsim::kHop2Base + r.src);
-        const Int3 off = grid.coords(r.src) - myc;
-        const int gx = off.x > 0 ? ld.own_hi().x : ld.own_lo().x - 1;
-        const int gy = off.y > 0 ? ld.own_hi().y : ld.own_lo().y - 1;
-        const int dir = lbm::direction_index(Int3{-off.x, -off.y, 0});
-        gpu.write_ghost_line_z(gx, gy, dir, 0, dz, data);
-      }
-    }
-  }
-
-  gpu.stream_pass();
-}
-
-void GpuClusterLbm::node_step_overlap(Comm& comm, int node) {
-  gpulbm::GpuLbmSolver& gpu = *gpus_[static_cast<std::size_t>(node)];
-  const LocalDomain& ld = domains_[static_cast<std::size_t>(node)];
-  const netsim::NodeGrid& grid = cfg_.grid;
-  const Int3 myc = grid.coords(node);
-  const int dz = ld.local_dim().z;
-  obs::TraceRecorder* rec = cfg_.trace;
-
-  gpu.collide_pass();
-
-  std::map<int, Payload> face_payload;
-  for (const auto& [face, nb] : decomp_.axial_neighbors(node)) {
-    (void)nb;
-    const int axis = face / 2;
-    const int t_axis = axis == 0 ? 1 : 0;
-    face_payload[face] = gpu.read_border_plane(
-        static_cast<Face>(face), own_border_coord(ld, face),
-        ld.own_lo()[t_axis], ld.own_hi()[t_axis], 0, dz);
-  }
-
-  // Inner streaming rectangle: inset two texels (ghost layer + the shell
-  // that reads it) on every side that has a neighbor; z is undecomposed.
-  const Int3 dl = ld.local_dim();
-  gpusim::Rect inner;
-  inner.x0 = ld.ghost_lo.x ? 2 : 0;
-  inner.y0 = ld.ghost_lo.y ? 2 : 0;
-  inner.x1 = dl.x - (ld.ghost_hi.x ? 2 : 0);
-  inner.y1 = dl.y - (ld.ghost_hi.y ? 2 : 0);
-
-  // Wire-compatible with node_step: same payloads, same channels, one
-  // message per channel per step.
-  struct FaceRecv {
-    int face;
-    netsim::Request req;
-  };
-  struct EdgeRecv {
-    Int3 off;
-    netsim::Request req;
-  };
-  struct Hop1Recv {
-    const netsim::IndirectRoute* route;
-    netsim::Request req;
-  };
-  std::vector<FaceRecv> face_recvs;
-  std::vector<EdgeRecv> edge_recvs;
-  std::vector<Hop1Recv> hop1_recvs;
-
+void GpuClusterLbm::node_step(netsim::Comm& comm, int node) {
+  GpuNode& gpu = *nodes_[static_cast<std::size_t>(node)];
   {
-    obs::ScopedSpan pack(rec, "overlap.pack", node, "overlap");
-    for (const auto& [face, nb] : decomp_.axial_neighbors(node)) {
-      comm.isend(nb, netsim::kFace, face_payload.at(face));
-    }
-    for (const netsim::IndirectRoute& r : routes_) {
-      if (r.src == node) {
-        comm.isend(r.via, netsim::kHop1Base + r.dst,
-                   extract_edge_chunk(ld, dz, face_payload,
-                                      grid.coords(r.dst) - myc));
-      }
-    }
-    for (const auto& [face, nb] : decomp_.axial_neighbors(node)) {
-      face_recvs.push_back({face, comm.irecv(nb, netsim::kFace)});
-    }
-    for (const netsim::IndirectRoute& r : routes_) {
-      if (r.via == node) {
-        hop1_recvs.push_back({&r, comm.irecv(r.src, netsim::kHop1Base + r.dst)});
-      }
-      if (r.dst == node) {
-        edge_recvs.push_back({grid.coords(r.src) - myc,
-                              comm.irecv(r.via, netsim::kHop2Base + r.src)});
-      }
-    }
+    obs::ScopedSpan span(cfg_.trace, "collide", node, "lbm");
+    gpu.collide();
   }
-
-  const double t_post_us = world_.now_us();
-  {
-    obs::ScopedSpan span(rec, "overlap.inner", node, "overlap");
-    gpu.stream_pass_inner(inner);
-  }
-  const double t_window_us = world_.now_us();
-
-  double t_arrival_us = t_post_us;
-  {
-    obs::ScopedSpan span(rec, "overlap.wait", node, "overlap");
-    std::vector<netsim::Request> batch;
-    for (const FaceRecv& fr : face_recvs) batch.push_back(fr.req);
-    for (const Hop1Recv& hr : hop1_recvs) batch.push_back(hr.req);
-    comm.wait_all(batch);
-    // Forward the second hop of the diagonal routes through this node.
-    for (Hop1Recv& hr : hop1_recvs) {
-      comm.send(hr.route->dst, netsim::kHop2Base + hr.route->src,
-                comm.wait(hr.req));
-    }
-    std::vector<netsim::Request> batch2;
-    for (const EdgeRecv& er : edge_recvs) batch2.push_back(er.req);
-    comm.wait_all(batch2);
-
-    for (const FaceRecv& fr : face_recvs) {
-      t_arrival_us = std::max(t_arrival_us, fr.req.complete_time_us());
-    }
-    for (const Hop1Recv& hr : hop1_recvs) {
-      t_arrival_us = std::max(t_arrival_us, hr.req.complete_time_us());
-    }
-    for (const EdgeRecv& er : edge_recvs) {
-      t_arrival_us = std::max(t_arrival_us, er.req.complete_time_us());
-    }
-  }
-  hidden_ms_[static_cast<std::size_t>(node)] +=
-      std::max(0.0, std::min(t_arrival_us, t_window_us) - t_post_us) * 1e-3;
-
-  {
-    obs::ScopedSpan span(rec, "overlap.unpack", node, "overlap");
-    for (FaceRecv& fr : face_recvs) {
-      const int axis = fr.face / 2;
-      const int t_axis = axis == 0 ? 1 : 0;
-      gpu.write_ghost_plane(static_cast<Face>(fr.face),
-                            ghost_coord(ld, fr.face), ld.own_lo()[t_axis],
-                            ld.own_hi()[t_axis], 0, dz, comm.wait(fr.req));
-    }
-    for (EdgeRecv& er : edge_recvs) {
-      const int gx = er.off.x > 0 ? ld.own_hi().x : ld.own_lo().x - 1;
-      const int gy = er.off.y > 0 ? ld.own_hi().y : ld.own_lo().y - 1;
-      const int dir = lbm::direction_index(Int3{-er.off.x, -er.off.y, 0});
-      gpu.write_ghost_line_z(gx, gy, dir, 0, dz, comm.wait(er.req));
-    }
-  }
-
-  {
-    obs::ScopedSpan span(rec, "overlap.outer", node, "overlap");
-    gpu.stream_pass_outer(inner);
-  }
+  ex_.exchange_and_stream(comm, gpu, cfg_.overlap, cfg_.trace);
 }
 
 void GpuClusterLbm::run(int steps) {
-  world_.run([this, steps](Comm& comm) {
-    for (int s = 0; s < steps; ++s) {
-      if (cfg_.overlap) {
-        node_step_overlap(comm, comm.rank());
-      } else {
-        node_step(comm, comm.rank());
-      }
-    }
+  ex_.world().run([this, steps](netsim::Comm& comm) {
+    for (int s = 0; s < steps; ++s) node_step(comm, comm.rank());
   });
   if (cfg_.trace && cfg_.overlap) {
-    for (int r = 0; r < world_.size(); ++r) {
-      cfg_.trace->set_gauge("mpi.overlap_hidden_ms", r,
-                            hidden_ms_[static_cast<std::size_t>(r)]);
+    for (int r = 0; r < ex_.num_nodes(); ++r) {
+      cfg_.trace->set_gauge("mpi.overlap_hidden_ms", r, ex_.hidden_ms(r));
     }
   }
 }
 
-double GpuClusterLbm::overlap_hidden_ms(int node) const {
-  GC_CHECK_MSG(node >= 0 && node < decomp_.num_nodes(),
-               "invalid node " << node);
-  return cfg_.overlap ? hidden_ms_[static_cast<std::size_t>(node)] : 0.0;
-}
-
 void GpuClusterLbm::gather(lbm::Lattice& out) const {
-  GC_CHECK(out.dim() == decomp_.lattice_dim());
-  for (int node = 0; node < decomp_.num_nodes(); ++node) {
-    const LocalDomain& ld = domains_[static_cast<std::size_t>(node)];
-    lbm::Lattice local(ld.local_dim());
-    gpus_[static_cast<std::size_t>(node)]->copy_state_to_host(local);
-    const SubDomain& b = ld.global;
-    for (int z = b.lo.z; z < b.hi.z; ++z) {
-      for (int y = b.lo.y; y < b.hi.y; ++y) {
-        for (int x = b.lo.x; x < b.hi.x; ++x) {
-          const Int3 l = ld.to_local(Int3{x, y, z});
-          const i64 gcell = out.idx(x, y, z);
-          for (int i = 0; i < lbm::Q; ++i) {
-            out.set_f(i, gcell, local.f(i, local.idx(l)));
-          }
-        }
-      }
-    }
+  for (int node = 0; node < ex_.num_nodes(); ++node) {
+    lbm::Lattice local(ex_.domain(node).local_dim());
+    nodes_[static_cast<std::size_t>(node)]->copy_state_to_host(local);
+    ex_.gather(local, node, out);
   }
 }
 
 gpusim::GpuTimeLedger GpuClusterLbm::total_ledger() const {
   gpusim::GpuTimeLedger total;
-  for (const auto& dev : devices_) {
-    const gpusim::GpuTimeLedger& l = dev->ledger();
+  for (const auto& node : nodes_) {
+    const gpusim::GpuTimeLedger& l = node->device().ledger();
     total.compute_s += l.compute_s;
     total.download_s += l.download_s;
     total.readback_s += l.readback_s;

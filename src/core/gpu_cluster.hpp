@@ -4,12 +4,12 @@
 // read back over the simulated AGP bus, exchanged across MpiLite following
 // the pairwise schedule with two-hop diagonal routing, written back into
 // the neighbor GPUs' ghost layers, and streaming proceeds on-GPU.
-// Produces results bit-identical to both the host distributed solver
-// (core::ParallelLbm) and the serial reference — the payload wire format
-// is byte-compatible with ParallelLbm's, node for node.
+// The exchange is core::ClusterExchange over a GpuNode per rank — the same
+// routine core::ParallelLbm runs over host lattices — so the two drivers
+// put the same messages on the wire, node for node, and produce results
+// bit-identical to each other and to the serial reference.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -28,20 +28,25 @@ struct GpuClusterConfig {
   netsim::NodeGrid grid;
   gpusim::GpuSpec gpu = gpusim::GpuSpec::geforce_fx5800_ultra();
   gpusim::BusSpec bus = gpusim::BusSpec::agp8x();
-  /// Executed §4.4 overlap: post border isend/irecvs, render the inner
-  /// streaming rectangle while messages are in flight, wait, write
-  /// ghosts, render the outer strips. Bit-identical to the synchronous
-  /// path (same per-texel programs, each texel rendered exactly once)
-  /// and wire-compatible with it.
+  /// Selects how the one border-exchange routine is called, exactly as
+  /// ParallelConfig::overlap: the synchronous ordering (schedule rounds,
+  /// then a full streaming render) or the executed §4.4 overlap (post
+  /// every round, render the inner streaming rectangle while messages
+  /// are in flight, wait, write ghosts, render the outer strips).
+  /// Bit-identical either way (same per-texel programs, each texel
+  /// rendered exactly once) and the same messages on the wire.
   bool overlap = false;
   /// Fluid-cell-balanced cut placement (same semantics as
   /// ParallelConfig::fluid_balanced): the cut planes follow the global
   /// lattice's marginal non-solid histograms instead of uniform splits.
   /// Topology and results are unchanged; only block extents move.
   bool fluid_balanced = false;
-  /// When set, overlap mode emits overlap.pack / overlap.inner /
-  /// overlap.wait / overlap.unpack / overlap.outer spans (tid = node)
-  /// and run() publishes the mpi.overlap_hidden_ms gauge. Not owned.
+  /// When set, every node emits the same spans as ParallelLbm in the
+  /// same ordering (tid = node): collide, then exchange / pack / unpack
+  /// per schedule round and stream, or overlap.pack / overlap.inner /
+  /// overlap.wait / overlap.unpack / overlap.outer. The overlapped
+  /// ordering also publishes the mpi.overlap_hidden_ms gauge from run().
+  /// Not owned.
   obs::TraceRecorder* trace = nullptr;
 };
 
@@ -50,8 +55,8 @@ class GpuClusterLbm {
   /// Scatters `global` across the node grid; one simulated GPU per node.
   GpuClusterLbm(const lbm::Lattice& global, GpuClusterConfig cfg);
 
-  const Decomposition3& decomposition() const { return decomp_; }
-  const netsim::CommSchedule& schedule() const { return sched_; }
+  const Decomposition3& decomposition() const { return ex_.decomposition(); }
+  const netsim::CommSchedule& schedule() const { return ex_.schedule(); }
 
   /// Advances every node `steps` LBM steps (one MpiLite rank per node).
   void run(int steps);
@@ -64,23 +69,17 @@ class GpuClusterLbm {
 
   /// Cumulative network time node `node` hid under its inner streaming
   /// render (overlap mode only; 0 otherwise).
-  double overlap_hidden_ms(int node) const;
+  double overlap_hidden_ms(int node) const { return ex_.hidden_ms(node); }
+
+  /// The underlying communicator world (read-only): per-rank traffic.
+  const netsim::MpiLite& world() const { return ex_.world(); }
 
  private:
   void node_step(netsim::Comm& comm, int node);
-  void node_step_overlap(netsim::Comm& comm, int node);
 
   GpuClusterConfig cfg_;
-  Decomposition3 decomp_;
-  netsim::CommSchedule sched_;
-  std::vector<netsim::IndirectRoute> routes_;
-  std::vector<LocalDomain> domains_;
-  std::vector<std::unique_ptr<gpusim::GpuDevice>> devices_;
-  std::vector<std::unique_ptr<gpulbm::GpuLbmSolver>> gpus_;
-  netsim::MpiLite world_;
-  std::vector<std::map<std::pair<int, int>, netsim::Payload>> forward_store_;
-  /// Per-node cumulative hidden network time (overlap mode only).
-  std::vector<double> hidden_ms_;
+  ClusterExchange ex_;
+  std::vector<std::unique_ptr<GpuNode>> nodes_;
 };
 
 }  // namespace gc::core

@@ -6,7 +6,6 @@
 // matching *timing* comes from core::ClusterSimulator.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -45,13 +44,16 @@ struct ParallelConfig : lbm::RunParams {
   /// load-balance knob: the node-grid topology and every simulated value
   /// are unchanged.
   bool fluid_balanced = false;
-  /// Executes the paper's §4.4 compute–communication overlap for real:
-  /// each step posts the border isend/irecvs first, streams the inner
-  /// cells (those that cannot read a ghost texel) while the messages are
-  /// in flight, then wait_all + ghost unpack + outer-shell streaming.
-  /// Bit-identical to the synchronous path and the serial reference —
-  /// the pull pattern writes each cell exactly once, so phase order
-  /// cannot change a value. Emits overlap.pack / overlap.inner /
+  /// Selects how the one border-exchange routine (ClusterExchange) is
+  /// called. False: the paper's synchronous ordering, one exchange per
+  /// schedule round, then a full-lattice stream. True: the §4.4
+  /// compute–communication overlap, every round posted at once, the inner
+  /// cells (those that cannot read a ghost) streamed while the messages
+  /// are in flight, then wait, ghost unpack and outer-shell streaming.
+  /// Both orderings put the same messages on the same channels and are
+  /// bit-identical to each other and to the serial reference — the pull
+  /// pattern writes each cell exactly once, so phase order cannot change
+  /// a value. The overlapped ordering emits overlap.pack / overlap.inner /
   /// overlap.wait / overlap.unpack / overlap.outer spans and the
   /// mpi.overlap_hidden_ms gauge when a recorder is attached.
   bool overlap = false;
@@ -81,8 +83,8 @@ class ParallelLbm {
   /// global lattice must not use curved links.
   ParallelLbm(const lbm::Lattice& global, ParallelConfig cfg);
 
-  const Decomposition3& decomposition() const { return decomp_; }
-  const netsim::CommSchedule& schedule() const { return sched_; }
+  const Decomposition3& decomposition() const { return ex_.decomposition(); }
+  const netsim::CommSchedule& schedule() const { return ex_.schedule(); }
 
   /// Advances all nodes `steps` LBM steps, one MpiLite rank per node.
   /// The summary carries wall time and, when a recorder is attached,
@@ -105,13 +107,13 @@ class ParallelLbm {
   /// Clears the communicator after a failed run (abort flag, in-flight
   /// messages, protocol state) plus any half-forwarded diagonal chunks,
   /// so a restored simulation can run again.
-  void reset_comm();
+  void reset_comm() { ex_.reset(); }
 
   /// Aborts the communicator world from outside the run: every rank
   /// blocked in recv/barrier wakes with CommAborted and the run() call
   /// fails promptly. The cancellation hook for deadline watchdogs; pair
   /// with reset_comm() before running again.
-  void abort_comm() GC_EXCLUDES(netsim::MpiLite::mu_) { world_.abort(); }
+  void abort_comm() GC_EXCLUDES(netsim::MpiLite::mu_) { ex_.world().abort(); }
 
   /// Reassembles the owned regions into a global lattice.
   void gather(lbm::Lattice& out) const;
@@ -120,7 +122,9 @@ class ParallelLbm {
   void gather_temperature(std::vector<Real>& out) const;
 
   /// Access to a node's local lattice (tests).
-  const lbm::Lattice& local(int node) const { return *locals_[static_cast<std::size_t>(node)]; }
+  const lbm::Lattice& local(int node) const {
+    return nodes_[static_cast<std::size_t>(node)]->lattice();
+  }
 
   bool has_thermal() const { return !thermals_.empty(); }
 
@@ -133,46 +137,30 @@ class ParallelLbm {
   netsim::TrafficMatrix traffic_bytes_per_step() const;
 
   /// Total payload values routed through MpiLite so far.
-  i64 total_payload_values() const { return world_.total_payload_values(); }
+  i64 total_payload_values() const {
+    return ex_.world().total_payload_values();
+  }
 
   /// The underlying communicator world (read-only): per-rank traffic and
   /// reliability tallies for the determinism/equivalence harnesses.
-  const netsim::MpiLite& world() const { return world_; }
+  const netsim::MpiLite& world() const { return ex_.world(); }
 
   /// Cumulative network time node `node` hid under its inner-cell
   /// streaming window (overlap mode only; 0 otherwise). Measured from
   /// message enqueue stamps, not modeled: the overlap of the
   /// comm-in-flight interval with the inner-compute window.
-  double overlap_hidden_ms(int node) const;
+  double overlap_hidden_ms(int node) const { return ex_.hidden_ms(node); }
 
  private:
   void node_step(netsim::Comm& comm, int node, i64 global_step);
-  /// The paper's synchronous ordering: schedule-step exchange loop, then
-  /// a full-lattice stream.
-  void sync_exchange_and_stream(netsim::Comm& comm, int node);
-  /// The overlap-mode border exchange + partitioned streaming (replaces
-  /// the synchronous schedule loop + full-lattice stream).
-  void overlap_exchange_and_stream(netsim::Comm& comm, int node);
 
   ParallelConfig cfg_;
-  Decomposition3 decomp_;
-  netsim::CommSchedule sched_;
-  std::vector<netsim::IndirectRoute> routes_;
-  std::vector<LocalDomain> domains_;
-  std::vector<std::unique_ptr<lbm::Lattice>> locals_;
-  /// Per-node inner/outer split of the bulk spans (overlap mode only;
-  /// built once in the ctor — node flags never change afterwards).
-  std::vector<lbm::InnerOuterClass> splits_;
-  /// Per-node cumulative hidden network time (overlap mode only).
-  std::vector<double> hidden_ms_;
+  ClusterExchange ex_;
+  std::vector<std::unique_ptr<HostNode>> nodes_;
   std::vector<std::unique_ptr<lbm::ThermalField>> thermals_;
   std::vector<std::vector<Vec3>> scratch_u_;
   std::vector<std::vector<Vec3>> scratch_force_;
-  netsim::MpiLite world_;
   i64 step_ = 0;
-  // Forwarded diagonal chunks awaiting their second hop, per via node,
-  // keyed by (src, dst).
-  std::vector<std::map<std::pair<int, int>, netsim::Payload>> forward_store_;
 };
 
 }  // namespace gc::core

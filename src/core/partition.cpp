@@ -2,7 +2,6 @@
 
 #include <chrono>
 
-#include "core/gpu_cluster.hpp"
 #include "core/parallel_lbm.hpp"
 #include "core/recovery.hpp"
 
@@ -123,8 +122,6 @@ void PartitionPool::set_faults(int slot, netsim::FaultSpec* faults) {
   Slot& sl = slots_[static_cast<std::size_t>(slot)];
   GC_CHECK_MSG(!sl.busy, "set_faults on a leased partition");
   if (faults) {
-    GC_CHECK_MSG(spec_.backend == ClusterBackend::Host,
-                 "fault injection targets the host partition backend");
     GC_CHECK_MSG(!spec_.recovery_dir.empty(),
                  "PartitionSpec.recovery_dir is required for faulted slots");
   }
@@ -236,26 +233,6 @@ obs::RunStats PartitionPool::Lease::run(lbm::Lattice& state, int steps,
   GC_CHECK_MSG(pool_, "run() on a moved-from lease");
   PartitionPool& pool = *pool_;
   const PartitionSpec& spec = pool.spec();
-  if (spec.backend == ClusterBackend::SimulatedGpu) {
-    GC_CHECK_MSG(params.collision == lbm::CollisionKind::BGK,
-                 "the simulated-GPU partition backend runs BGK only");
-    GC_CHECK_MSG(params.storage == lbm::StorageMode::DoubleBuffer,
-                 "the simulated-GPU partition backend owns its own texture "
-                 "storage; request DoubleBuffer");
-    GpuClusterConfig cfg;
-    cfg.tau = params.tau;
-    cfg.grid = spec.grid;
-    cfg.overlap = spec.overlap;
-    cfg.trace = spec.trace;
-    GpuClusterLbm sim(state, cfg);
-    Timer t;
-    sim.run(steps);
-    obs::RunStats stats;
-    stats.steps = steps;
-    stats.wall_ms = t.millis();
-    sim.gather(state);
-    return stats;
-  }
   netsim::FaultSpec* faults = pool.slot_faults(slot_);
   ParallelConfig cfg;
   static_cast<lbm::RunParams&>(cfg) = params;

@@ -4,16 +4,15 @@
 // onto one machine), so independent scenarios must be able to borrow a
 // slice of it, run to completion, and hand it back. A PartitionPool owns
 // a fixed number of partition slots; acquiring one yields a Lease whose
-// run() executes a global lattice on that partition — core::ParallelLbm
-// (one MpiLite world per run) on the host backend, core::GpuClusterLbm on
-// the simulated-GPU backend — and gathers the result back in place.
-// Bit-exactness is inherited: both backends are validated against the
-// serial reference, so *which* partition serves a request can never
+// run() executes a global lattice on that partition — core::ParallelLbm,
+// one MpiLite world per run — and gathers the result back in place.
+// Bit-exactness is inherited: the distributed solver is validated against
+// the serial reference, so *which* partition serves a request can never
 // change the answer.
 //
-// Resilience: a per-slot netsim::FaultSpec (host backend) switches leased
-// runs onto the reliable exchange under a RecoveryDriver, so transient
-// faults roll back in place and terminal ones surface as typed errors.
+// Resilience: a per-slot netsim::FaultSpec switches leased runs onto the
+// reliable exchange under a RecoveryDriver, so transient faults roll back
+// in place and terminal ones surface as typed errors.
 // The pool keeps a health score per slot — repeated failures trip a
 // circuit breaker that quarantines the partition, and a timed probation
 // re-admits it after a healthy probe — so a sick partition degrades the
@@ -51,25 +50,18 @@ class LeaseAbortedError : public Error {
   using Error::Error;
 };
 
-/// Which cluster implementation a partition runs.
-enum class ClusterBackend {
-  Host,          ///< core::ParallelLbm (one thread per logical node)
-  SimulatedGpu,  ///< core::GpuClusterLbm (one simulated GPU per node)
-};
-
 /// Shape shared by every partition in a pool.
 struct PartitionSpec {
   /// Node grid *per partition* — each leased run decomposes its lattice
   /// across this many logical cluster nodes.
   netsim::NodeGrid grid{};
-  ClusterBackend backend = ClusterBackend::Host;
   /// Execute the §4.4 compute–communication overlap inside each run.
   bool overlap = false;
   /// Per-rank spans/counters from leased runs land here (tid = rank
   /// within the partition). Not owned; may be null.
   obs::TraceRecorder* trace = nullptr;
 
-  // --- resilience (host backend; used when a slot has a FaultSpec) ---
+  // --- resilience (used when a slot has a FaultSpec) ---
   /// Retransmit policy of the reliable exchange on faulted slots.
   netsim::ReliabilityConfig reliability;
   /// Per-step divergence scan on faulted slots (unset = off).
@@ -122,12 +114,11 @@ class PartitionPool {
     /// Runs `steps` LBM steps of `state` on the leased partition and
     /// gathers the result back into `state`. The wall time always lands
     /// in the returned stats; per-phase spans require a recorder on the
-    /// pool spec. SimulatedGpu requires BGK + DoubleBuffer (the texture
-    /// pipeline owns its own storage). On a slot with a FaultSpec the
-    /// run executes under RecoveryDriver: transient faults roll back in
-    /// place, terminal ones (CommTimeout, RankCrashError, DivergenceError
-    /// past max_rollbacks) escape as those typed errors. An external
-    /// abort (abort_lease / abort_all) surfaces as LeaseAbortedError.
+    /// pool spec. On a slot with a FaultSpec the run executes under
+    /// RecoveryDriver: transient faults roll back in place, terminal ones
+    /// (CommTimeout, RankCrashError, DivergenceError past max_rollbacks)
+    /// escape as those typed errors. An external abort (abort_lease /
+    /// abort_all) surfaces as LeaseAbortedError.
     obs::RunStats run(lbm::Lattice& state, int steps,
                       const lbm::RunParams& params) const;
 
@@ -154,9 +145,8 @@ class PartitionPool {
                                      const std::function<bool()>& give_up)
       GC_EXCLUDES(mu_);
 
-  /// Attaches a fault specification to one slot (host backend only; not
-  /// owned, must outlive the pool's runs). Requires spec.recovery_dir.
-  /// Null detaches.
+  /// Attaches a fault specification to one slot (not owned, must outlive
+  /// the pool's runs). Requires spec.recovery_dir. Null detaches.
   void set_faults(int slot, netsim::FaultSpec* faults) GC_EXCLUDES(mu_);
 
   /// Health reports from the lease's user (the pool cannot tell a
@@ -201,8 +191,8 @@ class PartitionPool {
     Health health = Health::kHealthy;
     int consecutive_failures = 0;
     double quarantined_at_ms = 0;
-    /// The ParallelLbm currently running on this slot (host backend),
-    /// registered by Lease::run so abort_lease can reach its world.
+    /// The ParallelLbm currently running on this slot, registered by
+    /// Lease::run so abort_lease can reach its world.
     ParallelLbm* active = nullptr;
   };
 

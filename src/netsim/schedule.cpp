@@ -13,6 +13,38 @@ Int3 NodeGrid::coords(int node) const {
   return {x, rest % dims.y, rest / dims.y};
 }
 
+const std::array<Int3, 12>& diagonal_offsets() {
+  static const std::array<Int3, 12> offsets = [] {
+    std::array<Int3, 12> out{};
+    std::size_t n = 0;
+    for (int a = 0; a < 3; ++a) {
+      for (int b = a + 1; b < 3; ++b) {
+        for (int sa = -1; sa <= 1; sa += 2) {
+          for (int sb = -1; sb <= 1; sb += 2) {
+            Int3 off{0, 0, 0};
+            off[a] = sa;
+            off[b] = sb;
+            out[n++] = off;
+          }
+        }
+      }
+    }
+    return out;
+  }();
+  return offsets;
+}
+
+int face_toward(Int3 off) {
+  int face = -1;
+  for (int a = 0; a < 3; ++a) {
+    if (off[a] == 0) continue;
+    GC_CHECK_MSG(face < 0, "grid offset " << off << " is not axial");
+    face = 2 * a + (off[a] > 0 ? 1 : 0);
+  }
+  GC_CHECK_MSG(face >= 0, "grid offset " << off << " is not axial");
+  return face;
+}
+
 NodeGrid NodeGrid::arrange_2d(int n) {
   GC_CHECK(n >= 1);
   // Largest divisor pair (w, h) with w >= h and w/h minimal.
@@ -135,34 +167,26 @@ std::vector<IndirectRoute> plan_indirect_routes(const CommSchedule& sched) {
 
   for (int src = 0; src < n; ++src) {
     const Int3 c = g.coords(src);
-    // Every diagonal offset with exactly two nonzero components.
-    for (int a = 0; a < 3; ++a) {
-      for (int b = a + 1; b < 3; ++b) {
-        for (int sa = -1; sa <= 1; sa += 2) {
-          for (int sb = -1; sb <= 1; sb += 2) {
-            Int3 off{0, 0, 0};
-            off[a] = sa;
-            off[b] = sb;
-            const Int3 dstc = c + off;
-            if (!g.contains(dstc)) continue;
-            const int dst = g.id(dstc);
+    for (const Int3 off : diagonal_offsets()) {
+      const Int3 dstc = c + off;
+      if (!g.contains(dstc)) continue;
+      const int dst = g.id(dstc);
 
-            // Hop 1 along the lower axis (its steps come first), hop 2
-            // along the higher axis — guarantees first_step < second_step.
-            Int3 viac = c;
-            viac[a] += sa;
-            GC_CHECK(g.contains(viac));
-            const int via = g.id(viac);
+      // Hop 1 along the lower axis (its steps come first), hop 2 along the
+      // higher axis — guarantees first_step < second_step.
+      const int a = off.x != 0 ? 0 : 1;
+      const int b = off.z != 0 ? 2 : 1;
+      Int3 viac = c;
+      viac[a] += off[a];
+      GC_CHECK(g.contains(viac));
+      const int via = g.id(viac);
 
-            const int s1 = find_exchange_step(sched, src, via, a);
-            const int s2 = find_exchange_step(sched, via, dst, b);
-            GC_CHECK_MSG(s1 >= 0 && s2 >= 0 && s1 < s2,
-                         "indirect route ordering violated for nodes "
-                             << src << "->" << via << "->" << dst);
-            routes.push_back(IndirectRoute{src, via, dst, s1, s2});
-          }
-        }
-      }
+      const int s1 = find_exchange_step(sched, src, via, a);
+      const int s2 = find_exchange_step(sched, via, dst, b);
+      GC_CHECK_MSG(s1 >= 0 && s2 >= 0 && s1 < s2,
+                   "indirect route ordering violated for nodes "
+                       << src << "->" << via << "->" << dst);
+      routes.push_back(IndirectRoute{src, via, dst, s1, s2});
     }
   }
   return routes;

@@ -7,6 +7,7 @@
 // A -> E in the y steps).
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "util/common.hpp"
@@ -39,6 +40,16 @@ struct NodeGrid {
   /// Most-cubic 3D arrangement.
   static NodeGrid arrange_3d(int n);
 };
+
+/// The 12 grid offsets of a node's diagonal (second-nearest) neighbors:
+/// exactly two nonzero components, each ±1 — all that D3Q19 needs.
+/// Ordered by axis pair (xy, xz, yz), then by the sign of the lower axis,
+/// then of the higher one.
+const std::array<Int3, 12>& diagonal_offsets();
+
+/// The face (2·axis, +1 on the positive side — lbm::Face numbering) a
+/// node's block shares with its axial neighbor at grid offset `off`.
+int face_toward(Int3 off);
 
 /// One bidirectional exchange between nodes a and b (a < b).
 struct ExchangePair {

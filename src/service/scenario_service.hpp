@@ -75,13 +75,13 @@ struct ServiceConfig {
   int workers = 2;
   /// Cluster partitions in the pool.
   int partitions = 2;
-  /// Shape of every partition (node grid, backend, overlap, trace) plus
+  /// Shape of every partition (node grid, overlap, trace) plus
   /// the resilience knobs (reliability, recovery, quarantine thresholds).
   /// recovery_dir defaults to "<cache_dir>/recovery" when left empty and
   /// any partition_faults are set.
   core::PartitionSpec partition{};
   /// Per-partition fault injection: entry i (may be null) is attached to
-  /// pool slot i. Not owned; must outlive the service. Host backend only.
+  /// pool slot i. Not owned; must outlive the service.
   std::vector<netsim::FaultSpec*> partition_faults;
   /// Retry policy for failed cold-flow computes.
   RetryPolicy retry;

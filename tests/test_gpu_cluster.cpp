@@ -4,6 +4,9 @@
 // to the host distributed solver and the serial reference.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "core/gpu_cluster.hpp"
 #include "core/parallel_lbm.hpp"
 #include "lbm/collision.hpp"
@@ -125,6 +128,73 @@ TEST(GpuCluster, Rejects3dGrids) {
   GpuClusterConfig cfg;
   cfg.grid = netsim::NodeGrid{Int3{2, 1, 2}};
   EXPECT_THROW(GpuClusterLbm(initial, cfg), Error);
+}
+
+TEST(GpuCluster, RejectsInletProfile) {
+  // The GPU path imposes one uniform inlet velocity; a profiled global
+  // must be refused, not run with the profile silently dropped.
+  Lattice initial = make_global(Int3{16, 10, 6});
+  initial.set_inlet_profile(
+      [](Int3 cell) { return Vec3{Real(0.01) * Real(cell.z + 1), 0, 0}; });
+  GpuClusterConfig cfg;
+  cfg.grid = netsim::NodeGrid{Int3{2, 1, 1}};
+  EXPECT_THROW(GpuClusterLbm(initial, cfg), Error);
+}
+
+/// Span count per (rank, name) of every span in `rec`.
+std::map<std::pair<int, std::string>, int> span_counts(
+    const obs::TraceRecorder& rec) {
+  std::map<std::pair<int, std::string>, int> out;
+  for (const obs::TraceEvent& e : rec.events()) ++out[{e.rank, e.name}];
+  return out;
+}
+
+TEST(GpuCluster, WireMatchesHostDriver) {
+  // Both drivers run one exchange routine over the same per-rank plan, so
+  // every rank sends the same messages and payload volume, and traces the
+  // same spans, whichever node backs it.
+  struct GridCase {
+    Int3 lattice;
+    Int3 grid;
+  };
+  for (const GridCase gcase : {GridCase{Int3{14, 14, 6}, Int3{2, 2, 1}},
+                               GridCase{Int3{15, 13, 5}, Int3{3, 2, 1}}}) {
+    for (const bool overlap : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "grid " << gcase.grid << " overlap " << overlap);
+      const Lattice initial = make_global(gcase.lattice);
+
+      obs::TraceRecorder gpu_rec;
+      GpuClusterConfig gcfg;
+      gcfg.grid = netsim::NodeGrid{gcase.grid};
+      gcfg.overlap = overlap;
+      gcfg.trace = &gpu_rec;
+      GpuClusterLbm gpu_cluster(initial, gcfg);
+      gpu_cluster.run(3);
+
+      obs::TraceRecorder host_rec;
+      ParallelConfig pcfg;
+      pcfg.grid = netsim::NodeGrid{gcase.grid};
+      pcfg.overlap = overlap;
+      pcfg.trace = &host_rec;
+      ParallelLbm host_cluster(initial, pcfg);
+      host_cluster.run(3);
+
+      const int ranks = gcfg.grid.num_nodes();
+      ASSERT_EQ(gpu_cluster.world().size(), ranks);
+      ASSERT_EQ(host_cluster.world().size(), ranks);
+      for (int r = 0; r < ranks; ++r) {
+        const netsim::RankTraffic g = gpu_cluster.world().rank_traffic(r);
+        const netsim::RankTraffic h = host_cluster.world().rank_traffic(r);
+        EXPECT_GT(h.messages, 0) << "rank " << r;
+        EXPECT_EQ(g.messages, h.messages) << "rank " << r;
+        EXPECT_EQ(g.payload_values, h.payload_values) << "rank " << r;
+      }
+      const auto gpu_spans = span_counts(gpu_rec);
+      EXPECT_FALSE(gpu_spans.empty());
+      EXPECT_EQ(gpu_spans, span_counts(host_rec));
+    }
+  }
 }
 
 TEST(GpuCluster, RejectsPeriodicDecomposedAxis) {
