@@ -2,33 +2,26 @@
 // streaming, fused step, MRT, thermal update, GPU-simulated step, tracer
 // hop, and the pack/unpack paths of the border exchange — the memory-bound
 // hot paths in all three storage modes (double-buffered, in-place AA, and
-// the sparse fluid-index layout).
-// `--trace out.json` additionally runs a short instrumented Solver +
-// ParallelLbm session and writes the Chrome-trace JSON plus its CSV
-// sibling; `--json out.json` writes machine-readable measured records
-// (ms/step, MLUPS, analytic bytes/step, storage mode, dims) for both
-// storage modes — the BENCH_kernels.json snapshot is produced this way.
+// the sparse fluid-index layout) — plus the pooled fused and split steps
+// on a solid-laden urban scene, dense vs sparse.
+//
+// Machine-readable output is google-benchmark's own, e.g.
+//   bench_kernels --benchmark_filter=Urban --benchmark_out=urban.json
+//                 --benchmark_out_format=json
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <cstring>
-#include <string>
 #include <vector>
 
 #include "core/border_exchange.hpp"
-#include "core/parallel_lbm.hpp"
-#include "core/scaling_study.hpp"
 #include "gpulbm/gpu_solver.hpp"
 #include "io/bench_json.hpp"
-#include "io/csv.hpp"
 #include "lbm/collision.hpp"
 #include "lbm/macroscopic.hpp"
 #include "lbm/mrt.hpp"
-#include "lbm/solver.hpp"
 #include "lbm/stream.hpp"
 #include "lbm/thermal.hpp"
-#include "obs/export.hpp"
 #include "tracer/tracer.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -38,6 +31,27 @@ lbm::Lattice make_lattice(
     int n, lbm::StorageMode mode = lbm::StorageMode::DoubleBuffer) {
   lbm::Lattice lat(Int3{n, n, n}, mode);
   lat.init_equilibrium(Real(1), Vec3{0.05f, 0.02f, 0.01f});
+  return lat;
+}
+
+// A synthetic city: 7x7-cell building blocks on an 8-cell pitch, one
+// cell short of the lid, separated by one-cell street canyons (~3/4
+// solid), with an x-inflow, an outflow and ground. Converted to `mode`
+// after seeding.
+lbm::Lattice make_urban(Int3 dim, lbm::StorageMode mode) {
+  lbm::Lattice lat(dim);
+  lat.set_face_bc(lbm::FACE_XMIN, lbm::FaceBc::Inlet);
+  lat.set_face_bc(lbm::FACE_XMAX, lbm::FaceBc::Outflow);
+  lat.set_face_bc(lbm::FACE_ZMIN, lbm::FaceBc::Wall);
+  lat.set_inlet(Real(1), Vec3{0.05f, 0, 0});
+  lat.init_equilibrium(Real(1), Vec3{0.05f, 0, 0});
+  for (int bx = 1; bx + 7 <= dim.x; bx += 8) {
+    for (int by = 1; by + 7 <= dim.y; by += 8) {
+      lat.fill_solid_box(Int3{bx, by, 0}, Int3{bx + 7, by + 7, dim.z - 1});
+    }
+  }
+  if (mode != lbm::StorageMode::DoubleBuffer) lat.convert_storage(mode);
+  lat.cell_class();  // classification built outside the timed loop
   return lat;
 }
 
@@ -155,6 +169,58 @@ BENCHMARK(BM_FusedPooled)
     ->Args({80, 8})
     ->UseRealTime();
 
+// The urban scene on the pooled host paths, dense vs sparse: the sparse
+// layout stores and streams only the ~1/4 non-solid cells. Items are
+// non-solid cell updates; the counters are the analytic f-plane traffic
+// of one step, the resident distribution bytes and the non-solid share.
+void set_urban_counters(benchmark::State& state, const lbm::Lattice& lat,
+                        double bytes_per_step) {
+  i64 fluid = 0;
+  for (i64 c = 0; c < lat.num_cells(); ++c) {
+    if (lat.flag(c) != lbm::CellType::Solid) ++fluid;
+  }
+  state.SetItemsProcessed(state.iterations() * fluid);
+  state.counters["bytes_per_step"] = bytes_per_step;
+  state.counters["storage_bytes"] = static_cast<double>(lat.storage_bytes());
+  state.counters["fluid_fraction"] =
+      static_cast<double>(fluid) / static_cast<double>(lat.num_cells());
+}
+
+void BM_UrbanFused(benchmark::State& state, Int3 dim, lbm::StorageMode mode) {
+  lbm::Lattice lat = make_urban(dim, mode);
+  for (auto _ : state) {
+    lbm::fused_stream_collide(lat, lbm::BgkParams{Real(0.8), Vec3{}},
+                              ThreadPool::global());
+  }
+  set_urban_counters(state, lat, io::fused_step_traffic_bytes(lat));
+}
+BENCHMARK_CAPTURE(BM_UrbanFused, DoubleBuffer_80, Int3{80, 80, 80},
+                  lbm::StorageMode::DoubleBuffer)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_UrbanFused, Sparse_80, Int3{80, 80, 80},
+                  lbm::StorageMode::Sparse)
+    ->UseRealTime();
+// ~2.6x the cells, in less distribution memory than the dense 80^3 case.
+BENCHMARK_CAPTURE(BM_UrbanFused, Sparse_128x128x80, Int3{128, 128, 80},
+                  lbm::StorageMode::Sparse)
+    ->UseRealTime();
+
+void BM_UrbanSplit(benchmark::State& state, Int3 dim, lbm::StorageMode mode) {
+  lbm::Lattice lat = make_urban(dim, mode);
+  ThreadPool& pool = ThreadPool::global();
+  for (auto _ : state) {
+    lbm::collide_bgk(lat, lbm::BgkParams{Real(0.8), Vec3{}}, pool);
+    lbm::stream(lat, pool);
+  }
+  set_urban_counters(state, lat, io::split_step_traffic_bytes(lat));
+}
+BENCHMARK_CAPTURE(BM_UrbanSplit, DoubleBuffer_80, Int3{80, 80, 80},
+                  lbm::StorageMode::DoubleBuffer)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_UrbanSplit, Sparse_80, Int3{80, 80, 80},
+                  lbm::StorageMode::Sparse)
+    ->UseRealTime();
+
 // Full classification rebuild (the one-time O(cells x 18) pass the
 // per-step kernels no longer pay). set_flag dirties, cell_class rebuilds.
 void BM_ClassificationRebuild(benchmark::State& state) {
@@ -244,171 +310,6 @@ void BM_Moments(benchmark::State& state) {
 }
 BENCHMARK(BM_Moments);
 
-// Short instrumented session: a fused serial Solver run and a 2x2x1
-// ParallelLbm run share one recorder, so the artifact holds single-node
-// spans (tid 0) next to per-rank spans and the mpi.* counters.
-void run_traced_session(const std::string& trace_path) {
-  obs::TraceRecorder rec;
-
-  lbm::SolverConfig scfg;
-  scfg.fused = true;
-  scfg.trace = &rec;
-  lbm::Solver solver(Int3{48, 48, 48}, scfg);
-  solver.lattice().init_equilibrium(Real(1), Vec3{0.05f, 0.02f, 0.01f});
-  const obs::RunStats serial = solver.run(5);
-
-  lbm::Lattice global(Int3{32, 32, 16});
-  global.set_face_bc(lbm::FACE_XMIN, lbm::FaceBc::Inlet);
-  global.set_face_bc(lbm::FACE_XMAX, lbm::FaceBc::Outflow);
-  global.set_face_bc(lbm::FACE_YMIN, lbm::FaceBc::Wall);
-  global.set_face_bc(lbm::FACE_YMAX, lbm::FaceBc::Wall);
-  global.set_face_bc(lbm::FACE_ZMIN, lbm::FaceBc::Wall);
-  global.set_face_bc(lbm::FACE_ZMAX, lbm::FaceBc::FreeSlip);
-  global.set_inlet(Real(1), Vec3{0.05f, 0, 0});
-  global.init_equilibrium(Real(1), Vec3{0.05f, 0, 0});
-  core::ParallelConfig pcfg;
-  pcfg.grid = netsim::NodeGrid{Int3{2, 2, 1}};
-  pcfg.trace = &rec;
-  core::ParallelLbm par(global, pcfg);
-  const obs::RunStats parallel = par.run(5);
-
-  obs::write_chrome_trace(trace_path, rec);
-  const std::string csv_path = obs::csv_sibling_path(trace_path);
-  io::write_csv(csv_path, obs::trace_table(rec));
-  std::printf(
-      "traced session: serial %lld steps %.2f ms, 2x2x1 parallel %lld steps "
-      "%.2f ms (%lld MPI messages)\nwrote %s and %s\n",
-      static_cast<long long>(serial.steps), serial.wall_ms,
-      static_cast<long long>(parallel.steps), parallel.wall_ms,
-      static_cast<long long>(rec.counter("mpi.messages")), trace_path.c_str(),
-      csv_path.c_str());
-}
-
-// Measured-mode comparison of the two storage backends on the real host
-// kernels, written as machine-readable records. The 100^3 AA record is
-// the footprint headline: ~2x the cells of the 80^3 sub-domain in less
-// distribution memory than the 80^3 double-buffered lattice.
-void run_json_report(const std::string& json_path) {
-  ThreadPool& pool = ThreadPool::global();
-  std::vector<io::BenchRecord> records;
-  auto measure = [&](const char* name, Int3 dim, lbm::StorageMode mode,
-                     bool fused, ThreadPool* p) {
-    core::MeasureOptions opt;
-    opt.fused = fused;
-    opt.pool = p;
-    opt.storage = mode;
-    const double ms = core::measure_host_step_ms(dim, 3, opt);
-    lbm::Lattice probe(dim, mode);
-    io::BenchRecord r;
-    r.name = name;
-    r.storage = mode;
-    r.dim = dim;
-    r.ms_per_step = ms;
-    r.mlups = static_cast<double>(probe.num_cells()) / ms / 1000.0;
-    r.bytes_per_step = fused ? io::fused_step_traffic_bytes(probe)
-                             : io::split_step_traffic_bytes(probe);
-    r.storage_bytes = static_cast<double>(probe.storage_bytes());
-    records.push_back(r);
-  };
-  // Solid-laden scenes: the sparse rows only mean something on geometry
-  // with real solid mass, so these share one synthetic "urban" lattice
-  // (dense building blocks separated by one-cell street canyons, ~3/4
-  // solid) across modes.
-  auto make_urban = [](Int3 dim) {
-    lbm::Lattice lat(dim);
-    lat.set_face_bc(lbm::FACE_XMIN, lbm::FaceBc::Inlet);
-    lat.set_face_bc(lbm::FACE_XMAX, lbm::FaceBc::Outflow);
-    lat.set_face_bc(lbm::FACE_ZMIN, lbm::FaceBc::Wall);
-    lat.set_inlet(Real(1), Vec3{0.05f, 0, 0});
-    lat.init_equilibrium(Real(1), Vec3{0.05f, 0, 0});
-    for (int bx = 1; bx + 7 <= dim.x; bx += 8) {
-      for (int by = 1; by + 7 <= dim.y; by += 8) {
-        lat.fill_solid_box(Int3{bx, by, 0}, Int3{bx + 7, by + 7, dim.z - 1});
-      }
-    }
-    return lat;
-  };
-  auto measure_urban = [&](const char* name, Int3 dim, lbm::StorageMode mode,
-                           bool fused, ThreadPool* p) {
-    const lbm::Lattice geom = make_urban(dim);
-    core::MeasureOptions opt;
-    opt.fused = fused;
-    opt.pool = p;
-    opt.storage = mode;
-    const double ms = core::measure_host_step_ms(geom, 3, opt);
-    lbm::Lattice probe = make_urban(dim);
-    if (mode != lbm::StorageMode::DoubleBuffer) probe.convert_storage(mode);
-    i64 fluid = 0;
-    for (i64 c = 0; c < probe.num_cells(); ++c) {
-      if (probe.flag(c) != lbm::CellType::Solid) ++fluid;
-    }
-    io::BenchRecord r;
-    r.name = name;
-    r.storage = mode;
-    r.dim = dim;
-    r.ms_per_step = ms;
-    r.mlups = static_cast<double>(fluid) / ms / 1000.0;
-    r.bytes_per_step = fused ? io::fused_step_traffic_bytes(probe)
-                             : io::split_step_traffic_bytes(probe);
-    r.storage_bytes = static_cast<double>(probe.storage_bytes());
-    r.extras.emplace_back("fluid_fraction",
-                          static_cast<double>(fluid) /
-                              static_cast<double>(probe.num_cells()));
-    records.push_back(r);
-  };
-
-  const Int3 sub{80, 80, 80};  // the paper's per-node sub-domain
-  measure("split_serial", sub, lbm::StorageMode::DoubleBuffer, false, nullptr);
-  measure("split_serial", sub, lbm::StorageMode::AA, false, nullptr);
-  measure("fused_pooled", sub, lbm::StorageMode::DoubleBuffer, true, &pool);
-  measure("fused_pooled", sub, lbm::StorageMode::AA, true, &pool);
-  measure("fused_pooled_2x_cells", Int3{100, 100, 100}, lbm::StorageMode::AA,
-          true, &pool);
-  // The sparse headline: same urban scene, dense vs compact storage —
-  // fewer ms/step and bytes/step at ~1/4 fluid fraction — plus a ~2.6x
-  // larger scene whose sparse footprint still fits the dense 80^3 budget.
-  const Int3 city{80, 80, 80};
-  measure_urban("urban_dispersion", city, lbm::StorageMode::DoubleBuffer,
-                true, &pool);
-  measure_urban("urban_dispersion", city, lbm::StorageMode::Sparse, true,
-                &pool);
-  measure_urban("urban_dispersion_split", city, lbm::StorageMode::DoubleBuffer,
-                false, &pool);
-  measure_urban("urban_dispersion_split", city, lbm::StorageMode::Sparse,
-                false, &pool);
-  measure_urban("urban_dispersion_2.5x_cells", Int3{128, 128, 80},
-                lbm::StorageMode::Sparse, true, &pool);
-  io::write_bench_json(json_path, records);
-  std::printf("wrote %s (%zu records)\n", json_path.c_str(), records.size());
-}
-
 }  // namespace
 
-// benchmark::Initialize rejects flags it does not know, so --trace and
-// --json are extracted from argv before handing over.
-int main(int argc, char** argv) {
-  std::string trace_path;
-  std::string json_path;
-  std::vector<char*> kept;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-      trace_path = argv[i] + 8;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else {
-      kept.push_back(argv[i]);
-    }
-  }
-  int kept_argc = static_cast<int>(kept.size());
-  benchmark::Initialize(&kept_argc, kept.data());
-  if (benchmark::ReportUnrecognizedArguments(kept_argc, kept.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  if (!trace_path.empty()) run_traced_session(trace_path);
-  if (!json_path.empty()) run_json_report(json_path);
-  return 0;
-}
+BENCHMARK_MAIN();

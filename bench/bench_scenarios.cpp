@@ -20,14 +20,13 @@
 // (recovery + retries absorb the faults).
 //
 //   ./bench_scenarios [--spin-up N] [--queries N] [--winds N]
-//                     [--fault-rate R] [--json out.json]  (--help for all)
+//                     [--fault-rate R]  (--help for all)
 #include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "io/bench_json.hpp"
 #include "netsim/fault.hpp"
 #include "service/scenario_service.hpp"
 #include "util/args.hpp"
@@ -48,7 +47,6 @@ int main(int argc, char** argv) {
   args.add_real("fault-rate", 0,
                 "top message drop+corrupt rate for the degradation sweep "
                 "(0 skips the sweep)");
-  args.add_string("json", "", "write machine-readable records to this file");
   if (!args.parse(argc, argv)) return 1;
 
   std::string cache_dir = args.get_string("cache");
@@ -80,8 +78,6 @@ int main(int argc, char** argv) {
       service::Release{Int3{20, 30, 2},
                        static_cast<int>(args.get_int("particles"))});
 
-  std::vector<io::BenchRecord> records;
-
   // --- cold vs cached latency (one service, one key) ---
   double cold_ms = 0, cached_ms = 0;
   {
@@ -101,22 +97,6 @@ int main(int argc, char** argv) {
               base.spin_up_steps, base.dim.x, base.dim.y, base.dim.z);
   std::printf("cached %9.1f ms  -> %.1fx speedup vs cold\n", cached_ms,
               speedup);
-
-  io::BenchRecord cold_rec;
-  cold_rec.name = "scenario_cold";
-  cold_rec.dim = base.dim;
-  cold_rec.storage = base.params.storage;
-  cold_rec.ms_per_step = cold_ms / base.spin_up_steps;
-  cold_rec.extras.emplace_back("total_ms", cold_ms);
-  records.push_back(cold_rec);
-
-  io::BenchRecord cached_rec;
-  cached_rec.name = "scenario_cached";
-  cached_rec.dim = base.dim;
-  cached_rec.storage = base.params.storage;
-  cached_rec.extras.emplace_back("total_ms", cached_ms);
-  cached_rec.extras.emplace_back("speedup_vs_cold", speedup);
-  records.push_back(cached_rec);
 
   // --- ensemble throughput (fresh cache, several winds) ---
   std::filesystem::remove_all(cache_dir);
@@ -146,18 +126,6 @@ int main(int argc, char** argv) {
       "(%lld spin-ups, %lld hits)\n",
       queries, winds, ensemble_s, per_hour, static_cast<long long>(computes),
       static_cast<long long>(hits));
-
-  io::BenchRecord ens;
-  ens.name = "scenario_ensemble";
-  ens.dim = base.dim;
-  ens.storage = base.params.storage;
-  ens.extras.emplace_back("queries", queries);
-  ens.extras.emplace_back("winds", winds);
-  ens.extras.emplace_back("total_s", ensemble_s);
-  ens.extras.emplace_back("scenarios_per_hour", per_hour);
-  ens.extras.emplace_back("cache_hits", static_cast<double>(hits));
-  ens.extras.emplace_back("lbm_spin_ups", static_cast<double>(computes));
-  records.push_back(ens);
 
   // --- fault-rate degradation curve (fresh cache per point) ---
   const double top_rate = args.get_real("fault-rate");
@@ -220,27 +188,9 @@ int main(int argc, char** argv) {
           "%lld retries, %lld rollbacks)\n",
           rate, total_s, rate_per_hour, static_cast<long long>(injected),
           static_cast<long long>(retries), static_cast<long long>(rollbacks));
-
-      io::BenchRecord rec;
-      rec.name = "scenario_faults";
-      rec.dim = base.dim;
-      rec.storage = base.params.storage;
-      rec.extras.emplace_back("fault_rate", rate);
-      rec.extras.emplace_back("queries", queries);
-      rec.extras.emplace_back("total_s", total_s);
-      rec.extras.emplace_back("scenarios_per_hour", rate_per_hour);
-      rec.extras.emplace_back("faults_injected", static_cast<double>(injected));
-      rec.extras.emplace_back("retries", static_cast<double>(retries));
-      rec.extras.emplace_back("rollbacks", static_cast<double>(rollbacks));
-      records.push_back(rec);
     }
   }
 
-  const std::string json = args.get_string("json");
-  if (!json.empty()) {
-    io::write_bench_json(json, records);
-    std::printf("wrote %s\n", json.c_str());
-  }
   std::filesystem::remove_all(cache_dir);
   return 0;
 }

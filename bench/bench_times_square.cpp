@@ -10,8 +10,7 @@
 #include "gpulbm/boundary_rects.hpp"
 #include "city/voxelize.hpp"
 #include "city/wind.hpp"
-#include "core/scaling_study.hpp"
-#include "io/bench_json.hpp"
+#include "core/cluster_sim.hpp"
 #include "io/csv.hpp"
 #include "lbm/collision.hpp"
 #include "lbm/macroscopic.hpp"
@@ -29,12 +28,8 @@ int main(int argc, char** argv) {
   args.add_string("trace", "",
                   "write a Chrome-trace JSON (+ CSV sibling) of the "
                   "functional urban run to this path");
-  args.add_string("json", "",
-                  "write machine-readable measured-mode records (ms/step, "
-                  "MLUPS, bytes/step per storage mode) to this path");
   if (!args.parse(argc, argv)) return 1;
   const std::string trace_path = args.get_string("trace");
-  const std::string json_path = args.get_string("json");
   obs::TraceRecorder recorder;
   obs::TraceRecorder* rec = trace_path.empty() ? nullptr : &recorder;
 
@@ -108,55 +103,6 @@ int main(int argc, char** argv) {
     }
   }
   const double ms_per_step = timer.millis() / steps;
-
-  // Measured mode at the paper's per-node sub-domain: time the real host
-  // LBM at 80^3 on the serial split path and on the pooled fused span
-  // path (the hot path the cluster model's per-cell costs abstract), in
-  // both storage modes — double-buffered and in-place AA (half the
-  // distribution footprint, half the split-path traffic).
-  const Int3 sub{80, 80, 80};
-  std::vector<io::BenchRecord> measured;
-  auto measure = [&](const char* name, lbm::StorageMode mode, bool fused,
-                     ThreadPool* p) {
-    core::MeasureOptions opt;
-    opt.fused = fused;
-    opt.pool = p;
-    opt.storage = mode;
-    const double ms = core::measure_host_step_ms(sub, 3, opt);
-    lbm::Lattice probe(sub, mode);
-    io::BenchRecord r;
-    r.name = name;
-    r.storage = mode;
-    r.dim = sub;
-    r.ms_per_step = ms;
-    r.mlups = static_cast<double>(probe.num_cells()) / ms / 1000.0;
-    r.bytes_per_step = fused ? io::fused_step_traffic_bytes(probe)
-                             : io::split_step_traffic_bytes(probe);
-    r.storage_bytes = static_cast<double>(probe.storage_bytes());
-    measured.push_back(r);
-    return ms;
-  };
-  measure("split_serial", lbm::StorageMode::DoubleBuffer, false, nullptr);
-  measure("split_serial", lbm::StorageMode::AA, false, nullptr);
-  measure("fused_pooled", lbm::StorageMode::DoubleBuffer, true, &pool);
-  measure("fused_pooled", lbm::StorageMode::AA, true, &pool);
-
-  Table m("Measured mode — host LBM at the 80^3 per-node sub-domain");
-  m.set_header({"host path", "storage", "ms/step", "MB/step", "MB resident"});
-  for (const io::BenchRecord& r : measured) {
-    m.row()
-        .cell(r.name)
-        .cell(io::storage_mode_name(r.storage))
-        .cell(r.ms_per_step, 1)
-        .cell(r.bytes_per_step / 1e6, 1)
-        .cell(r.storage_bytes / 1e6, 1);
-  }
-  m.print();
-  if (!json_path.empty()) {
-    io::write_bench_json(json_path, measured);
-    std::printf("wrote %s (%zu records)\n", json_path.c_str(),
-                measured.size());
-  }
 
   tracer::TracerCloud cloud;
   cloud.release(Int3{dim.x * 3 / 4, dim.y * 3 / 4, 2}, 2000);

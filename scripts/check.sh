@@ -117,8 +117,7 @@ for stage in "${STAGES[@]}"; do
       # The sparse fluid-index backend: compact layout invariants, sparse
       # kernel equivalence, sparse checkpoint round trips, the fluid-
       # balanced partitioner property suite, and the sparse bench smoke
-      # (microbench + measured --json report with the dense-vs-sparse
-      # urban rows).
+      # (the sparse microbench and the dense-vs-sparse urban cases).
       note "sparse: sparse storage + fluid-balanced partition suite"
       bdir=build-check/sparse
       if cmake -B "$bdir" -S . > "$bdir.cfg.log" 2>&1 \
@@ -126,9 +125,8 @@ for stage in "${STAGES[@]}"; do
               > "$bdir.build.log" 2>&1 \
           && "$bdir/tests/gc_tests" \
               --gtest_filter='SparseLattice.*:SparseCheckpoint.*:FluidPartition.*:*/FluidPartition.*' \
-          && "$bdir/bench/bench_kernels" --benchmark_filter=Sparse \
-              --benchmark_min_time=0.01 \
-              --json "$bdir/bench_sparse_smoke.json"; then
+          && "$bdir/bench/bench_kernels" --benchmark_filter='Sparse|Urban' \
+              --benchmark_min_time=0.01; then
         RESULT[sparse]="ok"
       else
         RESULT[sparse]="FAIL"; FAILED=1

@@ -49,58 +49,46 @@ netsim::TrafficMatrix ClusterSimulator::traffic_bytes_per_step(
   return bytes;
 }
 
-StepBreakdown ClusterSimulator::simulate_step(const ClusterScenario& sc) const {
+BusiestNodeCost busiest_node_cost(const ClusterScenario& sc) {
   const Decomposition3 decomp(sc.lattice, sc.grid);
   const int n = sc.grid.num_nodes();
+  BusiestNodeCost out;
 
-  // Critical path: the busiest node (largest block, most neighbors).
-  i64 cells = 0;
-  int degree = 0;
   int busiest = 0;
   for (int node = 0; node < n; ++node) {
     const i64 c = decomp.block(node).num_cells();
     const int d = static_cast<int>(decomp.axial_neighbors(node).size());
-    if (c > cells || (c == cells && d > degree)) {
-      cells = c;
-      degree = d;
+    if (c > out.cells || (c == out.cells && d > out.degree)) {
+      out.cells = c;
+      out.degree = d;
       busiest = node;
     }
   }
 
-  StepBreakdown out;
-  out.nodes = n;
-
-  const double log2n = n > 1 ? std::log2(static_cast<double>(n)) : 0.0;
-  out.cpu_total_ms = sc.node.cpu_ns_per_cell * static_cast<double>(cells) *
-                     (1.0 + sc.node.cpu_jitter_coef * log2n) * 1e-6;
-
-  out.gpu_compute_ms =
-      sc.node.gpu_ns_per_cell * static_cast<double>(cells) * 1e-6 +
-      sc.node.gather_pass_s * degree * 1e3;
-  out.overlap_window_ms = sc.node.gpu_ns_per_cell *
-                          static_cast<double>(cells) *
-                          sc.node.overlap_fraction * 1e-6;
+  const double cells = static_cast<double>(out.cells);
+  out.compute_ms = sc.node.gpu_ns_per_cell * cells * 1e-6 +
+                   sc.node.gather_pass_s * out.degree * 1e3;
+  out.window_ms =
+      sc.node.gpu_ns_per_cell * cells * sc.node.overlap_fraction * 1e-6;
 
   // GPU<->CPU bus traffic: one gathered read-back and one write-back per
-  // neighbor face of the busiest node.
+  // neighbor face.
   gpusim::Bus bus(sc.node.bus);
-  double comm_s = 0.0;
   for (const auto& [face, nb] : decomp.axial_neighbors(busiest)) {
     (void)nb;
-    const i64 face_bytes =
+    const i64 bytes =
         decomp.face_area(busiest, face) * 5 * static_cast<i64>(sizeof(Real));
-    comm_s += bus.upload_cost(face_bytes) + bus.download_cost(face_bytes);
+    out.readback_ms += bus.upload_cost(bytes) * 1e3;
+    out.writeback_ms += bus.download_cost(bytes) * 1e3;
   }
-  out.gpu_cpu_comm_ms = comm_s * 1e3;
 
-  // Network exchange.
   if (n > 1) {
     const netsim::CommSchedule sched = netsim::CommSchedule::pairwise(sc.grid);
     const netsim::SwitchModel sw(sc.net);
     const bool barrier = sc.barrier.value_or(netsim::NetSpec::auto_barrier(n));
-    const auto bytes =
-        traffic_bytes_per_step(decomp, sched, sc.indirect_diagonals);
-    out.net_total_ms = sw.scheduled_seconds(sched, bytes, barrier).total_s * 1e3;
+    const auto bytes = ClusterSimulator::traffic_bytes_per_step(
+        decomp, sched, sc.indirect_diagonals);
+    out.network_ms = sw.scheduled_seconds(sched, bytes, barrier).total_s * 1e3;
 
     if (!sc.indirect_diagonals) {
       // Ablation: direct second-nearest-neighbor messages, unscheduled.
@@ -115,10 +103,25 @@ StepBreakdown ClusterSimulator::simulate_step(const ClusterScenario& sc) const {
           diag.push_back(netsim::Message{node, nb2, sz});
         }
       }
-      out.net_total_ms += sw.direct_exchange_seconds(diag, n) * 1e3;
+      out.network_ms += sw.direct_exchange_seconds(diag, n) * 1e3;
     }
   }
+  return out;
+}
 
+StepBreakdown ClusterSimulator::simulate_step(const ClusterScenario& sc) const {
+  const BusiestNodeCost c = busiest_node_cost(sc);
+  const int n = sc.grid.num_nodes();
+  StepBreakdown out;
+  out.nodes = n;
+
+  const double log2n = n > 1 ? std::log2(static_cast<double>(n)) : 0.0;
+  out.cpu_total_ms = sc.node.cpu_ns_per_cell * static_cast<double>(c.cells) *
+                     (1.0 + sc.node.cpu_jitter_coef * log2n) * 1e-6;
+  out.gpu_compute_ms = c.compute_ms;
+  out.overlap_window_ms = c.window_ms;
+  out.gpu_cpu_comm_ms = c.readback_ms + c.writeback_ms;
+  out.net_total_ms = c.network_ms;
   out.net_nonoverlap_ms =
       std::max(0.0, out.net_total_ms - out.overlap_window_ms);
   out.gpu_total_ms =

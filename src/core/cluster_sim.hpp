@@ -41,6 +41,22 @@ struct StepBreakdown {
   double speedup() const { return cpu_total_ms / gpu_total_ms; }
 };
 
+/// The per-step costs of the busiest node (largest block, then most
+/// neighbors) — the critical path that both the closed-form breakdown
+/// (ClusterSimulator) and the event timeline (simulate_overlapped_step)
+/// price, computed once here so the two models cannot drift apart.
+struct BusiestNodeCost {
+  i64 cells = 0;            ///< cells of the busiest node's block
+  int degree = 0;           ///< its axial neighbors
+  double compute_ms = 0;    ///< GPU compute incl. border-gather passes
+  double window_ms = 0;     ///< inner-cell collision (the overlap window)
+  double readback_ms = 0;   ///< GPU->CPU border read-back, all faces
+  double writeback_ms = 0;  ///< CPU->GPU ghost write-back, all faces
+  double network_ms = 0;    ///< scheduled exchange (+ direct diagonals)
+};
+
+BusiestNodeCost busiest_node_cost(const ClusterScenario& sc);
+
 class ClusterSimulator {
  public:
   StepBreakdown simulate_step(const ClusterScenario& sc) const;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "gpusim/bus.hpp"
-
 namespace gc::core {
 
 const TimelineTask* OverlapTimeline::find(const std::string& name) const {
@@ -42,55 +40,9 @@ void OverlapTimeline::export_trace(obs::TraceRecorder& rec, int rank) const {
 }
 
 OverlapTimeline simulate_overlapped_step(const ClusterScenario& sc) {
-  // Decompose the closed-form costs into pipeline tasks for the busiest
-  // node, then schedule them with their dependencies on an event queue.
-  const Decomposition3 decomp(sc.lattice, sc.grid);
-  const int n = sc.grid.num_nodes();
-
-  // Busiest node: largest block, then most neighbors (same critical-path
-  // choice as ClusterSimulator).
-  i64 cells = 0;
-  int busiest = 0;
-  int degree0 = 0;
-  for (int node = 0; node < n; ++node) {
-    const i64 c = decomp.block(node).num_cells();
-    const int d = static_cast<int>(decomp.axial_neighbors(node).size());
-    if (c > cells || (c == cells && d > degree0)) {
-      cells = c;
-      degree0 = d;
-      busiest = node;
-    }
-  }
-
-  gpusim::Bus bus(sc.node.bus);
-  double readback_ms = 0, writeback_ms = 0;
-  int degree = 0;
-  for (const auto& [face, nb] : decomp.axial_neighbors(busiest)) {
-    (void)nb;
-    const i64 bytes =
-        decomp.face_area(busiest, face) * 5 * static_cast<i64>(sizeof(Real));
-    readback_ms += bus.upload_cost(bytes) * 1e3;
-    writeback_ms += bus.download_cost(bytes) * 1e3;
-    ++degree;
-  }
-
-  const double window_ms = sc.node.gpu_ns_per_cell *
-                           static_cast<double>(cells) *
-                           sc.node.overlap_fraction * 1e-6;
-  const double rest_gpu_ms =
-      sc.node.gpu_ns_per_cell * static_cast<double>(cells) * 1e-6 -
-      window_ms + sc.node.gather_pass_s * degree * 1e3;
-
-  double network_ms = 0;
-  if (n > 1) {
-    const auto sched = netsim::CommSchedule::pairwise(sc.grid);
-    const netsim::SwitchModel sw(sc.net);
-    const bool barrier = sc.barrier.value_or(netsim::NetSpec::auto_barrier(n));
-    const auto bytes =
-        ClusterSimulator::traffic_bytes_per_step(decomp, sched,
-                                                 sc.indirect_diagonals);
-    network_ms = sw.scheduled_seconds(sched, bytes, barrier).total_s * 1e3;
-  }
+  // Split the busiest node's costs into pipeline tasks, then schedule them
+  // with their dependencies.
+  const BusiestNodeCost c = busiest_node_cost(sc);
 
   // Dependencies: gather/readback first; then the network exchange and
   // the inner collision run concurrently; the ghost write-back follows
@@ -104,18 +56,18 @@ OverlapTimeline simulate_overlapped_step(const ClusterScenario& sc) {
   };
 
   const double t_read =
-      add_task("border gather+readback", "overlap.pack", 0.0, readback_ms);
+      add_task("border gather+readback", "overlap.pack", 0.0, c.readback_ms);
   const double t_net =
-      add_task("network exchange", "overlap.wait", t_read, network_ms);
+      add_task("network exchange", "overlap.wait", t_read, c.network_ms);
   const double t_window =
-      add_task("inner-cell collision", "overlap.inner", t_read, window_ms);
+      add_task("inner-cell collision", "overlap.inner", t_read, c.window_ms);
   const double t_write =
-      add_task("ghost write-back", "overlap.unpack", t_net, writeback_ms);
+      add_task("ghost write-back", "overlap.unpack", t_net, c.writeback_ms);
   const double t_rest =
       add_task("border collide + stream", "overlap.outer",
-               std::max(t_window, t_write), rest_gpu_ms);
+               std::max(t_window, t_write), c.compute_ms - c.window_ms);
   tl.makespan_ms = t_rest;
-  tl.network_hidden_ms = std::min(network_ms, window_ms);
+  tl.network_hidden_ms = std::min(c.network_ms, c.window_ms);
   return tl;
 }
 

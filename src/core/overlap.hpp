@@ -45,7 +45,8 @@ struct OverlapTimeline {
   void export_trace(obs::TraceRecorder& rec, int rank = 0) const;
 };
 
-/// Simulates one overlapped step for the busiest node of the scenario.
+/// Simulates one overlapped step for the busiest node of the scenario,
+/// from the same busiest_node_cost() that ClusterSimulator prices.
 OverlapTimeline simulate_overlapped_step(const ClusterScenario& sc);
 
 }  // namespace gc::core

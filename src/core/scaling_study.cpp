@@ -65,37 +65,10 @@ std::vector<ThroughputRow> throughput_rows(
   return rows;
 }
 
-double measure_host_step_ms(Int3 dim, int steps, const MeasureOptions& opt) {
+double measure_host_step_ms(Int3 dim, int steps) {
   GC_CHECK(steps > 0);
-  lbm::SolverConfig cfg;
-  static_cast<lbm::RunParams&>(cfg) = opt;  // tau / collision / storage
-  cfg.fused = opt.fused;
-  cfg.pool = opt.pool;
-  lbm::Solver solver(dim, cfg);
+  lbm::Solver solver(dim, lbm::SolverConfig{});
   solver.lattice().init_equilibrium(Real(1), Vec3{Real(0.05), 0, 0});
-  solver.step();  // warm-up
-  Timer t;
-  solver.run(steps);
-  return t.millis() / steps;
-}
-
-double measure_host_step_ms(const lbm::Lattice& geometry, int steps,
-                            const MeasureOptions& opt) {
-  GC_CHECK(steps > 0);
-  lbm::SolverConfig cfg;
-  static_cast<lbm::RunParams&>(cfg) = opt;
-  cfg.fused = opt.fused;
-  cfg.pool = opt.pool;
-  // The solver constructs its lattice in cfg.storage; seed it in the
-  // geometry's own layout first, then convert, so set_flag/set_f never
-  // interleave with a compact remap.
-  cfg.storage = geometry.storage_mode();
-  lbm::Solver solver(geometry.dim(), cfg);
-  solver.lattice() = geometry;
-  if (opt.storage != geometry.storage_mode()) {
-    solver.lattice().convert_storage(opt.storage);
-  }
-  solver.lattice().cell_class();  // classification outside the clock
   solver.step();  // warm-up
   Timer t;
   solver.run(steps);

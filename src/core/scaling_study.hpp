@@ -7,8 +7,6 @@
 #include <vector>
 
 #include "core/cluster_sim.hpp"
-#include "lbm/run_params.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gc::core {
 
@@ -38,27 +36,9 @@ struct ThroughputRow {
 std::vector<ThroughputRow> throughput_rows(
     const std::vector<StepBreakdown>& series, i64 cells_per_node);
 
-/// Knobs for measured mode: which host hot path to time. The default is
-/// the serial split collide+stream reference; the fastest configuration is
-/// the fused span kernel on a thread pool. Embeds lbm::RunParams
-/// (tau / collision / storage — see run_params.hpp).
-struct MeasureOptions : lbm::RunParams {
-  bool fused = false;          ///< fused stream+collide instead of split
-  ThreadPool* pool = nullptr;  ///< run kernels on this pool (not owned)
-};
-
-/// Measured mode: actually steps a periodic 3D lattice on this host and
-/// returns the mean wall-clock milliseconds per LBM step (used to report
-/// our own numbers next to the paper's in EXPERIMENTS.md).
-double measure_host_step_ms(Int3 dim, int steps,
-                            const MeasureOptions& opt = {});
-
-/// Geometry-aware variant: steps a copy of `geometry` (flags, BCs and
-/// state included) under opt.storage, so solid-laden scenes can be timed
-/// on the backend that actually skips their solid cells. The lattice is
-/// converted after seeding; the kernels see the exact same configuration
-/// in every mode.
-double measure_host_step_ms(const lbm::Lattice& geometry, int steps,
-                            const MeasureOptions& opt = {});
+/// Measured mode: actually steps a periodic 3D lattice on this host
+/// (serial, double-buffered, split collide+stream) and returns the mean
+/// wall-clock milliseconds per LBM step.
+double measure_host_step_ms(Int3 dim, int steps);
 
 }  // namespace gc::core

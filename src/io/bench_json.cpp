@@ -1,17 +1,6 @@
 #include "io/bench_json.hpp"
 
-#include <fstream>
-
 namespace gc::io {
-
-const char* storage_mode_name(lbm::StorageMode mode) {
-  switch (mode) {
-    case lbm::StorageMode::AA: return "aa";
-    case lbm::StorageMode::Sparse: return "sparse";
-    case lbm::StorageMode::DoubleBuffer: break;
-  }
-  return "double_buffer";
-}
 
 double split_step_traffic_bytes(const lbm::Lattice& lat) {
   const double plane_set =
@@ -50,31 +39,6 @@ double fused_step_traffic_bytes(const lbm::Lattice& lat) {
       2.0 * static_cast<double>(lbm::Q) *
       static_cast<double>(lat.cell_class().slow.size()) * sizeof(Real);
   return 2.0 * plane_set + fixups;
-}
-
-void write_bench_json(const std::string& path,
-                      const std::vector<BenchRecord>& records) {
-  std::ofstream out(path, std::ios::trunc);
-  GC_CHECK_MSG(out.good(), "cannot open " << path << " for writing");
-  out << "[\n";
-  for (std::size_t k = 0; k < records.size(); ++k) {
-    const BenchRecord& r = records[k];
-    out << "  {\n"
-        << "    \"name\": \"" << r.name << "\",\n"
-        << "    \"storage\": \"" << io::storage_mode_name(r.storage) << "\",\n"
-        << "    \"dim\": [" << r.dim.x << ", " << r.dim.y << ", " << r.dim.z
-        << "],\n"
-        << "    \"ms_per_step\": " << r.ms_per_step << ",\n"
-        << "    \"mlups\": " << r.mlups << ",\n"
-        << "    \"bytes_per_step\": " << r.bytes_per_step << ",\n"
-        << "    \"storage_bytes\": " << r.storage_bytes;
-    for (const auto& extra : r.extras) {
-      out << ",\n    \"" << extra.first << "\": " << extra.second;
-    }
-    out << "\n  }" << (k + 1 < records.size() ? "," : "") << "\n";
-  }
-  out << "]\n";
-  GC_CHECK_MSG(out.good(), "write failure on " << path);
 }
 
 }  // namespace gc::io

@@ -1,7 +1,7 @@
-// Machine-readable benchmark reports. The interactive benches print
-// tables for humans; `--json out.json` additionally writes one record per
-// measured configuration so perf runs can be diffed across commits (the
-// BENCH_kernels.json snapshot at the repo root is produced this way).
+// Analytic distribution traffic of one host LBM step, per storage mode.
+// bench_suite reports it as lbm.bytes_per_step (and derives its GB/s and
+// share of the measured triad from it); bench_kernels attaches it to its
+// cases as the bytes_per_step counter.
 //
 // bytes_per_step is the analytic main-memory distribution traffic of the
 // timed hot loop (reads + writes of the f-planes), not a hardware
@@ -9,30 +9,9 @@
 // AA-pattern layout halves.
 #pragma once
 
-#include <string>
-#include <utility>
-#include <vector>
-
 #include "lbm/lattice.hpp"
 
 namespace gc::io {
-
-/// One measured benchmark configuration.
-struct BenchRecord {
-  std::string name;            ///< e.g. "split_collide_stream"
-  lbm::StorageMode storage = lbm::StorageMode::DoubleBuffer;
-  Int3 dim{};                  ///< lattice dimensions
-  double ms_per_step = 0.0;    ///< mean wall-clock per LBM step
-  double mlups = 0.0;          ///< million lattice-cell updates per second
-  double bytes_per_step = 0.0; ///< analytic f-plane traffic per step
-  double storage_bytes = 0.0;  ///< resident distribution storage
-  /// Bench-specific scalar metrics appended verbatim to the record
-  /// (e.g. bench_scenarios' "scenarios_per_hour", "speedup_vs_cold").
-  std::vector<std::pair<std::string, double>> extras;
-};
-
-/// "aa" / "double_buffer" — the spelling used in the JSON reports.
-const char* storage_mode_name(lbm::StorageMode mode);
 
 /// Analytic f-plane main-memory traffic of one step of the split
 /// collide+stream path (collide reads+writes every plane; DB streaming
@@ -43,9 +22,5 @@ double split_step_traffic_bytes(const lbm::Lattice& lat);
 /// Same for the fused stream+collide path (one read + one write of every
 /// plane in both modes; AA halves the footprint, not the fused traffic).
 double fused_step_traffic_bytes(const lbm::Lattice& lat);
-
-/// Writes `records` as a JSON array of objects with the fields above.
-void write_bench_json(const std::string& path,
-                      const std::vector<BenchRecord>& records);
 
 }  // namespace gc::io

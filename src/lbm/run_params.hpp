@@ -1,10 +1,10 @@
 // The execution parameters every stepping front-end shares: relaxation
 // time, collision operator, and distribution storage backend. SolverConfig
-// (serial), core::ParallelConfig (distributed) and core::MeasureOptions
-// (measured mode) used to re-declare these fields by hand; they now embed
-// RunParams by inheritance, so `cfg.tau` keeps reading naturally and a
-// caller — e.g. a service::ScenarioRequest — can carry ONE params object
-// and splat it into whichever front-end executes the run:
+// (serial) and core::ParallelConfig (distributed) used to re-declare these
+// fields by hand; they now embed RunParams by inheritance, so `cfg.tau`
+// keeps reading naturally and a caller — e.g. a service::ScenarioRequest
+// — can carry ONE params object and splat it into whichever front-end
+// executes the run:
 //
 //   static_cast<lbm::RunParams&>(cfg) = request.params;
 #pragma once

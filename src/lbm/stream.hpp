@@ -2,7 +2,9 @@
 // along their links in discrete time. Implemented as a "pull": the new
 // f_i at x is fetched from x - c_i in the previous buffer — exactly the
 // gather operation the paper's fragment programs perform on the GPU
-// (Section 4.2), which is why the simulated-GPU path reuses pull_value().
+// (Section 4.2). The simulated GPU has its own copy of this rule
+// (gpulbm::StreamProgram::pull); the FaceBcSweep cases in test_gpulbm.cpp
+// hold the two bit-identical for every face BC on every axis.
 #pragma once
 
 #include "lbm/lattice.hpp"

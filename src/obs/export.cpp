@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 namespace gc::obs {
@@ -80,7 +82,9 @@ void write_chrome_trace(const std::string& path, const TraceRecorder& rec) {
 
 // ---------------------------------------------------------------------------
 // A small strict JSON parser (objects, arrays, strings, numbers, literals) —
-// enough to validate and reload the traces this module writes.
+// enough to validate and reload the traces this module writes. Hostile
+// input ends in gc::Error: numbers are parsed without exceptions and must
+// be finite, and nesting is bounded so no input can exhaust the stack.
 
 namespace {
 
@@ -103,10 +107,13 @@ struct JsonValue {
 
 class JsonParser {
  public:
+  /// Traces nest 4 deep (root, traceEvents, event, args).
+  static constexpr int kMaxDepth = 32;
+
   explicit JsonParser(const std::string& text) : s_(text) {}
 
   JsonValue parse() {
-    JsonValue v = value();
+    JsonValue v = value(0);
     skip_ws();
     GC_CHECK_MSG(pos_ == s_.size(), "trailing bytes after JSON value at "
                                         << pos_);
@@ -132,11 +139,14 @@ class JsonParser {
     ++pos_;
   }
 
-  JsonValue value() {
+  JsonValue value(int depth) {
     skip_ws();
     const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
+    if (c == '{' || c == '[') {
+      GC_CHECK_MSG(depth < kMaxDepth, "JSON nested deeper than "
+                                          << kMaxDepth << " at byte " << pos_);
+      return c == '{' ? object(depth + 1) : array(depth + 1);
+    }
     if (c == '"') {
       JsonValue v;
       v.kind = JsonValue::Kind::String;
@@ -174,9 +184,12 @@ class JsonParser {
     GC_CHECK_MSG(pos_ > start, "expected a number at byte " << start);
     JsonValue v;
     v.kind = JsonValue::Kind::Number;
-    std::size_t used = 0;
-    v.num = std::stod(s_.substr(start, pos_ - start), &used);
-    GC_CHECK_MSG(used == pos_ - start, "malformed number at byte " << start);
+    const char* end = s_.data() + pos_;
+    const auto [ptr, ec] = std::from_chars(s_.data() + start, end, v.num);
+    GC_CHECK_MSG(ec != std::errc::result_out_of_range,
+                 "number out of range at byte " << start);
+    GC_CHECK_MSG(ec == std::errc() && ptr == end,
+                 "malformed number at byte " << start);
     return v;
   }
 
@@ -206,7 +219,7 @@ class JsonParser {
     return out;
   }
 
-  JsonValue array() {
+  JsonValue array(int depth) {
     expect('[');
     JsonValue v;
     v.kind = JsonValue::Kind::Array;
@@ -216,7 +229,7 @@ class JsonParser {
       return v;
     }
     while (true) {
-      v.items.push_back(value());
+      v.items.push_back(value(depth));
       skip_ws();
       if (peek() == ']') {
         ++pos_;
@@ -226,7 +239,7 @@ class JsonParser {
     }
   }
 
-  JsonValue object() {
+  JsonValue object(int depth) {
     expect('{');
     JsonValue v;
     v.kind = JsonValue::Kind::Object;
@@ -240,7 +253,7 @@ class JsonParser {
       std::string key = string();
       skip_ws();
       expect(':');
-      v.fields.emplace_back(std::move(key), value());
+      v.fields.emplace_back(std::move(key), value(depth));
       skip_ws();
       if (peek() == '}') {
         ++pos_;
@@ -259,6 +272,14 @@ double num_field(const JsonValue& obj, const std::string& key) {
   GC_CHECK_MSG(v && v->kind == JsonValue::Kind::Number,
                "missing numeric field \"" << key << "\"");
   return v->num;
+}
+
+int int_field(const JsonValue& obj, const std::string& key) {
+  const double v = num_field(obj, key);
+  GC_CHECK_MSG(v >= std::numeric_limits<int>::min() &&
+                   v <= std::numeric_limits<int>::max(),
+               "field \"" << key << "\" out of int range");
+  return static_cast<int>(v);
 }
 
 std::string str_field(const JsonValue& obj, const std::string& key) {
@@ -287,7 +308,7 @@ ParsedTrace parse_chrome_trace(const std::string& json) {
       TraceEvent ev;
       ev.name = str_field(e, "name");
       if (const JsonValue* cat = e.find("cat")) ev.cat = cat->str;
-      ev.rank = static_cast<int>(num_field(e, "tid"));
+      ev.rank = int_field(e, "tid");
       ev.t0_us = num_field(e, "ts");
       ev.t1_us = ev.t0_us + num_field(e, "dur");
       out.spans.push_back(std::move(ev));
@@ -296,7 +317,7 @@ ParsedTrace parse_chrome_trace(const std::string& json) {
       GC_CHECK_MSG(args && args->kind == JsonValue::Kind::Object,
                    "counter event has no args");
       out.counters.push_back(GaugeSample{str_field(e, "name"),
-                                         static_cast<int>(num_field(e, "tid")),
+                                         int_field(e, "tid"),
                                          num_field(*args, "value")});
     }
   }

@@ -1,9 +1,11 @@
-// IO: VTK and PPM writers produce well-formed files; CSV round-trips.
+// IO: VTK and PPM writers produce well-formed files; CSV round-trips; the
+// analytic per-step distribution traffic of every storage mode.
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <sstream>
 
+#include "io/bench_json.hpp"
 #include "io/csv.hpp"
 #include "io/ppm_writer.hpp"
 #include "io/vtk_writer.hpp"
@@ -91,6 +93,67 @@ TEST(Csv, WritesTable) {
   write_csv(f.path(), t);
   EXPECT_EQ(slurp(f.path()), "nodes,ms\n4,266.0\n");
 }
+
+// The traffic bench_suite reports as lbm.bytes_per_step: per storage
+// mode and path, on an all-fluid periodic box and on a walled lattice
+// with a solid block (where Sparse drops the solid cells and AA pays its
+// slow-cell fixups).
+class StepTraffic : public ::testing::TestWithParam<lbm::StorageMode> {};
+
+lbm::Lattice traffic_lattice(bool solid_block, lbm::StorageMode mode) {
+  if (!solid_block) {
+    lbm::Lattice lat(Int3{8, 8, 8});
+    if (mode != lbm::StorageMode::DoubleBuffer) lat.convert_storage(mode);
+    return lat;
+  }
+  lbm::Lattice lat(Int3{12, 10, 8});
+  lat.set_face_bc(lbm::FACE_XMIN, lbm::FaceBc::Inlet);
+  lat.set_face_bc(lbm::FACE_XMAX, lbm::FaceBc::Outflow);
+  lat.set_face_bc(lbm::FACE_ZMIN, lbm::FaceBc::Wall);
+  lat.fill_solid_box(Int3{3, 2, 0}, Int3{7, 6, 5});
+  if (mode != lbm::StorageMode::DoubleBuffer) lat.convert_storage(mode);
+  return lat;
+}
+
+TEST_P(StepTraffic, MatchesTheStorageModesPlaneTraffic) {
+  const lbm::StorageMode mode = GetParam();
+  constexpr double kPlanes = lbm::Q * sizeof(Real);
+  for (const bool solid_block : {false, true}) {
+    SCOPED_TRACE(solid_block ? "12x10x8 with a solid block" : "8^3 periodic");
+    const lbm::Lattice lat = traffic_lattice(solid_block, mode);
+    const double split = split_step_traffic_bytes(lat);
+    const double fused = fused_step_traffic_bytes(lat);
+    switch (mode) {
+      case lbm::StorageMode::DoubleBuffer:
+        EXPECT_DOUBLE_EQ(split, 4 * kPlanes * lat.num_cells());
+        EXPECT_DOUBLE_EQ(fused, split / 2);
+        break;
+      case lbm::StorageMode::Sparse: {
+        const i64 active = lat.sparse_active_cells();
+        EXPECT_EQ(active < lat.num_cells(), solid_block);
+        EXPECT_DOUBLE_EQ(split, 4 * kPlanes * active);
+        EXPECT_DOUBLE_EQ(fused, split / 2);
+        break;
+      }
+      case lbm::StorageMode::AA: {
+        const auto slow = static_cast<double>(lat.cell_class().slow.size());
+        EXPECT_GT(slow, 0);
+        EXPECT_DOUBLE_EQ(split, 2 * kPlanes * lat.num_cells() +
+                                    2 * kPlanes * slow);
+        EXPECT_DOUBLE_EQ(fused, split);
+        break;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, StepTraffic,
+    ::testing::Values(lbm::StorageMode::DoubleBuffer, lbm::StorageMode::AA,
+                      lbm::StorageMode::Sparse),
+    [](const ::testing::TestParamInfo<lbm::StorageMode>& info) {
+      return std::string(lbm::storage_mode_name(info.param));
+    });
 
 }  // namespace
 }  // namespace gc::io

@@ -1,12 +1,18 @@
 // Observability subsystem: span nesting/balance, counter aggregation
 // across MpiLite ranks, Chrome-trace JSON round-tripping, the unified
 // RunStats surface of Solver::run / ParallelLbm::run, the measured-vs-
-// analytic traffic agreement, and a guard that an absent recorder adds
-// zero allocations to the Solver::step hot path.
+// analytic traffic agreement, a guard that an absent recorder adds
+// zero allocations to the Solver::step hot path, and seeded structured
+// mutations of real traces, each of which must parse or throw gc::Error.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/overlap.hpp"
 #include "core/parallel_lbm.hpp"
@@ -14,6 +20,7 @@
 #include "netsim/mpilite.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
+#include "util/rng.hpp"
 #include "alloc_probe.hpp"
 #include "temp_path.hpp"
 
@@ -326,6 +333,164 @@ TEST(Obs, NoRecorderAddsZeroAllocationsToSolverStep) {
   const long before = test::allocation_count();
   for (int s = 0; s < 10; ++s) solver.step();
   EXPECT_EQ(test::allocation_count(), before);
+}
+
+// --- hostile traces ----------------------------------------------------------
+
+/// A real trace: spans on several ranks, a counter and a gauge.
+std::string fuzz_trace() {
+  obs::TraceRecorder rec;
+  rec.record_span("collide", "lbm", 0, 10.5, 20.25);
+  rec.record_span("overlap.wait", "overlap", 3, 20.25, 1.5e6);
+  rec.record_span("exchange \"x\"", "net", 1, 30.0, 31.0);
+  rec.add_counter("mpi.bytes", 1, 4096);
+  rec.set_gauge("model.makespan_ms", 2, 12.5);
+  return obs::chrome_trace_json(rec);
+}
+
+/// The trace split into JSON tokens: structural characters, strings,
+/// number/literal runs and whitespace runs; concatenated they give back
+/// the input.
+std::vector<std::string> json_tokens(const std::string& s) {
+  const auto structural = [](char c) {
+    return std::strchr("{}[]:,\"", c) != nullptr ||
+           std::isspace(static_cast<unsigned char>(c));
+  };
+  std::vector<std::string> out;
+  std::size_t i = 0;
+  while (i < s.size()) {
+    std::size_t j = i + 1;
+    if (s[i] == '"') {
+      while (j < s.size() && s[j] != '"') j += s[j] == '\\' ? 2 : 1;
+      j = std::min(j + 1, s.size());
+    } else if (std::isspace(static_cast<unsigned char>(s[i]))) {
+      while (j < s.size() && std::isspace(static_cast<unsigned char>(s[j]))) {
+        ++j;
+      }
+    } else if (!structural(s[i])) {
+      while (j < s.size() && !structural(s[j])) ++j;
+    }
+    out.push_back(s.substr(i, j - i));
+    i = j;
+  }
+  return out;
+}
+
+std::string join(const std::vector<std::string>& tokens) {
+  std::string out;
+  for (const std::string& t : tokens) out += t;
+  return out;
+}
+
+/// Parses `json`: success and gc::Error are both fine; any other exception
+/// fails the test (and a crash fails the binary).
+void expect_parse_or_error(const std::string& json, const std::string& what) {
+  try {
+    (void)obs::parse_chrome_trace(json);
+  } catch (const Error&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": non-gc exception: " << e.what();
+  }
+}
+
+TEST(ChromeTraceFuzz, ByteFlipsParseOrThrowError) {
+  const std::string json = fuzz_trace();
+  Rng rng(1601);
+  for (int k = 0; k < 4000; ++k) {
+    std::string mutated = json;
+    const int flips = static_cast<int>(rng.uniform_int(1, 4));
+    for (int f = 0; f < flips; ++f) {
+      const auto at = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<i64>(json.size()) - 1));
+      mutated[at] = static_cast<char>(mutated[at] ^ rng.uniform_int(1, 255));
+    }
+    expect_parse_or_error(mutated, "flip " + std::to_string(k));
+  }
+}
+
+TEST(ChromeTraceFuzz, EveryTruncationThrowsError) {
+  // The root object closes at the last '}', so every prefix short of it
+  // is incomplete and must be rejected; only trailing whitespace may go.
+  const std::string json = fuzz_trace();
+  const std::size_t complete = json.rfind('}') + 1;
+  for (std::size_t len = 0; len < json.size(); ++len) {
+    const std::string prefix = json.substr(0, len);
+    if (len >= complete) {
+      EXPECT_NO_THROW(obs::parse_chrome_trace(prefix)) << "length " << len;
+    } else {
+      EXPECT_THROW(obs::parse_chrome_trace(prefix), Error) << "length " << len;
+    }
+  }
+}
+
+TEST(ChromeTraceFuzz, DeletedAndDuplicatedTokensParseOrThrowError) {
+  const std::string json = fuzz_trace();
+  ASSERT_EQ(obs::parse_chrome_trace(json).spans.size(), 3u);
+  const std::vector<std::string> tokens = json_tokens(json);
+  ASSERT_EQ(join(tokens), json);
+  for (std::size_t t = 0; t < tokens.size(); ++t) {
+    std::vector<std::string> deleted = tokens;
+    deleted.erase(deleted.begin() + static_cast<std::ptrdiff_t>(t));
+    expect_parse_or_error(join(deleted), "delete token " + std::to_string(t));
+    std::vector<std::string> doubled = tokens;
+    doubled.insert(doubled.begin() + static_cast<std::ptrdiff_t>(t), tokens[t]);
+    expect_parse_or_error(join(doubled), "repeat token " + std::to_string(t));
+  }
+  // Several edits at once: deletions, repeats and tokens moved elsewhere.
+  Rng rng(1602);
+  for (int k = 0; k < 1000; ++k) {
+    std::vector<std::string> mutated = tokens;
+    const int edits = static_cast<int>(rng.uniform_int(2, 6));
+    for (int e = 0; e < edits && !mutated.empty(); ++e) {
+      const auto at = static_cast<std::ptrdiff_t>(
+          rng.uniform_int(0, static_cast<i64>(mutated.size()) - 1));
+      const std::string token = mutated[static_cast<std::size_t>(at)];
+      if (rng.chance(0.5)) mutated.erase(mutated.begin() + at);
+      const auto to = static_cast<std::ptrdiff_t>(
+          rng.uniform_int(0, static_cast<i64>(mutated.size())));
+      if (rng.chance(0.5)) mutated.insert(mutated.begin() + to, token);
+    }
+    expect_parse_or_error(join(mutated), "token edits " + std::to_string(k));
+  }
+}
+
+TEST(ChromeTraceFuzz, MalformedOrOutOfRangeNumbersThrowError) {
+  const std::vector<std::string> tokens = json_tokens(fuzz_trace());
+  int numbers = 0;
+  for (std::size_t t = 0; t < tokens.size(); ++t) {
+    const char c = tokens[t][0];
+    if (!std::isdigit(static_cast<unsigned char>(c)) && c != '-') continue;
+    ++numbers;
+    for (const char* bad : {"-", "--1", "1e999", "-1e999", "nan", "-nan",
+                            "inf", "1e", "1.5.2", "0x10", "+"}) {
+      std::vector<std::string> mutated = tokens;
+      mutated[t] = bad;
+      EXPECT_THROW(obs::parse_chrome_trace(join(mutated)), Error)
+          << "token " << t << " (" << tokens[t] << ") -> " << bad;
+    }
+  }
+  EXPECT_GT(numbers, 10);
+  // A finite number that does not fit a rank.
+  for (const char* tid : {"1e300", "-3e9", "2147483648"}) {
+    const std::string json =
+        std::string("{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"X\",\"tid\":") +
+        tid + ",\"ts\":0,\"dur\":1}]}";
+    EXPECT_THROW(obs::parse_chrome_trace(json), Error) << tid;
+  }
+}
+
+TEST(ChromeTraceFuzz, DeepNestingThrowsError) {
+  constexpr std::size_t kDeep = 100000;
+  const std::string open = "{\"traceEvents\":" + std::string(kDeep, '[');
+  EXPECT_THROW(obs::parse_chrome_trace(open), Error);
+  EXPECT_THROW(obs::parse_chrome_trace(open + std::string(kDeep, ']') + "}"),
+               Error);
+  std::string objects = "{\"traceEvents\":[],\"x\":";
+  for (std::size_t k = 0; k < kDeep; ++k) objects += "{\"a\":";
+  EXPECT_THROW(obs::parse_chrome_trace(objects), Error);
+  // Shallow extra nesting beside the events is still a valid trace.
+  EXPECT_NO_THROW(obs::parse_chrome_trace(
+      "{\"traceEvents\":[],\"x\":[[[[{\"a\":[1]}]]]]}"));
 }
 
 }  // namespace

@@ -66,6 +66,25 @@ TEST_P(OverlapVsClosedForm, MakespanBracketsTheClosedForm) {
 INSTANTIATE_TEST_SUITE_P(Nodes, OverlapVsClosedForm,
                          ::testing::Values(2, 8, 16, 30, 32));
 
+TEST(Overlap, DirectDiagonalNetworkMatchesClosedForm) {
+  // Direct second-nearest-neighbor messages (ablation A1) are network
+  // time in both models: the timeline's exchange must equal the closed
+  // form's, and the makespan bracket must still hold.
+  for (const int n : {2, 8, 16, 30, 32}) {
+    ClusterScenario sc = table1_scenario(n);
+    sc.indirect_diagonals = false;
+    const OverlapTimeline tl = simulate_overlapped_step(sc);
+    const StepBreakdown b = ClusterSimulator().simulate_step(sc);
+    const auto* net = tl.find("network exchange");
+    const auto* write = tl.find("ghost write-back");
+    ASSERT_TRUE(net && write);
+    EXPECT_NEAR(net->duration_ms(), b.net_total_ms, 1e-9) << n << " nodes";
+    EXPECT_LE(tl.makespan_ms, b.gpu_total_ms + 1e-6) << n << " nodes";
+    EXPECT_GE(tl.makespan_ms + write->duration_ms() + 1e-6, b.gpu_total_ms)
+        << n << " nodes";
+  }
+}
+
 TEST(Overlap, GanttRendersAllTasks) {
   const OverlapTimeline tl = simulate_overlapped_step(table1_scenario(8));
   const std::string g = tl.gantt();
