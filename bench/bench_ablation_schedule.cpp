@@ -1,13 +1,10 @@
 // Ablation A1 (Section 4.3): the paper routes second-nearest-neighbor
 // (diagonal) traffic indirectly in two axial hops piggybacked on the
 // scheduled messages, instead of adding direct diagonal exchanges. This
-// bench compares modeled network time for both designs, and also times
-// the *functional* distributed solver both ways to confirm identical
-// physics.
-#include <cstdio>
-
+// bench compares modeled network time for both designs; the executed
+// solvers run the two-hop route only, so the direct alternative exists
+// here as a model.
 #include "core/cluster_sim.hpp"
-#include "core/parallel_lbm.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -28,39 +25,5 @@ int main() {
     t.row().cell(long(n)).cell(ti, 1).cell(td, 1).cell(td / ti, 2);
   }
   t.print();
-
-  // Functional check: both routings produce identical physics.
-  lbm::Lattice lat(Int3{16, 16, 8});
-  lat.set_face_bc(lbm::FACE_XMIN, lbm::FaceBc::Inlet);
-  lat.set_face_bc(lbm::FACE_XMAX, lbm::FaceBc::Outflow);
-  lat.set_face_bc(lbm::FACE_YMIN, lbm::FaceBc::Wall);
-  lat.set_face_bc(lbm::FACE_YMAX, lbm::FaceBc::Wall);
-  lat.set_face_bc(lbm::FACE_ZMIN, lbm::FaceBc::Wall);
-  lat.set_face_bc(lbm::FACE_ZMAX, lbm::FaceBc::FreeSlip);
-  lat.set_inlet(Real(1), Vec3{0.05f, 0, 0});
-  lat.init_equilibrium(Real(1), Vec3{0.05f, 0, 0});
-
-  core::ParallelConfig ca;
-  ca.grid = netsim::NodeGrid{Int3{2, 2, 1}};
-  core::ParallelLbm pa(lat, ca);
-  pa.run(5);
-  core::ParallelConfig cb = ca;
-  cb.indirect_diagonals = false;
-  core::ParallelLbm pb(lat, cb);
-  pb.run(5);
-  lbm::Lattice ga(lat.dim()), gb(lat.dim());
-  pa.gather(ga);
-  pb.gather(gb);
-  bool identical = true;
-  for (int i = 0; i < lbm::Q && identical; ++i) {
-    for (i64 c = 0; c < ga.num_cells(); ++c) {
-      if (ga.f(i, c) != gb.f(i, c)) {
-        identical = false;
-        break;
-      }
-    }
-  }
-  std::printf("\nFunctional equivalence of the two routings: %s\n",
-              identical ? "IDENTICAL (bit-exact)" : "MISMATCH");
-  return identical ? 0 : 1;
+  return 0;
 }

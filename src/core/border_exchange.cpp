@@ -223,12 +223,11 @@ bool ExchangePlan::idle(int round) const {
 
 namespace {
 
-/// Plans `node`'s exchange. Empty `routes` with `indirect` set means a
-/// grid without diagonal neighbors.
-ExchangePlan build_plan(const Decomposition3& decomp,
-                        const netsim::CommSchedule& sched,
+/// Plans `node`'s exchange; empty `routes` means a grid without
+/// diagonal neighbors.
+ExchangePlan build_plan(const netsim::CommSchedule& sched,
                         const std::vector<netsim::IndirectRoute>& routes,
-                        bool indirect, int node) {
+                        int node) {
   const netsim::NodeGrid& grid = sched.grid;
   const Int3 me = grid.coords(node);
   ExchangePlan plan;
@@ -248,37 +247,23 @@ ExchangePlan build_plan(const Decomposition3& decomp,
               return x.face < y.face;
             });
 
-  if (indirect) {
-    for (const netsim::IndirectRoute& r : routes) {
-      if (r.src == node) {
-        plan.edge_sends.push_back(EdgeChunk{grid.coords(r.dst) - me, r.via,
-                                            netsim::kHop1Base + r.dst,
-                                            r.first_step});
-      }
-      if (r.via == node) {
-        plan.forwards.push_back(ForwardHop{r.src, r.dst,
-                                           netsim::kHop1Base + r.dst,
-                                           netsim::kHop2Base + r.src,
-                                           r.first_step, r.second_step});
-      }
-      if (r.dst == node) {
-        plan.edge_recvs.push_back(EdgeChunk{grid.coords(r.src) - me, r.via,
-                                            netsim::kHop2Base + r.src,
-                                            r.second_step});
-      }
+  for (const netsim::IndirectRoute& r : routes) {
+    if (r.src == node) {
+      plan.edge_sends.push_back(EdgeChunk{grid.coords(r.dst) - me, r.via,
+                                          netsim::kHop1Base + r.dst,
+                                          r.first_step});
     }
-    return plan;
-  }
-  // Direct mode: every diagonal neighbor swaps its chunk in one extra
-  // round after the schedule's.
-  const int round = plan.rounds++;
-  for (const Int3 off : netsim::diagonal_offsets()) {
-    const int nb = decomp.neighbor(node, off);
-    if (nb < 0) continue;
-    plan.edge_sends.push_back(
-        EdgeChunk{off, nb, netsim::kDirectBase + node, round});
-    plan.edge_recvs.push_back(
-        EdgeChunk{off, nb, netsim::kDirectBase + nb, round});
+    if (r.via == node) {
+      plan.forwards.push_back(ForwardHop{r.src, r.dst,
+                                         netsim::kHop1Base + r.dst,
+                                         netsim::kHop2Base + r.src,
+                                         r.first_step, r.second_step});
+    }
+    if (r.dst == node) {
+      plan.edge_recvs.push_back(EdgeChunk{grid.coords(r.src) - me, r.via,
+                                          netsim::kHop2Base + r.src,
+                                          r.second_step});
+    }
   }
   return plan;
 }
@@ -418,7 +403,7 @@ Decomposition3 make_decomposition(const lbm::Lattice& global,
 
 ClusterExchange::ClusterExchange(const lbm::Lattice& global,
                                  const netsim::NodeGrid& grid,
-                                 bool fluid_balanced, bool indirect_diagonals)
+                                 bool fluid_balanced)
     : decomp_(make_decomposition(global, grid, fluid_balanced)),
       sched_(netsim::CommSchedule::pairwise(grid)),
       world_(grid.num_nodes()) {
@@ -434,13 +419,11 @@ ClusterExchange::ClusterExchange(const lbm::Lattice& global,
     }
   }
   const std::vector<netsim::IndirectRoute> routes =
-      indirect_diagonals ? netsim::plan_indirect_routes(sched_)
-                         : std::vector<netsim::IndirectRoute>{};
+      netsim::plan_indirect_routes(sched_);
   const int n = decomp_.num_nodes();
   for (int node = 0; node < n; ++node) {
     domains_.push_back(LocalDomain::make(decomp_, node));
-    plans_.push_back(
-        build_plan(decomp_, sched_, routes, indirect_diagonals, node));
+    plans_.push_back(build_plan(sched_, routes, node));
     forward_store_.emplace_back(plans_.back().forwards.size());
   }
   hidden_ms_.assign(static_cast<std::size_t>(n), 0.0);

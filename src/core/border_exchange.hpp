@@ -97,8 +97,7 @@ struct FaceSwap {
 
 /// One diagonal chunk the rank sends or receives: the edge line toward
 /// the diagonal neighbor at grid offset `off`, travelling to or from
-/// `peer` (the via node of a two-hop route, or the neighbor itself in
-/// direct mode) on `tag` in `round`.
+/// `peer` (the via node of its two-hop route) on `tag` in `round`.
 struct EdgeChunk {
   Int3 off;
   int peer;
@@ -119,11 +118,9 @@ struct ForwardHop {
 };
 
 /// Everything one rank sends and receives per step. Faces are in
-/// ascending face order; the chunks follow netsim::plan_indirect_routes
-/// (or netsim::diagonal_offsets in direct mode).
+/// ascending face order; the chunks follow netsim::plan_indirect_routes.
 struct ExchangePlan {
-  /// The schedule's rounds, plus one holding every direct-diagonal chunk
-  /// when diagonals are exchanged directly.
+  /// The schedule's rounds.
   int rounds = 0;
   std::vector<FaceSwap> faces;
   std::vector<EdgeChunk> edge_sends;
@@ -228,7 +225,7 @@ class ClusterExchange {
   /// plans every rank's exchange. Decomposed axes must not be periodic,
   /// and the global lattice must not use curved links.
   ClusterExchange(const lbm::Lattice& global, const netsim::NodeGrid& grid,
-                  bool fluid_balanced, bool indirect_diagonals);
+                  bool fluid_balanced);
 
   const Decomposition3& decomposition() const { return decomp_; }
   const netsim::CommSchedule& schedule() const { return sched_; }

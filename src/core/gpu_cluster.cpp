@@ -4,7 +4,7 @@ namespace gc::core {
 
 GpuClusterLbm::GpuClusterLbm(const lbm::Lattice& global, GpuClusterConfig cfg)
     : cfg_(cfg),
-      ex_(global, cfg.grid, cfg.fluid_balanced, /*indirect_diagonals=*/true) {
+      ex_(global, cfg.grid, cfg.fluid_balanced) {
   GC_CHECK_MSG(cfg.grid.dims.z == 1,
                "GpuClusterLbm decomposes in 2D (dims.z must be 1)");
   for (int node = 0; node < ex_.num_nodes(); ++node) {

@@ -12,7 +12,7 @@ using netsim::Comm;
 
 ParallelLbm::ParallelLbm(const lbm::Lattice& global, ParallelConfig cfg)
     : cfg_(cfg),
-      ex_(global, cfg.grid, cfg.fluid_balanced, cfg.indirect_diagonals) {
+      ex_(global, cfg.grid, cfg.fluid_balanced) {
   if (cfg_.faults) ex_.world().set_fault_spec(cfg_.faults);
   ex_.world().set_reliability(cfg_.reliability);
   if (cfg_.thermal) {
@@ -168,8 +168,6 @@ obs::RunStats ParallelLbm::run(int steps) {
       rec->add_counter("mpi.messages", r, d.messages - b.messages);
       rec->add_counter("mpi.bytes", r,
                        (d.payload_values - b.payload_values) * real_bytes);
-      rec->add_counter("mpi.barrier_waits", r,
-                       d.barrier_waits - b.barrier_waits);
       if (cfg_.faults) {
         const netsim::ReliabilityStats rd = world.reliability_stats(r);
         const netsim::ReliabilityStats& rb =
@@ -245,8 +243,7 @@ netsim::TrafficMatrix ParallelLbm::traffic_bytes_per_step() const {
                        [static_cast<std::size_t>(f.pair)];
       // Face payload, one direction per pair (the exchange is symmetric).
       if (node < f.peer) pair += face_payload_size(ld, f.face) * real_bytes;
-      // Diagonal hops ride the face message of their round; direct-mode
-      // chunks travel in a round of their own and are not counted.
+      // Diagonal hops ride the face message of their round.
       for (const EdgeChunk& e : plan.edge_sends) {
         if (e.round == f.round) {
           pair += edge_payload_size(ld, e.off) * real_bytes;

@@ -34,10 +34,6 @@ struct ParallelConfig : lbm::RunParams {
   std::optional<lbm::ThermalParams> thermal;
   /// Initial global temperature field (cell-indexed); defaults to t_ref.
   const std::vector<Real>* initial_temperature = nullptr;
-  /// When false, diagonal data is exchanged directly between second-
-  /// nearest neighbors instead of the paper's two-hop indirect routing
-  /// (functional results are identical; used by the schedule ablation).
-  bool indirect_diagonals = true;
   /// Places the decomposition's cut planes on per-axis fluid-cell counts
   /// (hemelb-style coordinate partitioning) instead of uniformly, so
   /// solid-heavy geometry stops inflating one rank's fluid load. Pure
@@ -59,16 +55,17 @@ struct ParallelConfig : lbm::RunParams {
   bool overlap = false;
   /// When set, every rank emits collide / pack / unpack / exchange /
   /// stream spans here (tid = rank), and run() publishes per-rank
-  /// mpi.messages / mpi.bytes / mpi.barrier_waits counters. Null = zero
-  /// instrumentation cost. Not owned.
+  /// mpi.messages / mpi.bytes counters. Null = zero instrumentation
+  /// cost. Not owned.
   obs::TraceRecorder* trace = nullptr;
-  /// Fault injection: when set, MpiLite switches to the reliable
-  /// sequence-numbered/checksummed envelope protocol and applies the
-  /// spec's message and rank faults. Not owned (and mutable: crash
-  /// faults are one-shot, counters accumulate). Null = perfect network,
-  /// zero protocol overhead.
+  /// Fault injection: when set, MpiLite applies the spec's message
+  /// faults to every first transmission and times its receives, and
+  /// ranks apply its crash faults. Not owned (and mutable: crash faults
+  /// are one-shot, counters accumulate). Null = perfect network: the
+  /// envelope protocol still carries every message, but receives wait
+  /// untimed.
   netsim::FaultSpec* faults = nullptr;
-  /// Retransmit policy used when `faults` is attached.
+  /// Receive-timer and retransmit policy used when `faults` is attached.
   netsim::ReliabilityConfig reliability;
   /// When set, each rank scans its owned region after every
   /// `sentinel->every`-th step and throws DivergenceError on NaN or
@@ -110,7 +107,7 @@ class ParallelLbm {
   void reset_comm() { ex_.reset(); }
 
   /// Aborts the communicator world from outside the run: every rank
-  /// blocked in recv/barrier wakes with CommAborted and the run() call
+  /// blocked in a receive wakes with CommAborted and the run() call
   /// fails promptly. The cancellation hook for deadline watchdogs; pair
   /// with reset_comm() before running again.
   void abort_comm() GC_EXCLUDES(netsim::MpiLite::mu_) { ex_.world().abort(); }

@@ -23,10 +23,6 @@ Solver::Solver(Int3 dim, SolverConfig cfg) : cfg_(cfg), lat_(dim, cfg.storage) {
 void Solver::step() {
   const StepContext ctx{cfg_.pool, cfg_.trace, 0};
   obs::TraceRecorder* rec = cfg_.trace;
-  // Phase boundaries for the StepStats record; only read when tracing
-  // (the untraced hot path performs no clock reads or allocations).
-  const double t_begin = rec ? rec->now_us() : 0;
-  double t_thermal = 0, t_collide = 0;
 
   if (thermal_) {
     // Hybrid thermal step: advance T with the current velocity field,
@@ -36,7 +32,6 @@ void Solver::step() {
       compute_velocity_field(lat_, velocity_field_);
       thermal_->step(lat_, velocity_field_);
     }
-    if (rec) t_thermal = rec->now_us();
     const MrtParams p = cfg_.mrt ? *cfg_.mrt : MrtParams::standard(cfg_.tau);
     {
       obs::ScopedSpan span(rec, "collide", 0, "lbm");
@@ -44,7 +39,6 @@ void Solver::step() {
       thermal_->buoyancy_force(lat_, force_field_);
       apply_force_first_order(lat_, force_field_);
     }
-    if (rec) t_collide = rec->now_us();
     stream(lat_, ctx);
   } else if (cfg_.collision == CollisionKind::MRT) {
     const MrtParams p = cfg_.mrt ? *cfg_.mrt : MrtParams::standard(cfg_.tau);
@@ -52,17 +46,14 @@ void Solver::step() {
       obs::ScopedSpan span(rec, "collide", 0, "lbm");
       collide_mrt(lat_, p, ctx);
     }
-    if (rec) t_collide = rec->now_us();
     stream(lat_, ctx);
   } else if (cfg_.fused) {
     fused_stream_collide(lat_, BgkParams{cfg_.tau, cfg_.body_force}, ctx);
-    if (rec) t_collide = rec->now_us();
   } else {
     {
       obs::ScopedSpan span(rec, "collide", 0, "lbm");
       collide_bgk(lat_, BgkParams{cfg_.tau, cfg_.body_force}, ctx);
     }
-    if (rec) t_collide = rec->now_us();
     stream(lat_, ctx);
   }
   ++steps_;
@@ -73,17 +64,6 @@ void Solver::step() {
       if (rec) rec->add_counter("ft.divergences", 0, 1);
       throw DivergenceError(*report, steps_, 0);
     }
-  }
-
-  if (rec) {
-    const double t_end = rec->now_us();
-    last_stats_.step = steps_;
-    last_stats_.thermal_ms = (t_thermal ? t_thermal - t_begin : 0) * 1e-3;
-    const double collide_from = t_thermal ? t_thermal : t_begin;
-    last_stats_.collide_ms =
-        (t_collide ? t_collide - collide_from : 0) * 1e-3;
-    last_stats_.stream_ms = (t_collide ? t_end - t_collide : 0) * 1e-3;
-    last_stats_.total_ms = (t_end - t_begin) * 1e-3;
   }
 }
 

@@ -27,8 +27,8 @@ struct SolverConfig : RunParams {
   /// When set, collision and streaming run on this pool (z-slab
   /// parallelism, bit-identical to the serial kernels). Not owned.
   ThreadPool* pool = nullptr;
-  /// When set, step() emits collide/stream/thermal/finish spans and a
-  /// per-step StepStats record here. Null = zero instrumentation cost.
+  /// When set, step() emits collide/stream/thermal/finish spans here.
+  /// Null = zero instrumentation cost.
   obs::TraceRecorder* trace = nullptr;
   /// When set, every `sentinel->every`-th step() ends with a divergence
   /// scan (NaN / density bounds) and throws DivergenceError on failure.
@@ -54,10 +54,6 @@ class Solver {
 
   i64 step_count() const { return steps_; }
 
-  /// Phase breakdown of the most recent step() — populated only when a
-  /// recorder is attached (all zeros otherwise).
-  const obs::StepStats& last_step_stats() const { return last_stats_; }
-
  private:
   SolverConfig cfg_;
   Lattice lat_;
@@ -65,7 +61,6 @@ class Solver {
   std::vector<Vec3> force_field_;
   std::vector<Vec3> velocity_field_;
   i64 steps_ = 0;
-  obs::StepStats last_stats_;
 };
 
 }  // namespace gc::lbm

@@ -76,18 +76,6 @@ bool FaultSpec::should_crash(int rank, i64 step) {
   return false;
 }
 
-double FaultSpec::stall_ms(int rank, i64 ordinal) {
-  for (const BarrierStall& s : stalls) {
-    if (s.rank == rank && ordinal >= s.first_barrier &&
-        ordinal < s.first_barrier + s.count) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++counts_.stalls;
-      return s.ms;
-    }
-  }
-  return 0;
-}
-
 FaultCounters FaultSpec::counters() const {
   std::lock_guard<std::mutex> lock(mu_);
   return counts_;

@@ -1,11 +1,11 @@
 // Deterministic fault injection for the in-process cluster. A FaultSpec
 // describes an adversarial network/rank environment — per-message drop,
-// duplication, delay/reorder and payload bit-corruption, plus rank-level
-// crash-at-step and stall-at-barrier faults — and MpiLite consults it on
-// every send. All decisions are pure functions of (seed, channel,
-// sequence number), so the same seed produces the same fault schedule
-// regardless of thread interleaving, and two runs with equal seeds are
-// comparable bit-for-bit after recovery.
+// duplication, delay/reorder and payload bit-corruption, plus a rank-level
+// crash-at-step fault — and MpiLite consults it on every send. All
+// decisions are pure functions of (seed, channel, sequence number), so the
+// same seed produces the same fault schedule regardless of thread
+// interleaving, and two runs with equal seeds are comparable bit-for-bit
+// after recovery.
 #pragma once
 
 #include <atomic>
@@ -31,7 +31,7 @@ class CommTimeout : public CommError {
   using CommError::CommError;
 };
 
-/// A blocked recv/barrier was woken because another rank failed; the
+/// A blocked receive was woken because another rank failed; the
 /// world is aborting. The originating rank's exception is the root cause.
 class CommAborted : public CommError {
  public:
@@ -70,15 +70,6 @@ struct CrashFault {
   i64 step = 0;
 };
 
-/// Rank `rank` sleeps `ms` before each of its barriers in
-/// [first_barrier, first_barrier + count).
-struct BarrierStall {
-  int rank = 0;
-  i64 first_barrier = 0;
-  i64 count = 1;
-  double ms = 5;
-};
-
 /// How many faults of each kind actually fired (injection-side tally;
 /// detection-side tallies live in MpiLite::ReliabilityStats).
 struct FaultCounters {
@@ -87,7 +78,6 @@ struct FaultCounters {
   i64 delays = 0;
   i64 corruptions = 0;
   i64 crashes = 0;
-  i64 stalls = 0;
 };
 
 enum class FaultKind : u32 { Drop = 1, Duplicate = 2, Delay = 3, Corrupt = 4 };
@@ -104,7 +94,6 @@ class FaultSpec {
   MessageFaultRates rates;
   std::vector<ChannelBlackhole> blackholes;
   std::vector<CrashFault> crashes;
-  std::vector<BarrierStall> stalls;
 
   /// Deterministic Bernoulli draw for one fault kind on one message;
   /// increments the matching counter when it fires.
@@ -119,10 +108,6 @@ class FaultSpec {
 
   /// One-shot crash check, called by the solver layer at each step.
   bool should_crash(int rank, i64 step) GC_EXCLUDES(mu_);
-
-  /// Milliseconds rank `rank` must stall before its `ordinal`-th barrier
-  /// (0 when no stall fault matches).
-  double stall_ms(int rank, i64 ordinal) GC_EXCLUDES(mu_);
 
   FaultCounters counters() const GC_EXCLUDES(mu_);
 

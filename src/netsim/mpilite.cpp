@@ -3,11 +3,18 @@
 #include <chrono>
 #include <cmath>
 #include <exception>
+#include <optional>
 #include <thread>
 
 #include "util/checksum.hpp"
 
 namespace gc::netsim {
+
+namespace {
+u32 payload_crc(const Payload& p) {
+  return crc32(p.data(), p.size() * sizeof(Real));
+}
+}  // namespace
 
 int Comm::size() const { return world_->size(); }
 
@@ -24,14 +31,9 @@ Payload Comm::sendrecv(int partner, int tag, Payload data) {
   return recv(partner, tag);
 }
 
-void Comm::barrier() { world_->do_barrier(rank_); }
-
 Request Comm::isend(int dst, int tag, Payload data) {
-  auto st = std::make_shared<Request::State>();
-  st->is_send = true;
-  st->peer = dst;
-  st->tag = tag;
   world_->do_send(rank_, dst, tag, std::move(data));
+  auto st = std::make_shared<Request::State>();
   st->done = true;
   st->complete_us = world_->now_us();
   return Request(std::move(st));
@@ -47,59 +49,35 @@ Request Comm::irecv(int src, int tag) {
   return Request(std::move(st));
 }
 
-void Comm::fulfil_oldest(int src, int tag, Payload data, double t_us) {
-  auto& q = pending_[{src, tag}];
-  GC_CHECK_MSG(!q.empty(), "message on (src " << src << ", tag " << tag
-                               << ") with no outstanding irecv");
-  std::shared_ptr<Request::State> st = std::move(q.front());
-  q.pop_front();
-  st->data = std::move(data);
-  st->complete_us = t_us;
-  st->done = true;
+void Comm::complete(Request::State& st) {
+  while (!st.done) {
+    double t_us = 0.0;
+    Payload p = world_->do_recv(st.peer, rank_, st.tag, &t_us);
+    // The channel's next message belongs to its oldest outstanding irecv.
+    auto& q = pending_[{st.peer, st.tag}];
+    GC_CHECK(!q.empty());
+    Request::State& oldest = *q.front();
+    oldest.data = std::move(p);
+    oldest.complete_us = t_us;
+    oldest.done = true;
+    q.pop_front();
+  }
 }
 
 Payload Comm::wait(Request& r) {
   GC_CHECK_MSG(r.valid(), "wait on an invalid request");
-  const std::shared_ptr<Request::State>& st = r.st_;
-  while (!st->done) {
-    double t_us = 0.0;
-    Payload p = world_->do_recv(st->peer, rank_, st->tag, &t_us);
-    fulfil_oldest(st->peer, st->tag, std::move(p), t_us);
-  }
-  return std::move(st->data);
-}
-
-bool Comm::test(Request& r) {
-  GC_CHECK_MSG(r.valid(), "test on an invalid request");
-  const std::shared_ptr<Request::State>& st = r.st_;
-  while (!st->done) {
-    double t_us = 0.0;
-    std::optional<Payload> p =
-        world_->try_recv(st->peer, rank_, st->tag, &t_us);
-    if (!p) return false;
-    fulfil_oldest(st->peer, st->tag, std::move(*p), t_us);
-  }
-  return true;
+  complete(*r.st_);
+  return std::move(r.st_->data);
 }
 
 void Comm::wait_all(std::vector<Request>& rs) {
   for (Request& r : rs) {
-    if (!r.valid() || r.st_->is_send) continue;
-    const std::shared_ptr<Request::State>& st = r.st_;
-    while (!st->done) {
-      double t_us = 0.0;
-      Payload p = world_->do_recv(st->peer, rank_, st->tag, &t_us);
-      fulfil_oldest(st->peer, st->tag, std::move(p), t_us);
-    }
+    if (r.valid()) complete(*r.st_);
   }
 }
 
 double Comm::allreduce_sum(double value) {
-  // Payload carries the double split into two Reals? No — encode via a
-  // single-element payload per 32-bit half would lose precision; instead
-  // serialize through memcpy into two floats' bit patterns.
-  static constexpr int kTagGather = 90001;
-  static constexpr int kTagBcast = 90002;
+  // The double travels as the bit pattern of two Reals.
   auto encode = [](double v) {
     Payload p(2);
     static_assert(sizeof(double) == 2 * sizeof(Real));
@@ -118,15 +96,15 @@ double Comm::allreduce_sum(double value) {
   if (rank() == 0) {
     double total = value;
     for (int r = 1; r < n; ++r) {
-      total += decode(world_->do_recv(r, 0, kTagGather));
+      total += decode(world_->do_recv(r, 0, kAllreduceGather));
     }
     for (int r = 1; r < n; ++r) {
-      world_->do_send(0, r, kTagBcast, encode(total));
+      world_->do_send(0, r, kAllreduceBcast, encode(total));
     }
     return total;
   }
-  world_->do_send(rank_, 0, kTagGather, encode(value));
-  return decode(world_->do_recv(0, rank_, kTagBcast));
+  world_->do_send(rank_, 0, kAllreduceGather, encode(value));
+  return decode(world_->do_recv(0, rank_, kAllreduceBcast));
 }
 
 MpiLite::MpiLite(int ranks)
@@ -137,8 +115,7 @@ MpiLite::MpiLite(int ranks)
 }
 
 void MpiLite::set_fault_spec(FaultSpec* spec) {
-  // Both locks: do_barrier reads faults_ under barrier_mu_ only.
-  std::scoped_lock lock(mu_, barrier_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   faults_ = spec;
 }
 
@@ -152,7 +129,7 @@ void MpiLite::set_reliability(const ReliabilityConfig& cfg) {
 
 RankTraffic MpiLite::rank_traffic(int rank) const {
   GC_CHECK_MSG(rank >= 0 && rank < ranks_, "invalid rank " << rank);
-  std::scoped_lock lock(mu_, barrier_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   return rank_traffic_[static_cast<std::size_t>(rank)];
 }
 
@@ -175,14 +152,13 @@ ReliabilityStats MpiLite::reliability_totals() const {
 }
 
 void MpiLite::reset() {
-  std::scoped_lock lock(mu_, barrier_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   mailboxes_.clear();
   send_seq_.clear();
   recv_next_.clear();
   send_log_.clear();
   ooo_.clear();
   delayed_.clear();
-  barrier_waiting_ = 0;
   abort_.store(false, std::memory_order_release);
 }
 
@@ -192,8 +168,6 @@ void MpiLite::abort_world() {
   // blocking cannot miss the wakeup.
   { std::lock_guard<std::mutex> lock(mu_); }
   cv_.notify_all();
-  { std::lock_guard<std::mutex> lock(barrier_mu_); }
-  barrier_cv_.notify_all();
 }
 
 void MpiLite::run(const std::function<void(Comm&)>& node_main) {
@@ -225,20 +199,18 @@ void MpiLite::run(const std::function<void(Comm&)>& node_main) {
   if (first_error) std::rethrow_exception(first_error);
 }
 
-void MpiLite::push_msg(const Key& key, Msg m) {
-  mailboxes_[key].push(std::move(m));
-}
-
-void MpiLite::inject(const Key& key, u64 seq, const Payload& data) {
+void MpiLite::inject(const Key& key, Msg m) {
+  const u64 seq = m.seq;
   FaultSpec* f = faults_;
-  if (f->blackholed(key.src, key.dst, key.tag)) return;
-  if (f->roll(FaultKind::Drop, key.src, key.dst, key.tag, seq)) return;
-
-  Msg m;
-  m.seq = seq;
-  m.crc = crc32(data.data(), data.size() * sizeof(Real));
-  m.t_us = now_us();
-  m.data = data;
+  if (f && (f->blackholed(key.src, key.dst, key.tag) ||
+            f->roll(FaultKind::Drop, key.src, key.dst, key.tag, seq))) {
+    return;
+  }
+  std::queue<Msg>& box = mailboxes_[key];
+  if (!f) {
+    box.push(std::move(m));
+    return;
+  }
   if (f->roll(FaultKind::Corrupt, key.src, key.dst, key.tag, seq) &&
       !m.data.empty()) {
     const u64 bit = f->corrupt_bit(key.src, key.dst, key.tag, seq,
@@ -256,11 +228,11 @@ void MpiLite::inject(const Key& key, u64 seq, const Payload& data) {
     delayed_.emplace(key, std::move(m));
     return;
   }
-  if (dup) push_msg(key, m);
-  push_msg(key, std::move(m));
+  if (dup) box.push(m);
+  box.push(std::move(m));
   auto dit = delayed_.find(key);
   if (dit != delayed_.end()) {
-    push_msg(key, std::move(dit->second));
+    box.push(std::move(dit->second));
     delayed_.erase(dit);
   }
 }
@@ -273,34 +245,35 @@ void MpiLite::retransmit(const Key& key, u64 seq) {
   if (faults_ && faults_->blackholed(key.src, key.dst, key.tag)) return;
   Msg m;
   m.seq = seq;
-  m.crc = crc32(it->second.data(), it->second.size() * sizeof(Real));
+  m.crc = payload_crc(it->second);
   m.t_us = now_us();
   m.data = it->second;
-  push_msg(key, std::move(m));
+  mailboxes_[key].push(std::move(m));
   ++rel_stats_[static_cast<std::size_t>(key.dst)].retransmits;
 }
 
 void MpiLite::do_send(int src, int dst, int tag, Payload data) {
   GC_CHECK_MSG(dst >= 0 && dst < ranks_, "send to invalid rank " << dst);
+  // Checksum and retained copy are taken before locking: the one mutex
+  // serializes every rank, so only the bookkeeping runs under it.
+  const auto values = static_cast<i64>(data.size());
+  Payload retained = data;
+  Msg m;
+  m.crc = payload_crc(data);
+  m.data = std::move(data);
   {
     std::lock_guard<std::mutex> lock(mu_);
     total_messages_ += 1;
-    total_values_ += static_cast<i64>(data.size());
+    total_values_ += values;
     RankTraffic& rt = rank_traffic_[static_cast<std::size_t>(src)];
     rt.messages += 1;
-    rt.payload_values += static_cast<i64>(data.size());
+    rt.payload_values += values;
     const Key key{src, dst, tag};
-    if (!faults_) {
-      Msg m;
-      m.t_us = now_us();
-      m.data = std::move(data);
-      mailboxes_[key].push(std::move(m));
-    } else {
-      const u64 seq = send_seq_[key]++;
-      // Retained until the receiver delivers it (delivery is the ack).
-      send_log_[key].emplace(seq, data);
-      inject(key, seq, data);
-    }
+    m.seq = send_seq_[key]++;
+    m.t_us = now_us();
+    // Retained until the receiver delivers it (delivery is the ack).
+    send_log_[key].emplace(m.seq, std::move(retained));
+    inject(key, std::move(m));
   }
   cv_.notify_all();
 }
@@ -309,115 +282,55 @@ Payload MpiLite::do_recv(int src, int dst, int tag, double* enqueue_us) {
   GC_CHECK_MSG(src >= 0 && src < ranks_, "recv from invalid rank " << src);
   std::unique_lock<std::mutex> lock(mu_);
   const Key key{src, dst, tag};
-  if (faults_) return recv_reliable(key, lock, enqueue_us);
-
-  cv_.wait(lock, [this, &key] {
-    if (aborted()) return true;
-    auto it = mailboxes_.find(key);
-    return it != mailboxes_.end() && !it->second.empty();
-  });
-  auto it = mailboxes_.find(key);
-  if (it == mailboxes_.end() || it->second.empty()) {
-    GC_CHECK(aborted());
-    throw CommAborted("recv aborted: another rank failed");
-  }
-  Msg m = std::move(it->second.front());
-  it->second.pop();
-  if (enqueue_us) *enqueue_us = m.t_us;
-  return std::move(m.data);
-}
-
-std::optional<Payload> MpiLite::try_recv(int src, int dst, int tag,
-                                         double* enqueue_us) {
-  GC_CHECK_MSG(src >= 0 && src < ranks_, "recv from invalid rank " << src);
-  std::lock_guard<std::mutex> lock(mu_);
-  const Key key{src, dst, tag};
-  if (faults_) {
-    if (std::optional<Msg> m = poll_reliable(key)) {
-      return deliver_reliable(key, std::move(*m), enqueue_us);
-    }
-    if (aborted()) throw CommAborted("recv aborted: another rank failed");
-    return std::nullopt;
-  }
-  auto it = mailboxes_.find(key);
-  if (it == mailboxes_.end() || it->second.empty()) {
-    if (aborted()) throw CommAborted("recv aborted: another rank failed");
-    return std::nullopt;
-  }
-  Msg m = std::move(it->second.front());
-  it->second.pop();
-  if (enqueue_us) *enqueue_us = m.t_us;
-  return std::move(m.data);
-}
-
-std::optional<MpiLite::Msg> MpiLite::poll_reliable(const Key& key) {
-  const u64 expect = recv_next_[key];
-  ReliabilityStats& st = rel_stats_[static_cast<std::size_t>(key.dst)];
-  auto& ooo = ooo_[key];
-  for (;;) {
-    auto oit = ooo.find(expect);
-    if (oit != ooo.end()) {
-      Msg m = std::move(oit->second);
-      ooo.erase(oit);
-      return m;
-    }
-    auto mit = mailboxes_.find(key);
-    if (mit == mailboxes_.end() || mit->second.empty()) return std::nullopt;
-    Msg m = std::move(mit->second.front());
-    mit->second.pop();
-    if (m.seq < expect || ooo.count(m.seq)) {
-      ++st.duplicates_dropped;
-      continue;
-    }
-    if (crc32(m.data.data(), m.data.size() * sizeof(Real)) != m.crc) {
-      ++st.corrupt_detected;
-      retransmit(key, m.seq);  // NACK: re-inject the clean retained copy
-      continue;
-    }
-    if (m.seq > expect) {
-      ooo.emplace(m.seq, std::move(m));
-      continue;
-    }
-    return m;
-  }
-}
-
-Payload MpiLite::deliver_reliable(const Key& key, Msg m, double* enqueue_us) {
-  const u64 expect = recv_next_[key];
-  recv_next_[key] = expect + 1;
-  // Ack: purge the sender-side retained copies up to this point.
-  auto lit = send_log_.find(key);
-  if (lit != send_log_.end()) {
-    lit->second.erase(lit->second.begin(), lit->second.upper_bound(expect));
-  }
-  if (enqueue_us) *enqueue_us = m.t_us;
-  return std::move(m.data);
-}
-
-Payload MpiLite::recv_reliable(const Key& key,
-                               std::unique_lock<std::mutex>& lock,
-                               double* enqueue_us) {
-  const u64 expect = recv_next_[key];
-  ReliabilityStats& st = rel_stats_[static_cast<std::size_t>(key.dst)];
+  // std::map references stay valid while other channels are inserted.
+  std::queue<Msg>& box = mailboxes_[key];
+  std::map<u64, Msg>& ooo = ooo_[key];
+  u64& next = recv_next_[key];
+  const u64 expect = next;
+  ReliabilityStats& st = rel_stats_[static_cast<std::size_t>(dst)];
   int attempts = 0;
 
   for (;;) {
-    if (std::optional<Msg> m = poll_reliable(key)) {
-      return deliver_reliable(key, std::move(*m), enqueue_us);
+    // Drain the mailbox until the expected envelope is in hand.
+    std::optional<Msg> got;
+    if (auto oit = ooo.find(expect); oit != ooo.end()) {
+      got = std::move(oit->second);
+      ooo.erase(oit);
     }
-    if (aborted()) {
-      throw CommAborted("recv aborted: another rank failed");
+    while (!got && !box.empty()) {
+      Msg m = std::move(box.front());
+      box.pop();
+      if (m.seq < expect || ooo.count(m.seq)) {
+        ++st.duplicates_dropped;
+      } else if (payload_crc(m.data) != m.crc) {
+        ++st.corrupt_detected;
+        retransmit(key, m.seq);  // NACK: re-inject the clean retained copy
+      } else if (m.seq > expect) {
+        ooo.emplace(m.seq, std::move(m));
+      } else {
+        got = std::move(m);
+      }
+    }
+    if (got) {
+      next = expect + 1;
+      // Ack: purge the sender-side retained copies up to this point.
+      std::map<u64, Payload>& log = send_log_[key];
+      log.erase(log.begin(), log.upper_bound(expect));
+      if (enqueue_us) *enqueue_us = got->t_us;
+      return std::move(got->data);
+    }
+    if (aborted()) throw CommAborted("recv aborted: another rank failed");
+
+    const auto ready = [this, &box] { return aborted() || !box.empty(); };
+    if (!faults_) {
+      cv_.wait(lock, ready);
+      continue;
     }
     const double mult =
         std::min(std::pow(rel_.backoff, attempts), rel_.max_backoff);
     const auto wait =
         std::chrono::duration<double, std::milli>(rel_.recv_timeout_ms * mult);
-    const bool woke = cv_.wait_for(lock, wait, [this, &key] {
-      if (aborted()) return true;
-      auto it = mailboxes_.find(key);
-      return it != mailboxes_.end() && !it->second.empty();
-    });
-    if (!woke) {
+    if (!cv_.wait_for(lock, wait, ready)) {
       ++st.timeouts;
       ++attempts;
       if (attempts > rel_.max_retries) {
@@ -428,34 +341,6 @@ Payload MpiLite::recv_reliable(const Key& key,
                           std::to_string(attempts) + " attempts");
       }
       retransmit(key, expect);  // no-op while the sender hasn't sent yet
-    }
-  }
-}
-
-void MpiLite::do_barrier(int rank) {
-  double stall = 0;
-  {
-    std::lock_guard<std::mutex> lock(barrier_mu_);
-    RankTraffic& rt = rank_traffic_[static_cast<std::size_t>(rank)];
-    if (faults_) stall = faults_->stall_ms(rank, rt.barrier_waits);
-    rt.barrier_waits += 1;
-  }
-  if (stall > 0) {
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(stall));
-  }
-  std::unique_lock<std::mutex> lock(barrier_mu_);
-  const u64 gen = barrier_generation_;
-  if (++barrier_waiting_ == ranks_) {
-    barrier_waiting_ = 0;
-    ++barrier_generation_;
-    barrier_cv_.notify_all();
-  } else {
-    barrier_cv_.wait(lock, [this, gen] {
-      return barrier_generation_ != gen || aborted();
-    });
-    if (barrier_generation_ == gen && aborted()) {
-      throw CommAborted("barrier aborted: another rank failed");
     }
   }
 }

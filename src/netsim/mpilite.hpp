@@ -1,19 +1,23 @@
 // MpiLite: an in-process message-passing layer in the style of the MPI
-// subset the paper uses (point-to-point send/recv + barrier). Each logical
-// cluster node runs as a thread; mailboxes are keyed by (src, dst, tag).
-// This layer provides the *functional* data movement of the distributed
-// LBM; the *timing* of the same traffic comes from netsim::SwitchModel.
+// subset the paper uses (point-to-point send/recv on a pairwise schedule).
+// Each logical cluster node runs as a thread; mailboxes are keyed by
+// (src, dst, tag). This layer provides the *functional* data movement of
+// the distributed LBM; the *timing* of the same traffic — including the
+// paper's per-step barrier — comes from netsim::SwitchModel.
 //
-// Fault tolerance: attaching a netsim::FaultSpec switches every channel
-// to a reliable envelope protocol — sequence-numbered, CRC32-checksummed
-// messages with receive timeouts and bounded retransmit from a sender-side
+// Every message rides one reliable envelope protocol: a per-channel
+// sequence number, a CRC32 of the payload bytes and a sender-side
 // retained copy (the in-process stand-in for an ack/retransmit protocol:
 // delivery purges the retained copy, which is exactly what an ack
-// achieves). Exhausted retries raise CommTimeout instead of hanging, and
-// any rank failure flips a world-wide abort flag that wakes every rank
-// blocked in recv/barrier with CommAborted, so one failure never
-// deadlocks the world. Without a FaultSpec the legacy zero-overhead path
-// is used (no CRC, no retained copies, no timeouts).
+// achieves). The receiver delivers in sequence order, drops duplicates
+// and re-injects the retained copy when a CRC check fails. Attaching a
+// netsim::FaultSpec arms two things: the fault filter every first
+// transmission passes (drop/duplicate/delay/corrupt, blackholes) and the
+// receive timer, whose expiry retransmits and, once the retry budget is
+// spent, raises CommTimeout instead of hanging. Without a FaultSpec no
+// message can be lost, so receives wait untimed. Any rank failure flips
+// a world-wide abort flag that wakes every rank blocked in a receive with
+// CommAborted, so one failure never deadlocks the world.
 #pragma once
 
 #include <condition_variable>
@@ -23,7 +27,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -44,7 +47,7 @@ class Comm;
 /// Handle for a nonblocking operation (isend/irecv). Copyable: copies
 /// share the operation's state, so a request can sit in several
 /// wait_all batches (completion is idempotent). Completion only
-/// advances inside wait/test/wait_all on the owning Comm — there is no
+/// advances inside wait/wait_all on the owning Comm — there is no
 /// background progress thread, matching how MPI progress is typically
 /// driven from the host loop.
 class Request {
@@ -68,7 +71,6 @@ class Request {
  private:
   friend class Comm;
   struct State {
-    bool is_send = false;
     int peer = -1;
     int tag = 0;
     bool done = false;
@@ -96,10 +98,6 @@ class Comm {
   /// Combined exchange with a partner (both sides must call it).
   Payload sendrecv(int partner, int tag, Payload data);
 
-  /// Synchronizes all ranks. Throws CommAborted if the world aborts
-  /// while waiting.
-  void barrier();
-
   /// Global sum across ranks; every rank receives the result (naive
   /// gather-to-root + broadcast, which is all the paper's solvers need).
   double allreduce_sum(double value);
@@ -107,7 +105,7 @@ class Comm {
   // --- nonblocking operations -------------------------------------------
   // Matching is FIFO per (src, tag) channel: the channel's next message
   // always completes the *oldest* outstanding irecv, regardless of which
-  // handle wait/test is called on. Do not mix blocking recv() with
+  // handle wait is called on. Do not mix blocking recv() with
   // outstanding irecv()s on the same channel — the blocking call would
   // steal a message the posted request is owed.
 
@@ -118,33 +116,28 @@ class Comm {
   Request isend(int dst, int tag, Payload data);
 
   /// Posts a receive for the next unclaimed message on (src, tag) and
-  /// returns immediately. Complete it with wait / test / wait_all.
+  /// returns immediately. Complete it with wait / wait_all.
   Request irecv(int src, int tag);
 
   /// Blocks until `r` completes and returns its payload (moved out; a
   /// second wait on the same handle returns an empty payload). Send
-  /// requests return an empty payload. Under a FaultSpec this obeys the
-  /// reliable-exchange timeout/retry budget; a world abort throws
-  /// CommAborted instead of hanging — same contract as recv().
+  /// requests return an empty payload. Same contract as recv(): under a
+  /// FaultSpec it obeys the timeout/retry budget, and a world abort
+  /// throws CommAborted instead of hanging.
   Payload wait(Request& r);
-
-  /// Drives progress without blocking; true once `r` is complete (its
-  /// payload is then retrievable with wait). Never throws CommTimeout;
-  /// throws CommAborted if the world aborted and nothing is deliverable.
-  bool test(Request& r);
 
   /// Completes every request in `rs` (payloads stay in the handles).
   /// Invalid (default-constructed) entries and duplicates of an already
-  /// completed request are no-ops. Throws CommAborted on a world abort.
+  /// completed request are no-ops. Same contract as wait().
   void wait_all(std::vector<Request>& rs);
 
  private:
   friend class MpiLite;
   Comm(MpiLite* world, int rank) : world_(world), rank_(rank) {}
 
-  /// Hands a delivered message to the oldest outstanding irecv on
-  /// (src, tag). `t_us` is the message's enqueue stamp.
-  void fulfil_oldest(int src, int tag, Payload data, double t_us);
+  /// Receives on `st`'s channel, handing each message to the oldest
+  /// outstanding irecv there, until `st` is complete.
+  void complete(Request::State& st);
 
   MpiLite* world_;
   int rank_;
@@ -153,17 +146,17 @@ class Comm {
       pending_;
 };
 
-/// Per-rank traffic counters: messages/payload values *sent* by the rank
-/// and how many times it entered a barrier. The raw material for the
-/// per-rank mpi.* counters the observability layer exports.
+/// Per-rank traffic counters: messages/payload values *sent* by the rank.
+/// The raw material for the per-rank mpi.* counters the observability
+/// layer exports.
 struct RankTraffic {
   i64 messages = 0;
   i64 payload_values = 0;
-  i64 barrier_waits = 0;
 };
 
 /// Receiver-side tallies of the reliable-exchange protocol, per receiving
-/// rank. All zero when no FaultSpec is attached.
+/// rank. All zero when no FaultSpec is attached: a perfect network never
+/// corrupts, duplicates or loses a message.
 struct ReliabilityStats {
   i64 retransmits = 0;         ///< retained copies re-injected
   i64 corrupt_detected = 0;    ///< CRC mismatches discarded
@@ -171,8 +164,8 @@ struct ReliabilityStats {
   i64 timeouts = 0;            ///< receive waits that expired
 };
 
-/// Retransmit policy of the reliable exchange (used only with a
-/// FaultSpec attached).
+/// Receive-timer and retransmit policy of the reliable exchange (the
+/// timer is armed only with a FaultSpec attached).
 struct ReliabilityConfig {
   double recv_timeout_ms = 250;  ///< base per-attempt receive wait
   int max_retries = 10;          ///< timeout attempts before CommTimeout
@@ -186,28 +179,27 @@ class MpiLite {
 
   int size() const { return ranks_; }
 
-  /// Attaches (or detaches, with nullptr) a fault specification. Enables
-  /// the reliable envelope protocol on every channel. Not owned; must
-  /// outlive the runs it is attached for. Call between runs only.
+  /// Attaches (or detaches, with nullptr) a fault specification: arms
+  /// the fault filter on every first transmission and the receive timer.
+  /// Not owned; must outlive the runs it is attached for. Call between
+  /// runs only.
   void set_fault_spec(FaultSpec* spec);
-  FaultSpec* fault_spec() const { return faults_; }
 
   void set_reliability(const ReliabilityConfig& cfg);
-  const ReliabilityConfig& reliability() const { return rel_; }
 
   /// Runs `node_main(comm)` on `ranks` threads and joins them. Exceptions
   /// thrown by any rank are captured and rethrown (first one wins); the
-  /// first failure aborts the world so that ranks blocked in recv or
-  /// barrier wake with CommAborted instead of hanging forever.
+  /// first failure aborts the world so that ranks blocked in a receive
+  /// wake with CommAborted instead of hanging forever.
   void run(const std::function<void(Comm&)>& node_main);
 
   /// True after a failed run() until reset() is called.
   bool aborted() const { return abort_.load(std::memory_order_acquire); }
 
   /// Externally aborts the world: sets the abort flag and wakes every
-  /// rank blocked in recv/barrier with CommAborted — the same mechanism
-  /// a failing rank triggers, exposed so a watchdog can cancel a run
-  /// that is stuck past its deadline instead of waiting forever.
+  /// rank blocked in a receive with CommAborted — the same mechanism a
+  /// failing rank triggers, exposed so a watchdog can cancel a run that
+  /// is stuck past its deadline instead of waiting forever.
   /// Safe to call from any thread, including while run() is active.
   void abort() { abort_world(); }
 
@@ -254,8 +246,7 @@ class MpiLite {
   };
 
   /// The envelope: sequence number + CRC32 of the payload bytes plus the
-  /// world-clock enqueue stamp. In the legacy (no-fault) path seq/crc
-  /// stay zero and are never checked.
+  /// world-clock enqueue stamp.
   struct Msg {
     u64 seq = 0;
     u32 crc = 0;
@@ -264,65 +255,39 @@ class MpiLite {
   };
 
   void do_send(int src, int dst, int tag, Payload data) GC_EXCLUDES(mu_);
+  /// The one receive loop: delivers the channel's next message in
+  /// sequence order, dropping duplicates, NACKing CRC failures (the
+  /// retained copy is re-injected) and parking early arrivals. Waits
+  /// untimed on a perfect network; under a FaultSpec each expiry of the
+  /// receive timer retransmits, and an exhausted budget throws
+  /// CommTimeout. A world abort throws CommAborted.
   Payload do_recv(int src, int dst, int tag, double* enqueue_us = nullptr)
       GC_EXCLUDES(mu_);
-  Payload recv_reliable(const Key& key, std::unique_lock<std::mutex>& lock,
-                        double* enqueue_us) GC_REQUIRES(mu_);
-  /// Nonblocking receive: delivers the channel's next message if one is
-  /// immediately available (under a FaultSpec this drains whatever
-  /// envelopes are present, handling duplicates / CRC NACKs / reordering
-  /// exactly like the blocking path, but never waits and never counts a
-  /// timeout). Returns nullopt when nothing is deliverable; throws
-  /// CommAborted when the world aborted and nothing is deliverable.
-  std::optional<Payload> try_recv(int src, int dst, int tag,
-                                  double* enqueue_us = nullptr)
-      GC_EXCLUDES(mu_);
-  /// Drains immediately-available envelopes on `key` until the expected
-  /// sequence number is deliverable or the mailbox runs dry (handling
-  /// duplicates, CRC-failure NACKs and out-of-order arrivals). Does not
-  /// advance recv_next_. Caller holds mu_.
-  std::optional<Msg> poll_reliable(const Key& key) GC_REQUIRES(mu_);
-  /// Commits a message poll_reliable matched: advances recv_next_ and
-  /// purges acked retained copies. Caller holds mu_.
-  Payload deliver_reliable(const Key& key, Msg m, double* enqueue_us)
-      GC_REQUIRES(mu_);
-  void do_barrier(int rank) GC_EXCLUDES(mu_, barrier_mu_);
 
-  /// Delivers one first-transmission envelope through the fault filter
-  /// (drop/duplicate/delay/corrupt). Caller holds mu_.
-  void inject(const Key& key, u64 seq, const Payload& data)
-      GC_REQUIRES(mu_);
+  /// Delivers one sealed first-transmission envelope, through the fault
+  /// filter (blackhole/drop/duplicate/delay/corrupt) when a FaultSpec is
+  /// attached. Caller holds mu_.
+  void inject(const Key& key, Msg m) GC_REQUIRES(mu_);
   /// Re-injects the retained copy of (key, seq) verbatim (blackholes
   /// still swallow it). Caller holds mu_.
   void retransmit(const Key& key, u64 seq) GC_REQUIRES(mu_);
-  void push_msg(const Key& key, Msg m) GC_REQUIRES(mu_);
 
   /// Sets the abort flag and wakes every blocked rank.
-  void abort_world() GC_EXCLUDES(mu_, barrier_mu_);
+  void abort_world() GC_EXCLUDES(mu_);
 
   int ranks_;
   Timer clock_;
-  /// Set between runs only (set_fault_spec contract); read by both the
-  /// send path (under mu_) and the barrier path (under barrier_mu_), so
-  /// it cannot be pinned to a single guard.
-  FaultSpec* faults_ = nullptr;
-  /// Same contract as faults_: written between runs, read everywhere.
-  ReliabilityConfig rel_;
   std::atomic<bool> abort_{false};
 
-  /// Canonical lock order: the mailbox lock precedes the barrier lock
-  /// (do_barrier tallies traffic under mu_ before blocking on
-  /// barrier_mu_; nothing under barrier_mu_ ever takes mu_).
-  mutable std::mutex mu_ GC_ACQUIRED_BEFORE(barrier_mu_);
+  mutable std::mutex mu_;
   std::condition_variable cv_;
+  /// Set between runs only (set_fault_spec contract).
+  FaultSpec* faults_ GC_GUARDED_BY(mu_) = nullptr;
+  ReliabilityConfig rel_ GC_GUARDED_BY(mu_);
   std::map<Key, std::queue<Msg>> mailboxes_ GC_GUARDED_BY(mu_);
-  /// Dual-lock tally: the send path writes it under mu_, the barrier
-  /// path under barrier_mu_ (disjoint fields), so neither guard alone
-  /// covers it — deliberately left out of the GC_GUARDED_BY contract.
-  std::vector<RankTraffic> rank_traffic_;
+  std::vector<RankTraffic> rank_traffic_ GC_GUARDED_BY(mu_);
   std::vector<ReliabilityStats> rel_stats_ GC_GUARDED_BY(mu_);
 
-  // Reliable-exchange state (all empty in the legacy path).
   /// Next seq to assign.
   std::map<Key, u64> send_seq_ GC_GUARDED_BY(mu_);
   /// Next seq expected.
@@ -333,12 +298,6 @@ class MpiLite {
   std::map<Key, std::map<u64, Msg>> ooo_ GC_GUARDED_BY(mu_);
   /// Held-back envelopes.
   std::map<Key, Msg> delayed_ GC_GUARDED_BY(mu_);
-
-  // Generation-counting barrier.
-  mutable std::mutex barrier_mu_;
-  std::condition_variable barrier_cv_;
-  int barrier_waiting_ GC_GUARDED_BY(barrier_mu_) = 0;
-  u64 barrier_generation_ GC_GUARDED_BY(barrier_mu_) = 0;
 
   i64 total_messages_ GC_GUARDED_BY(mu_) = 0;
   i64 total_values_ GC_GUARDED_BY(mu_) = 0;

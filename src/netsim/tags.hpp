@@ -1,11 +1,11 @@
 // Central MPI tag registry. Every point-to-point channel in the system is
 // identified by a (src, dst, tag) triple; correctness of the exchange
 // protocols (two-hop diagonal routing, thermal ghost swap, CG proxy
-// refresh, the reliable-envelope sequence numbers) depends on no two
-// logical streams sharing a triple. All tags are therefore drawn from this
-// one enum — gc_lint flags raw integer literals at send/isend/irecv call
-// sites — and the block layout below is proven overlap-free at compile
-// time.
+// refresh, allreduce, the reliable-envelope sequence numbers) depends on
+// no two logical streams sharing a triple. All tags are therefore drawn
+// from this one enum — gc_lint flags raw integer literals at
+// send/isend/irecv call sites — and the block layout below is proven
+// overlap-free at compile time.
 //
 // Base tags ("...Base") are offset by a rank or node id at the call site
 // (e.g. kHop1Base + ultimate destination node); each owns the half-open
@@ -19,11 +19,14 @@ enum Tag : int {
   kFace = 1,            ///< axial face payloads (unique per (src,dst) pair)
   kHop1Base = 1000,     ///< + ultimate destination node (diagonal hop 1)
   kHop2Base = 2000,     ///< + origin node (diagonal hop 2)
-  kDirectBase = 3000,   ///< + sender node (direct-diagonal ablation mode)
   kThermalFace = 4000,  ///< thermal ghost-plane scalar exchange
 
   // --- distributed CG (linalg/distributed_cg)
   kCgProxyBase = 7000,  ///< + sender rank (proxy-entry refresh)
+
+  // --- collectives (netsim::Comm::allreduce_sum)
+  kAllreduceGather = 90001,  ///< every rank's value to rank 0
+  kAllreduceBcast = 90002,   ///< the sum from rank 0 to every rank
 
   // --- reserved for unit tests (tests/ only; width-1 scalar tags)
   kTest0 = 9000,
@@ -52,9 +55,10 @@ inline constexpr TagBlock kTagBlocks[] = {
     {kFace, 1},
     {kHop1Base, kMaxWorldSize},
     {kHop2Base, kMaxWorldSize},
-    {kDirectBase, kMaxWorldSize},
     {kThermalFace, 1},
     {kCgProxyBase, kMaxWorldSize},
+    {kAllreduceGather, 1},
+    {kAllreduceBcast, 1},
     {kTest0, 1},
     {kTest1, 1},
     {kTest2, 1},

@@ -39,7 +39,6 @@ constexpr MetricCanon kCounters[] = {
     {"ft.recv_timeouts"},
     {"ft.retransmits"},
     {"ft.rollbacks"},
-    {"mpi.barrier_waits"},
     {"mpi.bytes"},
     {"mpi.messages"},
     {"service.cache_evictions"},

@@ -64,16 +64,6 @@ struct RunStats {
   i64 phase_count(const std::string& name) const;
 };
 
-/// Per-step phase breakdown (milliseconds) emitted by lbm::Solver::step
-/// when a recorder is attached; all zeros otherwise.
-struct StepStats {
-  i64 step = 0;
-  double collide_ms = 0;  ///< collision (or the whole fused pass)
-  double stream_ms = 0;   ///< streaming incl. the boundary finish pass
-  double thermal_ms = 0;  ///< FD temperature advance + buoyancy coupling
-  double total_ms = 0;
-};
-
 /// Collects spans, counters and gauges from any number of threads. All
 /// mutation goes through one mutex — instrumentation sites fire a handful
 /// of times per solver step, so contention is negligible next to the

@@ -448,5 +448,4 @@ TEST(Analyze, RepoGraphCarriesTheDeclaredCanonicalOrder) {
   EXPECT_TRUE(has_edge("ScenarioService::mu_", "PartitionPool::mu_"));
   EXPECT_TRUE(has_edge("ScenarioService::mu_", "FlowCache::mu_"));
   EXPECT_TRUE(has_edge("PartitionPool::mu_", "MpiLite::mu_"));
-  EXPECT_TRUE(has_edge("MpiLite::mu_", "MpiLite::barrier_mu_"));
 }

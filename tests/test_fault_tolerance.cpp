@@ -1,12 +1,22 @@
 // Fault tolerance: deterministic fault schedules, the reliable exchange
-// protocol surviving drops/duplicates/reorders/corruption, the divergence
-// sentinel, and checkpoint-based recovery producing results bit-identical
-// to an undisturbed run.
+// protocol surviving drops/duplicates/reorders/corruption (hand-picked
+// and seeded-fuzzed), the divergence sentinel, and checkpoint-based
+// recovery producing results bit-identical to an undisturbed run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstring>
+#include <deque>
 #include <filesystem>
 #include <limits>
+#include <map>
+#include <numeric>
+#include <optional>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/parallel_lbm.hpp"
@@ -17,6 +27,8 @@
 #include "netsim/mpilite.hpp"
 #include "obs/trace.hpp"
 #include "temp_path.hpp"
+#include "util/rng.hpp"
+#include "util/timer.hpp"
 
 namespace gc {
 namespace {
@@ -32,6 +44,7 @@ using netsim::Comm;
 using netsim::FaultSpec;
 using netsim::MpiLite;
 using netsim::Payload;
+using netsim::Request;
 
 /// Scratch directory removed on destruction (cluster checkpoints are
 /// whole directories, not single files).
@@ -90,7 +103,6 @@ void expect_counters_eq(const netsim::FaultCounters& a,
   EXPECT_EQ(a.delays, b.delays);
   EXPECT_EQ(a.corruptions, b.corruptions);
   EXPECT_EQ(a.crashes, b.crashes);
-  EXPECT_EQ(a.stalls, b.stalls);
 }
 
 // ---------------------------------------------------------------------------
@@ -135,17 +147,6 @@ TEST(FaultSpec, CrashIsOneShot) {
   EXPECT_FALSE(spec.should_crash(1, 5));
   EXPECT_FALSE(spec.should_crash(1, 6));
   EXPECT_EQ(spec.counters().crashes, 1);
-}
-
-TEST(FaultSpec, StallCoversBarrierWindow) {
-  FaultSpec spec(0);
-  spec.stalls.push_back({2, 3, 2, 7.5});
-  EXPECT_EQ(spec.stall_ms(2, 2), 0.0);
-  EXPECT_EQ(spec.stall_ms(2, 3), 7.5);
-  EXPECT_EQ(spec.stall_ms(2, 4), 7.5);
-  EXPECT_EQ(spec.stall_ms(2, 5), 0.0);
-  EXPECT_EQ(spec.stall_ms(1, 3), 0.0);
-  EXPECT_EQ(spec.counters().stalls, 2);
 }
 
 TEST(FaultSpec, BlackholeWildcardsMatch) {
@@ -294,6 +295,257 @@ TEST(ReliableExchange, FaultyParallelRunMatchesFaultFreeBitExact) {
   expect_counters_eq(ca, cb);
   EXPECT_EQ(got_a, got_b);
   EXPECT_EQ(got_a, want);
+}
+
+// ---------------------------------------------------------------------------
+// EnvelopeFuzz: hostile networks against the envelope that carries every
+// MpiLite message. Each seed draws a communication program (2-5 ranks,
+// 1-3 test tags, 1-3 rounds of 0-2 messages per channel, 0-300 values per
+// payload, a mix of send/isend and recv/irecv+wait/wait_all) and a
+// FaultSpec (drop, duplicate, delay and corrupt rates below 0.3, and on
+// some seeds a blackhole on a channel that carries traffic). Every
+// mutation comes from the FaultSpec.
+
+/// The `index`-th message on channel (src, dst, tag), sent in `round`.
+struct FuzzMsg {
+  int round, src, dst, tag, index;
+};
+
+struct FuzzCase {
+  u64 seed = 0;
+  int ranks = 2;
+  int rounds = 1;
+  /// Each channel's messages in index order.
+  std::vector<FuzzMsg> msgs;
+  netsim::MessageFaultRates rates;
+  std::optional<netsim::ChannelBlackhole> hole;
+};
+
+FuzzCase draw_fuzz_case(u64 seed) {
+  static const int kTags[] = {netsim::kTest0, netsim::kTest1, netsim::kTest2,
+                              netsim::kTest3, netsim::kTest4, netsim::kTest5,
+                              netsim::kTest7, netsim::kTest9};
+  Rng rng(seed * 6151 + 29);
+  FuzzCase c;
+  c.seed = seed;
+  c.ranks = static_cast<int>(rng.uniform_int(2, 5));
+  c.rounds = static_cast<int>(rng.uniform_int(1, 3));
+  std::vector<int> tags;
+  const auto num_tags = static_cast<std::size_t>(rng.uniform_int(1, 3));
+  while (tags.size() < num_tags) {
+    const int t = kTags[rng.uniform_int(0, 7)];
+    if (std::find(tags.begin(), tags.end(), t) == tags.end()) {
+      tags.push_back(t);
+    }
+  }
+  std::map<std::tuple<int, int, int>, int> sent;
+  for (int r = 0; r < c.rounds; ++r) {
+    for (int src = 0; src < c.ranks; ++src) {
+      for (int dst = 0; dst < c.ranks; ++dst) {
+        if (src == dst) continue;
+        for (const int tag : tags) {
+          for (i64 k = rng.uniform_int(0, 2); k > 0; --k) {
+            c.msgs.push_back({r, src, dst, tag, sent[{src, dst, tag}]++});
+          }
+        }
+      }
+    }
+  }
+  c.rates = {rng.uniform(0, 0.3), rng.uniform(0, 0.3), rng.uniform(0, 0.3),
+             rng.uniform(0, 0.3)};
+  if (!c.msgs.empty() && rng.chance(0.2)) {
+    const FuzzMsg& m = c.msgs[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<i64>(c.msgs.size()) - 1))];
+    c.hole = netsim::ChannelBlackhole{m.src, m.dst, m.tag};
+  }
+  return c;
+}
+
+/// Message `m`'s payload: 0-300 values of arbitrary finite bit patterns
+/// (zeros, denormals, extremes), so deliveries are compared as bits.
+Payload fuzz_payload(u64 seed, const FuzzMsg& m) {
+  Rng rng((((seed * 31 + static_cast<u64>(m.src)) * 31 +
+            static_cast<u64>(m.dst)) * 16411 + static_cast<u64>(m.tag)) *
+              4099 + static_cast<u64>(m.index));
+  Payload p(static_cast<std::size_t>(rng.uniform_int(0, 300)));
+  static_assert(sizeof(Real) == sizeof(u32));
+  for (Real& v : p) {
+    auto bits = static_cast<u32>(rng.next_u64());
+    if (((bits >> 23) & 0xFFu) == 0xFFu) bits &= ~(1u << 30);  // no Inf/NaN
+    std::memcpy(&v, &bits, sizeof v);
+  }
+  return p;
+}
+
+/// `me`'s messages of `round` (sent when `sending`, else received) in a
+/// seeded interleaving of their channels that keeps each channel's order.
+std::vector<FuzzMsg> interleave(const FuzzCase& c, int round, int me,
+                                bool sending, Rng& rng) {
+  std::map<std::pair<int, int>, std::deque<FuzzMsg>> channels;
+  for (const FuzzMsg& m : c.msgs) {
+    if (m.round != round || (sending ? m.src : m.dst) != me) continue;
+    channels[{sending ? m.dst : m.src, m.tag}].push_back(m);
+  }
+  std::vector<FuzzMsg> out;
+  while (!channels.empty()) {
+    auto it = std::next(channels.begin(),
+                        rng.uniform_int(0, static_cast<i64>(channels.size()) - 1));
+    out.push_back(it->second.front());
+    it->second.pop_front();
+    if (it->second.empty()) channels.erase(it);
+  }
+  return out;
+}
+
+enum class FuzzOutcome { Delivered, TimedOut, Aborted };
+
+struct FuzzResult {
+  FuzzOutcome outcome = FuzzOutcome::Delivered;
+  double wall_ms = 0;
+  i64 received = 0;    ///< payloads handed to the program
+  i64 mismatched = 0;  ///< of those, not the sender's bits in channel order
+  netsim::ReliabilityStats rel;
+  netsim::FaultCounters fired;
+};
+
+FuzzResult run_fuzz_case(const FuzzCase& c) {
+  MpiLite world(c.ranks);
+  FaultSpec faults(c.seed);
+  faults.rates = c.rates;
+  if (c.hole) faults.blackholes.push_back(*c.hole);
+  world.set_fault_spec(&faults);
+  netsim::ReliabilityConfig rel;  // default backoff
+  rel.recv_timeout_ms = 2;
+  rel.max_retries = 6;
+  world.set_reliability(rel);
+
+  std::atomic<i64> received{0}, mismatched{0};
+  FuzzResult res;
+  Timer t;
+  try {
+    world.run([&c, &received, &mismatched](Comm& comm) {
+      const int me = comm.rank();
+      Rng rng(c.seed * 977 + static_cast<u64>(me));
+      const auto check = [&c, &received, &mismatched](const FuzzMsg& m,
+                                                      const Payload& got) {
+        const Payload want = fuzz_payload(c.seed, m);
+        received.fetch_add(1);
+        if (got.size() != want.size() ||
+            (!got.empty() && std::memcmp(got.data(), want.data(),
+                                         got.size() * sizeof(Real)) != 0)) {
+          mismatched.fetch_add(1);
+        }
+      };
+      for (int round = 0; round < c.rounds; ++round) {
+        for (const FuzzMsg& m : interleave(c, round, me, true, rng)) {
+          if (rng.chance(0.5)) {
+            comm.send(m.dst, m.tag, fuzz_payload(c.seed, m));
+          } else {
+            comm.isend(m.dst, m.tag, fuzz_payload(c.seed, m));
+          }
+        }
+        const std::vector<FuzzMsg> in = interleave(c, round, me, false, rng);
+        const i64 mode = rng.uniform_int(0, 2);
+        if (mode == 0) {
+          for (const FuzzMsg& m : in) check(m, comm.recv(m.src, m.tag));
+          continue;
+        }
+        std::vector<Request> rs;
+        for (const FuzzMsg& m : in) rs.push_back(comm.irecv(m.src, m.tag));
+        std::vector<std::size_t> order(in.size());
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        if (mode == 1) {
+          comm.wait_all(rs);
+        } else {
+          // Shuffled waits: a late handle completes the older ones on
+          // its channel first.
+          for (std::size_t i = order.size(); i > 1; --i) {
+            std::swap(order[i - 1],
+                      order[static_cast<std::size_t>(rng.uniform_int(
+                          0, static_cast<i64>(i) - 1))]);
+          }
+        }
+        for (const std::size_t i : order) check(in[i], comm.wait(rs[i]));
+      }
+    });
+  } catch (const netsim::CommTimeout&) {
+    res.outcome = FuzzOutcome::TimedOut;
+  } catch (const netsim::CommAborted&) {
+    res.outcome = FuzzOutcome::Aborted;
+  }
+  res.wall_ms = t.millis();
+  res.received = received.load();
+  res.mismatched = mismatched.load();
+  res.rel = world.reliability_totals();
+  res.fired = faults.counters();
+  return res;
+}
+
+TEST(EnvelopeFuzz, DeliversBitExactInOrderOrFailsTyped) {
+  // A run either hands every payload to the program bit-exact in channel
+  // order, or ends in CommTimeout / CommAborted — never a wrong payload
+  // and never a hang. Wall bound per run: 1 s plus 70 ms per message, the
+  // full 2 ms x (1 + 6) receive budget with the default 1.5x backoff
+  // (~64 ms) rounded up. A blackholed channel that carries traffic can
+  // never deliver, so that run must end in CommTimeout.
+  const int seeds = 200;
+  int delivered = 0, holed = 0;
+  netsim::FaultCounters fired;  // in delivered runs
+  netsim::ReliabilityStats repaired;
+  for (int seed = 0; seed < seeds; ++seed) {
+    const FuzzCase c = draw_fuzz_case(static_cast<u64>(seed));
+    const FuzzResult r = run_fuzz_case(c);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    EXPECT_EQ(r.mismatched, 0);
+    EXPECT_LE(r.wall_ms, 1000.0 + 70.0 * static_cast<double>(c.msgs.size()));
+    if (c.hole) {
+      ++holed;
+      EXPECT_EQ(r.outcome, FuzzOutcome::TimedOut);
+    } else if (r.outcome == FuzzOutcome::Delivered) {
+      ++delivered;
+      EXPECT_EQ(r.received, static_cast<i64>(c.msgs.size()));
+      fired.drops += r.fired.drops;
+      fired.duplicates += r.fired.duplicates;
+      fired.delays += r.fired.delays;
+      fired.corruptions += r.fired.corruptions;
+      repaired.retransmits += r.rel.retransmits;
+      repaired.corrupt_detected += r.rel.corrupt_detected;
+      repaired.duplicates_dropped += r.rel.duplicates_dropped;
+    }
+  }
+  // Not vacuous: both kinds of seed occurred, and runs that every fault
+  // kind hit were repaired to full delivery (timeouts may end a run on a
+  // loaded host, so no share of deliveries is required).
+  EXPECT_GT(holed, 0);
+  EXPECT_GT(delivered, 0);
+  EXPECT_GT(fired.drops, 0);
+  EXPECT_GT(fired.duplicates, 0);
+  EXPECT_GT(fired.delays, 0);
+  EXPECT_GT(fired.corruptions, 0);
+  EXPECT_GT(repaired.retransmits, 0);
+  EXPECT_GT(repaired.corrupt_detected, 0);
+  EXPECT_GT(repaired.duplicates_dropped, 0);
+}
+
+TEST(EnvelopeFuzz, HealthyNetworkArmsNoTimer) {
+  // Without a FaultSpec no message can be lost, so a receive waits
+  // untimed: a sender 200 ms late outlives the 5 ms x 1 budget many times
+  // over, and the message still arrives with no timeout counted.
+  MpiLite world(2);
+  netsim::ReliabilityConfig rel;
+  rel.recv_timeout_ms = 5;
+  rel.max_retries = 1;
+  world.set_reliability(rel);
+  world.run([](Comm& comm) {
+    if (comm.rank() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+      comm.send(1, netsim::kTest0, Payload{Real(42)});
+    } else {
+      EXPECT_EQ(comm.recv(0, netsim::kTest0), Payload{Real(42)});
+    }
+  });
+  EXPECT_EQ(world.reliability_totals().timeouts, 0);
+  EXPECT_FALSE(world.aborted());
 }
 
 // ---------------------------------------------------------------------------

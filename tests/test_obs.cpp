@@ -82,8 +82,8 @@ TEST(Obs, PhaseTotalsAggregateByName) {
 }
 
 TEST(Obs, CountersAggregateAcrossMpiLiteRanks) {
-  // Each rank sends rank+1 messages of 3 values to the next rank and
-  // hits one barrier; the per-rank counters must add up to the totals.
+  // Each rank sends rank+1 messages of 3 values to the next rank; the
+  // per-rank counters must add up to the totals.
   const int n = 4;
   netsim::MpiLite world(n);
   world.run([n](netsim::Comm& comm) {
@@ -91,7 +91,6 @@ TEST(Obs, CountersAggregateAcrossMpiLiteRanks) {
     for (int m = 0; m <= r; ++m) {
       comm.send((r + 1) % n, netsim::kTest7, netsim::Payload(3, Real(r)));
     }
-    comm.barrier();
     const int prev = (r + n - 1) % n;
     for (int m = 0; m <= prev; ++m) comm.recv(prev, netsim::kTest7);
   });
@@ -102,7 +101,6 @@ TEST(Obs, CountersAggregateAcrossMpiLiteRanks) {
     const netsim::RankTraffic t = world.rank_traffic(r);
     EXPECT_EQ(t.messages, r + 1);
     EXPECT_EQ(t.payload_values, 3 * (r + 1));
-    EXPECT_EQ(t.barrier_waits, 1);
     messages += t.messages;
     rec.add_counter("mpi.messages", r, t.messages);
   }
@@ -185,13 +183,6 @@ TEST(Obs, SolverRunReturnsPhaseTotals) {
   EXPECT_LE(rs.phase_ms("collide") + rs.phase_ms("stream"), rs.wall_ms * 1.5);
   EXPECT_EQ(rec.counter("solver.steps"), 3);
 
-  // The per-step record decomposes the step's wall time.
-  const obs::StepStats& st = solver.last_step_stats();
-  EXPECT_EQ(st.step, 3);
-  EXPECT_GT(st.total_ms, 0.0);
-  EXPECT_LE(st.collide_ms + st.stream_ms + st.thermal_ms,
-            st.total_ms + 1e-6);
-
   // A second run only aggregates its own steps.
   const obs::RunStats rs2 = solver.run(2);
   EXPECT_EQ(rs2.phase_count("collide"), 2);
@@ -207,7 +198,6 @@ TEST(Obs, SolverFusedRunEmitsFusedSpans) {
   const obs::RunStats rs = solver.run(2);
   EXPECT_EQ(rs.phase_count("fused"), 2);
   EXPECT_EQ(rs.phase_count("stream"), 0);
-  EXPECT_GT(solver.last_step_stats().collide_ms, 0.0);
 }
 
 TEST(Obs, ParallelRunEmitsPerRankSpansAndCounters) {

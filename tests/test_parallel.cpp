@@ -97,33 +97,6 @@ INSTANTIATE_TEST_SUITE_P(
                       GridCase{Int3{20, 12, 9}, Int3{4, 2, 1}},
                       GridCase{Int3{13, 11, 9}, Int3{3, 2, 2}}));
 
-TEST(Parallel, DirectDiagonalsMatchIndirect) {
-  // The two-hop indirect routing must be functionally identical to direct
-  // diagonal exchange (it is purely a network optimization).
-  const Int3 dim{16, 16, 8};
-  Lattice init = make_global(dim);
-
-  ParallelConfig a;
-  a.grid = netsim::NodeGrid{Int3{2, 2, 1}};
-  a.indirect_diagonals = true;
-  ParallelLbm pa(init, a);
-  pa.run(5);
-
-  ParallelConfig b = a;
-  b.indirect_diagonals = false;
-  ParallelLbm pb(init, b);
-  pb.run(5);
-
-  Lattice ga(dim), gb(dim);
-  pa.gather(ga);
-  pb.gather(gb);
-  for (int i = 0; i < lbm::Q; ++i) {
-    for (i64 c = 0; c < ga.num_cells(); ++c) {
-      ASSERT_EQ(ga.f(i, c), gb.f(i, c));
-    }
-  }
-}
-
 TEST(Parallel, RejectsPeriodicDecomposedAxis) {
   Lattice lat(Int3{16, 16, 8});  // all faces periodic by default
   ParallelConfig cfg;
