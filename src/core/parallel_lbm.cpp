@@ -1,8 +1,5 @@
 #include "core/parallel_lbm.hpp"
 
-#include <algorithm>
-
-#include "lbm/mrt.hpp"
 #include "netsim/tags.hpp"
 #include "util/timer.hpp"
 
@@ -15,9 +12,8 @@ ParallelLbm::ParallelLbm(const lbm::Lattice& global, ParallelConfig cfg)
       ex_(global, cfg.grid, cfg.fluid_balanced) {
   if (cfg_.faults) ex_.world().set_fault_spec(cfg_.faults);
   ex_.world().set_reliability(cfg_.reliability);
+  lbm::check_collide_step(cfg_, cfg_.thermal.has_value());
   if (cfg_.thermal) {
-    GC_CHECK_MSG(cfg_.collision == lbm::CollisionKind::MRT,
-                 "the hybrid thermal model couples to the MRT collision");
     GC_CHECK_MSG(cfg_.grid.dims.z == 1 || !cfg_.thermal->dirichlet_z,
                  "Dirichlet plates need an undecomposed z axis");
   }
@@ -53,9 +49,6 @@ ParallelLbm::ParallelLbm(const lbm::Lattice& global, ParallelConfig cfg)
         }
       }
       thermals_.push_back(std::move(field));
-      scratch_u_.emplace_back(
-          static_cast<std::size_t>(ld.local_dim().volume()));
-      scratch_force_.emplace_back();
     }
     lattices.push_back(std::move(lat));
   }
@@ -83,55 +76,28 @@ void ParallelLbm::node_step(Comm& comm, int node, i64 global_step) {
                                  std::to_string(global_step));
   }
 
-  if (cfg_.thermal) {
-    // Hybrid thermal step, matching lbm::Solver::step's ordering exactly:
-    // (1) refresh the temperature ghosts with the neighbors' end-of-step
-    // values, (2) FD temperature update using the pre-collision velocity,
-    // (3) MRT collision, (4) Boussinesq force on owned cells.
-    lbm::ThermalField& T = *thermals_[static_cast<std::size_t>(node)];
-    {
-      // One scalar message per face swap; sends are buffered, so posting
-      // every face before the first receive cannot deadlock.
-      obs::ScopedSpan ex(rec, "exchange", node, "net");
-      const ExchangePlan& plan = ex_.plan(node);
-      for (const FaceSwap& f : plan.faces) {
-        comm.send(f.peer, netsim::kThermalFace,
-                  pack_face_scalar(T, lat, ld, f.face));
-      }
-      for (const FaceSwap& f : plan.faces) {
-        unpack_face_scalar(T, lat, ld, f.face,
-                           comm.recv(f.peer, netsim::kThermalFace));
-      }
+  lbm::ThermalField* thermal = nullptr;
+  if (!thermals_.empty()) {
+    thermal = thermals_[static_cast<std::size_t>(node)].get();
+    // Refresh the temperature ghosts with the neighbors' end-of-step
+    // values: one scalar message per face swap. Sends are buffered, so
+    // posting every face before the first receive cannot deadlock.
+    obs::ScopedSpan ex(rec, "exchange", node, "net");
+    const ExchangePlan& plan = ex_.plan(node);
+    for (const FaceSwap& f : plan.faces) {
+      comm.send(f.peer, netsim::kThermalFace,
+                pack_face_scalar(*thermal, lat, ld, f.face));
     }
-    obs::ScopedSpan collide_span(rec, "collide", node, "lbm");
-    auto& u = scratch_u_[static_cast<std::size_t>(node)];
-    lbm::compute_velocity_region(lat, u, ld.own_lo(), ld.own_hi());
-    T.step(lat, u);
-    lbm::collide_mrt(lat, lbm::MrtParams::standard(cfg_.tau), {}, own);
-    auto& force = scratch_force_[static_cast<std::size_t>(node)];
-    T.buoyancy_force(lat, force);
-    lbm::apply_force_first_order_region(lat, force, ld.own_lo(),
-                                        ld.own_hi());
-  } else if (cfg_.collision == lbm::CollisionKind::MRT) {
-    obs::ScopedSpan collide_span(rec, "collide", node, "lbm");
-    lbm::collide_mrt(lat, lbm::MrtParams::standard(cfg_.tau), {}, own);
-  } else {
-    obs::ScopedSpan collide_span(rec, "collide", node, "lbm");
-    lbm::collide_bgk(lat, lbm::BgkParams{cfg_.tau, Vec3{}}, {}, own);
+    for (const FaceSwap& f : plan.faces) {
+      unpack_face_scalar(*thermal, lat, ld, f.face,
+                         comm.recv(f.peer, netsim::kThermalFace));
+    }
   }
 
+  const lbm::StepContext ctx{nullptr, rec, node};
+  lbm::collide_step(lat, cfg_, Vec3{}, thermal, ctx, own);
   ex_.exchange_and_stream(comm, host, cfg_.overlap, rec);
-
-  if (cfg_.sentinel &&
-      (global_step + 1) % std::max(1, cfg_.sentinel->every) == 0) {
-    obs::ScopedSpan span(rec, "sentinel", node, "ft");
-    if (auto report =
-            lbm::scan_divergence(lat, ld.own_lo(), ld.own_hi(),
-                                 *cfg_.sentinel)) {
-      if (rec) rec->add_counter("ft.divergences", node, 1);
-      throw lbm::DivergenceError(*report, global_step + 1, node);
-    }
-  }
+  lbm::check_divergence(lat, cfg_.sentinel, global_step + 1, ctx, own);
 }
 
 obs::RunStats ParallelLbm::run(int steps) {

@@ -1,9 +1,12 @@
 // The distributed LBM of Section 4.3, functionally: each logical cluster
-// node owns a block of the lattice (plus ghost layers), collides locally,
-// exchanges border distributions following the pairwise communication
-// schedule — diagonal traffic routed indirectly in two axial hops — and
-// streams. Produces results identical to the serial lbm reference; the
-// matching *timing* comes from core::ClusterSimulator.
+// node owns a block of the lattice (plus ghost layers), runs the serial
+// solver's sub-domain step on its owned cells (lbm::collide_step, then
+// lbm::check_divergence after streaming), exchanges border distributions
+// following the pairwise communication schedule — diagonal traffic routed
+// indirectly in two axial hops — and streams. Only decomposition,
+// exchange and streaming are its own, and those are what the equivalence
+// harness compares: results are identical to the serial lbm reference;
+// the matching *timing* comes from core::ClusterSimulator.
 #pragma once
 
 #include <memory>
@@ -28,7 +31,7 @@ namespace gc::core {
 /// accessors).
 struct ParallelConfig : lbm::RunParams {
   netsim::NodeGrid grid;
-  /// Hybrid thermal model (forces MRT): the finite-difference temperature
+  /// Hybrid thermal model (requires MRT): the finite-difference temperature
   /// field runs distributed too, exchanging one ghost value per border
   /// cell per step (the 7-point stencil needs axial faces only).
   std::optional<lbm::ThermalParams> thermal;
@@ -54,9 +57,9 @@ struct ParallelConfig : lbm::RunParams {
   /// mpi.overlap_hidden_ms gauge when a recorder is attached.
   bool overlap = false;
   /// When set, every rank emits collide / pack / unpack / exchange /
-  /// stream spans here (tid = rank), and run() publishes per-rank
-  /// mpi.messages / mpi.bytes counters. Null = zero instrumentation
-  /// cost. Not owned.
+  /// stream spans here (tid = rank), plus thermal in thermal runs, and
+  /// run() publishes per-rank mpi.messages / mpi.bytes counters. Null =
+  /// zero instrumentation cost. Not owned.
   obs::TraceRecorder* trace = nullptr;
   /// Fault injection: when set, MpiLite applies the spec's message
   /// faults to every first transmission and times its receives, and
@@ -155,8 +158,6 @@ class ParallelLbm {
   ClusterExchange ex_;
   std::vector<std::unique_ptr<HostNode>> nodes_;
   std::vector<std::unique_ptr<lbm::ThermalField>> thermals_;
-  std::vector<std::vector<Vec3>> scratch_u_;
-  std::vector<std::vector<Vec3>> scratch_force_;
   i64 step_ = 0;
 };
 

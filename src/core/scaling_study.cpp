@@ -1,8 +1,5 @@
 #include "core/scaling_study.hpp"
 
-#include "lbm/solver.hpp"
-#include "util/timer.hpp"
-
 namespace gc::core {
 
 std::vector<int> paper_node_counts() {
@@ -63,16 +60,6 @@ std::vector<ThroughputRow> throughput_rows(
     rows.push_back(r);
   }
   return rows;
-}
-
-double measure_host_step_ms(Int3 dim, int steps) {
-  GC_CHECK(steps > 0);
-  lbm::Solver solver(dim, lbm::SolverConfig{});
-  solver.lattice().init_equilibrium(Real(1), Vec3{Real(0.05), 0, 0});
-  solver.step();  // warm-up
-  Timer t;
-  solver.run(steps);
-  return t.millis() / steps;
 }
 
 }  // namespace gc::core

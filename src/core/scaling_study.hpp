@@ -36,9 +36,4 @@ struct ThroughputRow {
 std::vector<ThroughputRow> throughput_rows(
     const std::vector<StepBreakdown>& series, i64 cells_per_node);
 
-/// Measured mode: actually steps a periodic 3D lattice on this host
-/// (serial, double-buffered, split collide+stream) and returns the mean
-/// wall-clock milliseconds per LBM step.
-double measure_host_step_ms(Int3 dim, int steps);
-
 }  // namespace gc::core

@@ -64,22 +64,21 @@ void Lattice::aa_adopt_collided_layout() {
   phase_ = 1;
 }
 
-void Lattice::rebuild_sparse_layout() {
-  GC_CHECK(mode_ == StorageMode::Sparse);
-  // Expand the current compact buffer through the OLD map into a natural
-  // scratch (zeros at previously pruned cells), so cells that survive a
-  // flag change keep their values and newly active cells start at 0 —
-  // exactly what a dense lattice holds for a never-streamed cell.
+std::vector<Real> Lattice::sparse_expand() const {
+  // Pruned (solid) cells read as 0: what a dense lattice holds for a
+  // never-streamed cell, and what a dense post-stream solid cell holds.
   std::vector<Real> natural(static_cast<std::size_t>(Q * n_), Real(0));
-  if (!sparse_cells_.empty()) {
-    for (int i = 0; i < Q; ++i) {
-      const Real* src = buf_[cur_].data() + sparse_slot(i, 0);
-      Real* dst = natural.data() + plane(i);
-      for (i64 m = 0; m < sparse_n_; ++m) dst[sparse_cells_[m]] = src[m];
-    }
+  for (int i = 0; i < Q; ++i) {
+    const Real* src = buf_[cur_].data() + sparse_slot(i, 0);
+    Real* dst = natural.data() + plane(i);
+    for (i64 m = 0; m < sparse_n_; ++m) dst[sparse_cells_[m]] = src[m];
   }
-  // Rebuild the map in ascending dense order (the span-contiguity
-  // invariant the sparse kernels rely on).
+  return natural;
+}
+
+void Lattice::sparse_compact(std::vector<Real> natural) {
+  // The map in ascending dense order: the span-contiguity invariant the
+  // sparse kernels rely on.
   sparse_map_.assign(static_cast<std::size_t>(n_), i64(-1));
   sparse_cells_.clear();
   for (i64 c = 0; c < n_; ++c) {
@@ -92,8 +91,8 @@ void Lattice::rebuild_sparse_layout() {
     sparse_cells_.push_back(c);
   }
   sparse_n_ = static_cast<i64>(sparse_cells_.size());
-  // Recompact: dropping solid cells' values is unobservable (no compute
-  // path reads them; dense comparisons skip Solid).
+  // Dropping solid cells' values is unobservable: no compute path reads
+  // them, and dense comparisons skip Solid.
   buf_[cur_].assign(static_cast<std::size_t>(Q * sparse_n_), Real(0));
   for (int i = 0; i < Q; ++i) {
     const Real* src = natural.data() + plane(i);
@@ -102,6 +101,13 @@ void Lattice::rebuild_sparse_layout() {
   }
   buf_[1 - cur_].assign(static_cast<std::size_t>(Q * sparse_n_), Real(0));
   sparse_dirty_ = false;
+}
+
+void Lattice::rebuild_sparse_layout() {
+  GC_CHECK(mode_ == StorageMode::Sparse);
+  // Expanding through the OLD map keeps the values of cells that survive
+  // a flag change; newly active cells start at 0.
+  sparse_compact(sparse_expand());
 }
 
 void Lattice::convert_storage(StorageMode mode) {
@@ -116,16 +122,8 @@ void Lattice::convert_storage(StorageMode mode) {
         natural[plane(i) + c] = buf_[cur_][slot(i, c)];
     buf_[0] = std::move(natural);
   } else if (mode_ == StorageMode::Sparse) {
-    // Expand compact planes; pruned (solid) cells read as 0, matching a
-    // dense post-stream lattice.
     ensure_sparse();
-    std::vector<Real> natural(static_cast<std::size_t>(Q * n_), Real(0));
-    for (int i = 0; i < Q; ++i) {
-      const Real* src = buf_[cur_].data() + sparse_slot(i, 0);
-      Real* dst = natural.data() + plane(i);
-      for (i64 m = 0; m < sparse_n_; ++m) dst[sparse_cells_[m]] = src[m];
-    }
-    buf_[0] = std::move(natural);
+    buf_[0] = sparse_expand();
     sparse_map_.clear();
     sparse_map_.shrink_to_fit();
     sparse_cells_.clear();
@@ -149,27 +147,7 @@ void Lattice::convert_storage(StorageMode mode) {
                    "sparse storage does not support curved boundary links");
       mode_ = StorageMode::Sparse;
       // Compact straight from the natural planes now in buf_[0].
-      std::vector<Real> natural = std::move(buf_[0]);
-      sparse_map_.assign(static_cast<std::size_t>(n_), i64(-1));
-      sparse_cells_.clear();
-      for (i64 c = 0; c < n_; ++c) {
-        if (flags_[static_cast<std::size_t>(c)] ==
-            static_cast<u8>(CellType::Solid)) {
-          continue;
-        }
-        sparse_map_[static_cast<std::size_t>(c)] =
-            static_cast<i64>(sparse_cells_.size());
-        sparse_cells_.push_back(c);
-      }
-      sparse_n_ = static_cast<i64>(sparse_cells_.size());
-      buf_[0].assign(static_cast<std::size_t>(Q * sparse_n_), Real(0));
-      for (int i = 0; i < Q; ++i) {
-        const Real* src = natural.data() + plane(i);
-        Real* dst = buf_[0].data() + sparse_slot(i, 0);
-        for (i64 m = 0; m < sparse_n_; ++m) dst[m] = src[sparse_cells_[m]];
-      }
-      buf_[1].assign(static_cast<std::size_t>(Q * sparse_n_), Real(0));
-      sparse_dirty_ = false;
+      sparse_compact(std::move(buf_[0]));
       return;
     }
     case StorageMode::DoubleBuffer:

@@ -457,6 +457,13 @@ class Lattice {
     if (sparse_dirty_) const_cast<Lattice*>(this)->rebuild_sparse_layout();
   }
   void rebuild_sparse_layout();
+  /// The one compaction path: sparse_expand() unpacks the compact planes
+  /// through the current map into natural planes (0 at pruned cells);
+  /// sparse_compact() rebuilds the map from the flags, in ascending dense
+  /// order, packs `natural` into the current buffer and zeroes the back
+  /// one.
+  std::vector<Real> sparse_expand() const;
+  void sparse_compact(std::vector<Real> natural);
   /// Linear offset of one hop along C[i] (no wrap).
   i64 dir_offset(int i) const;
 

@@ -30,34 +30,26 @@ void compute_density_field(const Lattice& lat, std::vector<Real>& rho) {
   }
 }
 
-void compute_velocity_field(const Lattice& lat, std::vector<Vec3>& u) {
-  const i64 n = lat.num_cells();
-  u.assign(static_cast<std::size_t>(n), Vec3{});
-  for (i64 c = 0; c < n; ++c) {
-    if (lat.flag(c) == CellType::Solid) continue;
-    u[static_cast<std::size_t>(c)] = cell_moments(lat, c).u;
+void compute_velocity_field(const Lattice& lat, std::vector<Vec3>& u,
+                            const CellBox& box) {
+  if (static_cast<i64>(u.size()) != lat.num_cells()) {
+    u.assign(static_cast<std::size_t>(lat.num_cells()), Vec3{});
   }
+  box.for_each(lat.dim(), [&](Int3 p) {
+    const i64 c = lat.idx(p);
+    u[static_cast<std::size_t>(c)] =
+        lat.flag(c) == CellType::Solid ? Vec3{} : cell_moments(lat, c).u;
+  });
 }
 
 double total_mass(const Lattice& lat) {
+  // i-major, so the sum is bit-identical across storage modes.
   double sum = 0.0;
   const i64 n = lat.num_cells();
-  if (!lat.plane_layout_natural()) {
-    // Keep the fast path's i-major accumulation order so the sum is
-    // bit-identical across storage modes.
-    for (int i = 0; i < Q; ++i) {
-      for (i64 c = 0; c < n; ++c) {
-        if (lat.flag(c) == CellType::Solid) continue;
-        sum += static_cast<double>(lat.f(i, c));
-      }
-    }
-    return sum;
-  }
   for (int i = 0; i < Q; ++i) {
-    const Real* p = lat.plane_ptr(i);
     for (i64 c = 0; c < n; ++c) {
       if (lat.flag(c) == CellType::Solid) continue;
-      sum += static_cast<double>(p[c]);
+      sum += static_cast<double>(lat.f(i, c));
     }
   }
   return sum;
@@ -66,25 +58,11 @@ double total_mass(const Lattice& lat) {
 void total_momentum(const Lattice& lat, double out[3]) {
   out[0] = out[1] = out[2] = 0.0;
   const i64 n = lat.num_cells();
-  if (!lat.plane_layout_natural()) {
-    for (int i = 1; i < Q; ++i) {
-      double s = 0.0;
-      for (i64 c = 0; c < n; ++c) {
-        if (lat.flag(c) == CellType::Solid) continue;
-        s += static_cast<double>(lat.f(i, c));
-      }
-      out[0] += s * C[i].x;
-      out[1] += s * C[i].y;
-      out[2] += s * C[i].z;
-    }
-    return;
-  }
   for (int i = 1; i < Q; ++i) {
-    const Real* p = lat.plane_ptr(i);
     double s = 0.0;
     for (i64 c = 0; c < n; ++c) {
       if (lat.flag(c) == CellType::Solid) continue;
-      s += static_cast<double>(p[c]);
+      s += static_cast<double>(lat.f(i, c));
     }
     out[0] += s * C[i].x;
     out[1] += s * C[i].y;

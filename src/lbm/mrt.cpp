@@ -83,34 +83,12 @@ MrtParams MrtParams::bgk_equivalent(Real tau) {
   MrtParams p;
   p.s.fill(Real(1) / tau);
   p.s[0] = p.s[3] = p.s[5] = p.s[7] = Real(1) / tau;  // harmless: m==m_eq
-  p.equilibrium_from_bgk = true;
   return p;
 }
 
 void MrtParams::set_viscosity_rates(Real tau) {
   const Real s_nu = Real(1) / tau;
   s[9] = s[11] = s[13] = s[14] = s[15] = s_nu;
-}
-
-void classic_equilibrium_moments(double rho, const double j[3], double m_eq[Q]) {
-  const double jj = j[0] * j[0] + j[1] * j[1] + j[2] * j[2];
-  for (int r = 0; r < Q; ++r) m_eq[r] = 0.0;
-  m_eq[0] = rho;
-  m_eq[1] = -11.0 * rho + 19.0 * jj;
-  m_eq[2] = 3.0 * rho - 11.0 / 2.0 * jj;
-  m_eq[3] = j[0];
-  m_eq[4] = -2.0 / 3.0 * j[0];
-  m_eq[5] = j[1];
-  m_eq[6] = -2.0 / 3.0 * j[1];
-  m_eq[7] = j[2];
-  m_eq[8] = -2.0 / 3.0 * j[2];
-  m_eq[9] = 2.0 * j[0] * j[0] - j[1] * j[1] - j[2] * j[2];
-  m_eq[10] = -0.5 * m_eq[9];
-  m_eq[11] = j[1] * j[1] - j[2] * j[2];
-  m_eq[12] = -0.5 * m_eq[11];
-  m_eq[13] = j[0] * j[1];
-  m_eq[14] = j[1] * j[2];
-  m_eq[15] = j[0] * j[2];
 }
 
 void collide_mrt_cell(Real f[Q], const MrtParams& p) {
@@ -126,22 +104,18 @@ void collide_mrt_cell(Real f[Q], const MrtParams& p) {
   const double rho = m[0];
   const double j[3] = {m[3], m[5], m[7]};
 
+  // Moments of the BGK equilibrium at (rho, u = j/rho).
+  Real feq[Q];
+  const Real inv_rho = Real(1) / Real(rho);
+  equilibrium_all(Real(rho),
+                  Vec3(Real(j[0]) * inv_rho, Real(j[1]) * inv_rho,
+                       Real(j[2]) * inv_rho),
+                  feq);
   double m_eq[Q];
-  if (p.equilibrium_from_bgk) {
-    // Moments of the BGK equilibrium at (rho, u = j/rho).
-    Real feq[Q];
-    const Real inv_rho = Real(1) / Real(rho);
-    equilibrium_all(Real(rho),
-                    Vec3(Real(j[0]) * inv_rho, Real(j[1]) * inv_rho,
-                         Real(j[2]) * inv_rho),
-                    feq);
-    for (int r = 0; r < Q; ++r) {
-      double acc = 0.0;
-      for (int i = 0; i < Q; ++i) acc += b.M[r][i] * feq[i];
-      m_eq[r] = acc;
-    }
-  } else {
-    classic_equilibrium_moments(rho, j, m_eq);
+  for (int r = 0; r < Q; ++r) {
+    double acc = 0.0;
+    for (int i = 0; i < Q; ++i) acc += b.M[r][i] * feq[i];
+    m_eq[r] = acc;
   }
 
   for (int r = 0; r < Q; ++r) {

@@ -3,7 +3,9 @@
 // adopts for stability. Moments are relaxed individually: conserved
 // moments (density, momentum) at rate 0, the shear-stress moments at
 // 1/tau (setting the viscosity), and the remaining "ghost" moments at
-// tunable rates that damp high-frequency noise.
+// tunable rates that damp high-frequency noise. The equilibrium moments
+// are those of the BGK equilibrium (M * f_eq), so MRT with every rate at
+// 1/tau reduces exactly to BGK.
 #pragma once
 
 #include <array>
@@ -32,12 +34,6 @@ struct MrtParams {
   /// ignored. Call set_viscosity_rates(tau) to set the stress rates.
   std::array<Real, Q> s{};
 
-  /// When true (default), equilibrium moments are computed as M * f_eq,
-  /// which makes MRT with all rates equal to 1/tau reduce *exactly* to
-  /// BGK. When false, uses the classic Lallemand-Luo equilibria (which
-  /// truncate some O(u^2) ghost-moment terms).
-  bool equilibrium_from_bgk = true;
-
   /// Default d'Humieres-2002 rates with stress moments at 1/tau.
   static MrtParams standard(Real tau);
 
@@ -56,10 +52,5 @@ void collide_mrt(Lattice& lat, const MrtParams& p, const StepContext& ctx = {},
 /// Single-cell MRT collision (shared with the simulated-GPU path; the
 /// paper notes HTLBM needs "only two additional matrix multiplications").
 void collide_mrt_cell(Real f[Q], const MrtParams& p);
-
-/// Classic Lallemand-Luo equilibrium moments for density rho and momentum
-/// j (used when equilibrium_from_bgk == false, and unit-tested against the
-/// BGK moments for the hydrodynamic rows).
-void classic_equilibrium_moments(double rho, const double j[3], double m_eq[Q]);
 
 }  // namespace gc::lbm

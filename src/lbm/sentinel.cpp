@@ -1,7 +1,10 @@
 #include "lbm/sentinel.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
+
+#include "obs/trace.hpp"
 
 namespace gc::lbm {
 
@@ -23,36 +26,38 @@ DivergenceError::DivergenceError(const DivergenceReport& report, i64 step,
       step_(step),
       rank_(rank) {}
 
-std::optional<DivergenceReport> scan_divergence(const Lattice& lat, Int3 lo,
-                                                Int3 hi,
-                                                const SentinelThresholds& t) {
-  for (int z = lo.z; z < hi.z; ++z) {
-    for (int y = lo.y; y < hi.y; ++y) {
-      for (int x = lo.x; x < hi.x; ++x) {
-        const i64 c = lat.idx(x, y, z);
-        if (lat.flag(c) == CellType::Solid) continue;
-        Real rho = 0;
-        bool bad = false;
-        for (int i = 0; i < Q; ++i) {
-          const Real fi = lat.f(i, c);
-          if (!std::isfinite(fi)) bad = true;
-          rho += fi;
-        }
-        if (bad || !std::isfinite(rho)) {
-          return DivergenceReport{Int3{x, y, z}, rho, true};
-        }
-        if (rho < t.rho_min || rho > t.rho_max) {
-          return DivergenceReport{Int3{x, y, z}, rho, false};
-        }
-      }
+std::optional<DivergenceReport> scan_divergence(const Lattice& lat,
+                                                const SentinelThresholds& t,
+                                                const CellBox& box) {
+  std::optional<DivergenceReport> found;
+  box.for_each(lat.dim(), [&](Int3 p) {
+    const i64 c = lat.idx(p);
+    if (found || lat.flag(c) == CellType::Solid) return;
+    Real rho = 0;
+    bool bad = false;
+    for (int i = 0; i < Q; ++i) {
+      const Real fi = lat.f(i, c);
+      if (!std::isfinite(fi)) bad = true;
+      rho += fi;
     }
-  }
-  return std::nullopt;
+    if (bad || !std::isfinite(rho)) {
+      found = DivergenceReport{p, rho, true};
+    } else if (rho < t.rho_min || rho > t.rho_max) {
+      found = DivergenceReport{p, rho, false};
+    }
+  });
+  return found;
 }
 
-std::optional<DivergenceReport> scan_divergence(const Lattice& lat,
-                                                const SentinelThresholds& t) {
-  return scan_divergence(lat, Int3{0, 0, 0}, lat.dim(), t);
+void check_divergence(const Lattice& lat,
+                      const std::optional<SentinelThresholds>& t, i64 step,
+                      const StepContext& ctx, const CellBox& box) {
+  if (!t || step % std::max(1, t->every) != 0) return;
+  obs::ScopedSpan span(ctx.trace, "sentinel", ctx.rank, "ft");
+  if (auto report = scan_divergence(lat, *t, box)) {
+    if (ctx.trace) ctx.trace->add_counter("ft.divergences", ctx.rank, 1);
+    throw DivergenceError(*report, step, ctx.rank);
+  }
 }
 
 }  // namespace gc::lbm

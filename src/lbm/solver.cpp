@@ -1,19 +1,48 @@
 #include "lbm/solver.hpp"
 
-#include <algorithm>
-
-#include "lbm/macroscopic.hpp"
+#include "lbm/mrt.hpp"
 #include "lbm/stream.hpp"
 #include "util/timer.hpp"
 
 namespace gc::lbm {
 
-Solver::Solver(Int3 dim, SolverConfig cfg) : cfg_(cfg), lat_(dim, cfg.storage) {
-  if (cfg_.thermal) {
-    thermal_.emplace(dim, *cfg_.thermal);
-    GC_CHECK_MSG(cfg_.collision == CollisionKind::MRT,
-                 "the hybrid thermal model couples to the MRT collision");
+void check_collide_step(const RunParams& p, bool thermal, Vec3 force) {
+  GC_CHECK_MSG(!thermal || p.collision == CollisionKind::MRT,
+               "the hybrid thermal model couples to the MRT collision");
+  GC_CHECK_MSG(p.collision == CollisionKind::BGK ||
+                   (force.x == Real(0) && force.y == Real(0) &&
+                    force.z == Real(0)),
+               "the body force " << force
+                                 << " is BGK/Guo only: the MRT step would "
+                                    "drop it");
+}
+
+void collide_step(Lattice& lat, const RunParams& p, Vec3 force,
+                  ThermalField* thermal, const StepContext& ctx,
+                  const CellBox& box) {
+  if (thermal) {
+    // Advance T with the pre-collision velocity, then collide with the
+    // Boussinesq force.
+    {
+      obs::ScopedSpan span(ctx.trace, "thermal", ctx.rank, "lbm");
+      thermal->advect(lat, box);
+    }
+    obs::ScopedSpan span(ctx.trace, "collide", ctx.rank, "lbm");
+    collide_mrt(lat, MrtParams::standard(p.tau), ctx, box);
+    thermal->apply_buoyancy(lat, box);
+    return;
   }
+  obs::ScopedSpan span(ctx.trace, "collide", ctx.rank, "lbm");
+  if (p.collision == CollisionKind::MRT) {
+    collide_mrt(lat, MrtParams::standard(p.tau), ctx, box);
+  } else {
+    collide_bgk(lat, BgkParams{p.tau, force}, ctx, box);
+  }
+}
+
+Solver::Solver(Int3 dim, SolverConfig cfg) : cfg_(cfg), lat_(dim, cfg.storage) {
+  check_collide_step(cfg_, cfg_.thermal.has_value(), cfg_.body_force);
+  if (cfg_.thermal) thermal_.emplace(dim, *cfg_.thermal);
   if (cfg_.fused) {
     GC_CHECK_MSG(cfg_.collision == CollisionKind::BGK,
                  "fused kernel is implemented for BGK only");
@@ -22,49 +51,14 @@ Solver::Solver(Int3 dim, SolverConfig cfg) : cfg_(cfg), lat_(dim, cfg.storage) {
 
 void Solver::step() {
   const StepContext ctx{cfg_.pool, cfg_.trace, 0};
-  obs::TraceRecorder* rec = cfg_.trace;
-
-  if (thermal_) {
-    // Hybrid thermal step: advance T with the current velocity field,
-    // then collide with the Boussinesq force, then stream.
-    {
-      obs::ScopedSpan span(rec, "thermal", 0, "lbm");
-      compute_velocity_field(lat_, velocity_field_);
-      thermal_->step(lat_, velocity_field_);
-    }
-    const MrtParams p = cfg_.mrt ? *cfg_.mrt : MrtParams::standard(cfg_.tau);
-    {
-      obs::ScopedSpan span(rec, "collide", 0, "lbm");
-      collide_mrt(lat_, p, ctx);
-      thermal_->buoyancy_force(lat_, force_field_);
-      apply_force_first_order(lat_, force_field_);
-    }
-    stream(lat_, ctx);
-  } else if (cfg_.collision == CollisionKind::MRT) {
-    const MrtParams p = cfg_.mrt ? *cfg_.mrt : MrtParams::standard(cfg_.tau);
-    {
-      obs::ScopedSpan span(rec, "collide", 0, "lbm");
-      collide_mrt(lat_, p, ctx);
-    }
-    stream(lat_, ctx);
-  } else if (cfg_.fused) {
+  if (cfg_.fused) {
     fused_stream_collide(lat_, BgkParams{cfg_.tau, cfg_.body_force}, ctx);
   } else {
-    {
-      obs::ScopedSpan span(rec, "collide", 0, "lbm");
-      collide_bgk(lat_, BgkParams{cfg_.tau, cfg_.body_force}, ctx);
-    }
+    collide_step(lat_, cfg_, cfg_.body_force, thermal(), ctx);
     stream(lat_, ctx);
   }
   ++steps_;
-
-  if (cfg_.sentinel && steps_ % std::max(1, cfg_.sentinel->every) == 0) {
-    obs::ScopedSpan span(rec, "sentinel", 0, "ft");
-    if (auto report = scan_divergence(lat_, *cfg_.sentinel)) {
-      if (rec) rec->add_counter("ft.divergences", 0, 1);
-      throw DivergenceError(*report, steps_, 0);
-    }
-  }
+  check_divergence(lat_, cfg_.sentinel, steps_, ctx);
 }
 
 obs::RunStats Solver::run(int steps) {

@@ -8,6 +8,7 @@
 // to.
 #pragma once
 
+#include <algorithm>
 #include <limits>
 
 #include "util/thread_pool.hpp"
@@ -38,6 +39,23 @@ struct CellBox {
   static constexpr int kUnbounded = std::numeric_limits<int>::max();
   Int3 lo{0, 0, 0};
   Int3 hi{kUnbounded, kUnbounded, kUnbounded};
+
+  /// Calls fn(p) for every cell p of the box clipped to a lattice of
+  /// dimensions d, x fastest: the box walk of the per-cell helpers
+  /// (moments, forcing, sentinel), in the lattice's own cell order.
+  template <class Fn>
+  void for_each(Int3 d, const Fn& fn) const {
+    Int3 a, b;
+    for (int k = 0; k < 3; ++k) {
+      a[k] = std::clamp(lo[k], 0, d[k]);
+      b[k] = std::clamp(hi[k], a[k], d[k]);
+    }
+    for (int z = a.z; z < b.z; ++z) {
+      for (int y = a.y; y < b.y; ++y) {
+        for (int x = a.x; x < b.x; ++x) fn(Int3{x, y, z});
+      }
+    }
+  }
 };
 
 }  // namespace gc::lbm

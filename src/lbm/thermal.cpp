@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "lbm/macroscopic.hpp"
+
 namespace gc::lbm {
 
 ThermalField::ThermalField(Int3 dim, ThermalParams params)
@@ -94,93 +96,31 @@ double ThermalField::total_heat(const Lattice& lat) const {
   return sum;
 }
 
-void apply_force_first_order_region(Lattice& lat,
-                                    const std::vector<Vec3>& force, Int3 lo,
-                                    Int3 hi) {
+void ThermalField::advect(const Lattice& lat, const CellBox& box) {
+  compute_velocity_field(lat, velocity_, box);
+  step(lat, velocity_);
+}
+
+void ThermalField::apply_buoyancy(Lattice& lat, const CellBox& box) {
+  buoyancy_force(lat, force_);
+  apply_force_first_order(lat, force_, box);
+}
+
+void apply_force_first_order(Lattice& lat, const std::vector<Vec3>& force,
+                             const CellBox& box) {
   GC_CHECK(static_cast<i64>(force.size()) == lat.num_cells());
-  if (!lat.plane_layout_natural()) {
-    // AA relocated layout (post-collide): same per-value update through
-    // the accessors, keeping the i-major accumulation order of the fast
-    // path so the two modes stay bit-exact.
-    for (int i = 1; i < Q; ++i) {
-      const Real wx = Real(3) * W[i] * Real(C[i].x);
-      const Real wy = Real(3) * W[i] * Real(C[i].y);
-      const Real wz = Real(3) * W[i] * Real(C[i].z);
-      for (int z = lo.z; z < hi.z; ++z) {
-        for (int y = lo.y; y < hi.y; ++y) {
-          i64 c = lat.idx(lo.x, y, z);
-          for (int x = lo.x; x < hi.x; ++x, ++c) {
-            if (lat.flag(c) != CellType::Fluid) continue;
-            const Vec3& F = force[static_cast<std::size_t>(c)];
-            lat.set_f(i, c, lat.f(i, c) + wx * F.x + wy * F.y + wz * F.z);
-          }
-        }
-      }
-    }
-    return;
-  }
+  // i-major through the accessors: the same values in the same order on
+  // every storage mode.
   for (int i = 1; i < Q; ++i) {
-    Real* p = lat.plane_ptr(i);
     const Real wx = Real(3) * W[i] * Real(C[i].x);
     const Real wy = Real(3) * W[i] * Real(C[i].y);
     const Real wz = Real(3) * W[i] * Real(C[i].z);
-    for (int z = lo.z; z < hi.z; ++z) {
-      for (int y = lo.y; y < hi.y; ++y) {
-        i64 c = lat.idx(lo.x, y, z);
-        for (int x = lo.x; x < hi.x; ++x, ++c) {
-          if (lat.flag(c) != CellType::Fluid) continue;
-          const Vec3& F = force[static_cast<std::size_t>(c)];
-          p[c] += wx * F.x + wy * F.y + wz * F.z;
-        }
-      }
-    }
-  }
-}
-
-void compute_velocity_region(const Lattice& lat, std::vector<Vec3>& u,
-                             Int3 lo, Int3 hi) {
-  GC_CHECK(static_cast<i64>(u.size()) == lat.num_cells());
-  for (int z = lo.z; z < hi.z; ++z) {
-    for (int y = lo.y; y < hi.y; ++y) {
-      i64 c = lat.idx(lo.x, y, z);
-      for (int x = lo.x; x < hi.x; ++x, ++c) {
-        if (lat.flag(c) == CellType::Solid) {
-          u[static_cast<std::size_t>(c)] = Vec3{};
-          continue;
-        }
-        Real rho = 0;
-        Vec3 mom{};
-        for (int i = 0; i < Q; ++i) {
-          const Real fi = lat.f(i, c);
-          rho += fi;
-          mom.x += fi * Real(C[i].x);
-          mom.y += fi * Real(C[i].y);
-          mom.z += fi * Real(C[i].z);
-        }
-        u[static_cast<std::size_t>(c)] =
-            rho > Real(0) ? mom / rho : Vec3{};
-      }
-    }
-  }
-}
-
-void apply_force_first_order(Lattice& lat, const std::vector<Vec3>& force) {
-  const i64 n = lat.num_cells();
-  GC_CHECK(static_cast<i64>(force.size()) == n);
-  if (!lat.plane_layout_natural()) {
-    apply_force_first_order_region(lat, force, Int3{0, 0, 0}, lat.dim());
-    return;
-  }
-  for (int i = 1; i < Q; ++i) {
-    Real* p = lat.plane_ptr(i);
-    const Real wx = Real(3) * W[i] * Real(C[i].x);
-    const Real wy = Real(3) * W[i] * Real(C[i].y);
-    const Real wz = Real(3) * W[i] * Real(C[i].z);
-    for (i64 c = 0; c < n; ++c) {
-      if (lat.flag(c) != CellType::Fluid) continue;
+    box.for_each(lat.dim(), [&](Int3 p) {
+      const i64 c = lat.idx(p);
+      if (lat.flag(c) != CellType::Fluid) return;
       const Vec3& F = force[static_cast<std::size_t>(c)];
-      p[c] += wx * F.x + wy * F.y + wz * F.z;
-    }
+      lat.set_f(i, c, lat.f(i, c) + (wx * F.x + wy * F.y + wz * F.z));
+    });
   }
 }
 

@@ -1,12 +1,16 @@
 // Hybrid thermal LBM (Section 4.1, Lallemand & Luo 2003): temperature is
 // modeled by a standard diffusion-advection equation implemented as a
 // finite-difference update, coupled back into the (MRT) LBM through a
-// Boussinesq buoyancy term.
+// Boussinesq buoyancy term. The field owns the coupling's velocity and
+// force scratch, and its two coupling calls take a CellBox, so the serial
+// solver (whole lattice) and a distributed rank (owned cells) run the
+// same sequence through lbm::collide_step.
 #pragma once
 
 #include <vector>
 
 #include "lbm/lattice.hpp"
+#include "lbm/step_context.hpp"
 
 namespace gc::lbm {
 
@@ -47,6 +51,15 @@ class ThermalField {
   /// Boussinesq body force per cell: F_z = buoyancy * (T - t_ref).
   void buoyancy_force(const Lattice& lat, std::vector<Vec3>& force) const;
 
+  /// The hybrid step's two couplings, on the cells of `box` (the whole
+  /// lattice by default), through scratch this field owns. advect() runs
+  /// step() with the lattice velocity of box; the velocity outside box is
+  /// zero, so a rank's ghost cells only diffuse until the next ghost swap
+  /// overwrites them. apply_buoyancy() adds the Boussinesq force to the
+  /// fluid cells of box after the collision.
+  void advect(const Lattice& lat, const CellBox& box = {});
+  void apply_buoyancy(Lattice& lat, const CellBox& box = {});
+
   /// Sum of T over non-solid cells (diffusion conserves it when adiabatic).
   double total_heat(const Lattice& lat) const;
 
@@ -59,20 +72,15 @@ class ThermalField {
   ThermalParams params_;
   std::vector<Real> T_;
   std::vector<Real> T_next_;
+  std::vector<Vec3> velocity_;  ///< advect() scratch
+  std::vector<Vec3> force_;     ///< apply_buoyancy() scratch
 };
 
-/// First-order force shift applied after collision: f_i += 3 w_i (c_i . F).
+/// First-order force shift applied after collision to the fluid cells of
+/// `box` (the whole lattice by default): f_i += 3 w_i (c_i . F).
 /// Conserves mass exactly and injects momentum F per step; paired with the
 /// MRT collision for the hybrid thermal model.
-void apply_force_first_order(Lattice& lat, const std::vector<Vec3>& force);
-
-/// Box-restricted variant (the distributed solver forces owned cells only).
-void apply_force_first_order_region(Lattice& lat,
-                                    const std::vector<Vec3>& force, Int3 lo,
-                                    Int3 hi);
-
-/// Velocity field restricted to the box [lo, hi) (other entries untouched).
-void compute_velocity_region(const Lattice& lat, std::vector<Vec3>& u,
-                             Int3 lo, Int3 hi);
+void apply_force_first_order(Lattice& lat, const std::vector<Vec3>& force,
+                             const CellBox& box = {});
 
 }  // namespace gc::lbm

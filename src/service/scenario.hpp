@@ -42,7 +42,6 @@ struct ScenarioRequest {
   std::vector<Release> releases;     ///< tracer sources
   int tracer_steps = 100;            ///< Lowe–Succi hops after release
   u64 tracer_seed = 7;               ///< tracer RNG seed (determinism)
-  bool deposit_concentration = true; ///< fill ScenarioResult::concentration
 
   // --- service-level fields (not part of the flow key) ---
   /// Wall-clock budget from submit() to completion, in ms; past it the
@@ -62,8 +61,7 @@ struct ScenarioResult {
   i64 particles_released = 0;
   i64 particles_escaped = 0;    ///< left the domain through open faces
   i64 particles_alive = 0;
-  /// Per-cell particle density (dim.x*dim.y*dim.z floats, x fastest);
-  /// empty when deposit_concentration was off.
+  /// Per-cell particle density (dim.x*dim.y*dim.z floats, x fastest).
   std::vector<float> concentration;
 };
 

@@ -350,9 +350,7 @@ ScenarioResult ScenarioService::run_scenario(const ScenarioRequest& req,
     }
     res.particles_escaped = cloud.num_escaped();
     res.particles_alive = cloud.num_particles();
-    if (req.deposit_concentration) {
-      cloud.deposit(entry.flow, res.concentration);
-    }
+    cloud.deposit(entry.flow, res.concentration);
   }
   res.tracer_ms = tracer_timer.millis();
   return res;

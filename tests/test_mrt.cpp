@@ -101,37 +101,6 @@ TEST_P(MrtTau, EquilibriumIsFixedPoint) {
 INSTANTIATE_TEST_SUITE_P(Taus, MrtTau,
                          ::testing::Values(Real(0.55), Real(0.8), Real(1.2)));
 
-TEST(Mrt, ClassicEquilibriumMatchesBgkHydrodynamicMoments) {
-  // The classic Lallemand-Luo equilibria must agree with the moments of
-  // the BGK equilibrium on the conserved + stress rows (they differ only
-  // in some ghost-moment O(u^2) truncations).
-  const MomentBasis& b = MomentBasis::instance();
-  const double rho = 1.05;
-  const double j[3] = {0.03, -0.02, 0.04};
-
-  double m_classic[Q];
-  classic_equilibrium_moments(rho, j, m_classic);
-
-  Real feq[Q];
-  equilibrium_all(Real(rho), Vec3{Real(j[0] / rho), Real(j[1] / rho),
-                                  Real(j[2] / rho)},
-                  feq);
-  double m_bgk[Q];
-  for (int r = 0; r < Q; ++r) {
-    m_bgk[r] = 0;
-    for (int i = 0; i < Q; ++i) m_bgk[r] += b.M[r][i] * feq[i];
-  }
-
-  // Conserved rows: exact.
-  for (int r : {0, 3, 5, 7}) EXPECT_NEAR(m_classic[r], m_bgk[r], 1e-5);
-  // Stress rows (9, 11, 13, 14, 15): match to O(u^2) scale... exactly,
-  // since both are quadratic in j with the same coefficients (rho0 = rho
-  // up to the incompressible approximation j^2/rho ~ j^2).
-  for (int r : {9, 11, 13, 14, 15}) {
-    EXPECT_NEAR(m_classic[r], m_bgk[r], 5e-4) << "row " << r;
-  }
-}
-
 TEST(Mrt, StandardRatesSetViscosityRows) {
   const MrtParams p = MrtParams::standard(Real(0.8));
   for (int r : {9, 11, 13, 14, 15}) {

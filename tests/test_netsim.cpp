@@ -1,54 +1,14 @@
-// Network substrate: event queue ordering, communication schedule
-// properties (Figure 7), indirect routing, and switch-model behavior
-// (the two Section 4.3 findings).
+// Network substrate: communication schedule properties (Figure 7),
+// indirect routing, and switch-model behavior (the two Section 4.3
+// findings).
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "netsim/event_queue.hpp"
 #include "netsim/switch_model.hpp"
 
 namespace gc::netsim {
 namespace {
-
-TEST(EventQueue, ExecutesInTimeOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule_at(2.0, [&order] { order.push_back(2); });
-  q.schedule_at(1.0, [&order] { order.push_back(1); });
-  q.schedule_at(3.0, [&order] { order.push_back(3); });
-  EXPECT_DOUBLE_EQ(q.run(), 3.0);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueue, TiesBreakByInsertionOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    q.schedule_at(1.0, [&order, i] { order.push_back(i); });
-  }
-  q.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, EventsCanScheduleEvents) {
-  EventQueue q;
-  int fired = 0;
-  q.schedule_at(1.0, [&q, &fired] {
-    ++fired;
-    q.schedule_in(0.5, [&fired] { ++fired; });
-  });
-  EXPECT_DOUBLE_EQ(q.run(), 1.5);
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(EventQueue, RejectsPastEvents) {
-  EventQueue q;
-  q.schedule_at(2.0, [&q] {
-    EXPECT_THROW(q.schedule_at(1.0, [] {}), Error);
-  });
-  q.run();
-}
 
 TEST(NodeGrid, Arrange2dIsMostSquare) {
   EXPECT_EQ(NodeGrid::arrange_2d(2).dims, (Int3{2, 1, 1}));

@@ -99,5 +99,47 @@ TEST(PooledSolver, MultiStepTrajectoriesMatch) {
   }
 }
 
+TEST(PooledSolver, ThermalMrtMatchesSerialBitExact) {
+  // The hybrid thermal step on a pool (pooled MRT, serial temperature and
+  // forcing) against the serial run, on both dense storage modes.
+  ThreadPool pool(3);
+  SolverConfig serial_cfg;
+  serial_cfg.collision = CollisionKind::MRT;
+  serial_cfg.tau = Real(0.8);
+  ThermalParams tp;
+  tp.kappa = Real(0.08);
+  tp.buoyancy = Real(4e-4);
+  tp.t_ref = Real(0.5);
+  serial_cfg.thermal = tp;
+  for (const StorageMode mode : {StorageMode::DoubleBuffer, StorageMode::AA}) {
+    SCOPED_TRACE(storage_mode_name(mode));
+    serial_cfg.storage = mode;
+    SolverConfig pooled_cfg = serial_cfg;
+    pooled_cfg.pool = &pool;
+    Solver a(Int3{12, 11, 10}, serial_cfg);
+    Solver b(Int3{12, 11, 10}, pooled_cfg);
+    for (Solver* solver : {&a, &b}) {
+      Lattice& lat = solver->lattice();
+      lat = make_state(Int3{12, 11, 10}, 4);
+      lat.convert_storage(mode);
+      for (i64 c = 0; c < lat.num_cells(); ++c) {
+        const Int3 p = lat.coords(c);
+        solver->thermal()->set_t(
+            c, Real(0.5) + Real(0.05) * Real((p.x + 2 * p.y + p.z) % 5));
+      }
+    }
+    a.run(6);
+    b.run(6);
+    for (int i = 0; i < Q; ++i) {
+      for (i64 c = 0; c < a.lattice().num_cells(); ++c) {
+        ASSERT_EQ(a.lattice().f(i, c), b.lattice().f(i, c));
+      }
+    }
+    for (i64 c = 0; c < a.lattice().num_cells(); ++c) {
+      ASSERT_EQ(a.thermal()->t(c), b.thermal()->t(c)) << "T cell " << c;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace gc::lbm

@@ -62,14 +62,5 @@ TEST(Profiles, VariantsAdjustTheRightKnob) {
   EXPECT_EQ(sse.gpu_ns_per_cell, base.gpu_ns_per_cell);
 }
 
-TEST(ScalingStudy, MeasureHostIsPositiveAndRepeatable) {
-  const double a = measure_host_step_ms(Int3{16, 16, 16}, 2);
-  const double b = measure_host_step_ms(Int3{16, 16, 16}, 2);
-  EXPECT_GT(a, 0.0);
-  EXPECT_GT(b, 0.0);
-  // Same order of magnitude (loose: CI machines jitter).
-  EXPECT_LT(a / b + b / a, 20.0);
-}
-
 }  // namespace
 }  // namespace gc::core

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "lbm/macroscopic.hpp"
 #include "lbm/solver.hpp"
@@ -180,6 +181,30 @@ TEST(Thermal, SolverRequiresMrtForThermal) {
   cfg.collision = CollisionKind::BGK;
   cfg.thermal = ThermalParams{};
   EXPECT_THROW(Solver(Int3{4, 4, 4}, cfg), Error);
+}
+
+TEST(Solver, RejectsBodyForceItWouldDrop) {
+  // The body force is BGK/Guo only: an MRT step, thermal or not, has no
+  // place for it, so the configuration is refused rather than run
+  // unforced.
+  for (const bool thermal : {false, true}) {
+    SCOPED_TRACE(thermal ? "MRT with thermal" : "MRT");
+    SolverConfig cfg;
+    cfg.collision = CollisionKind::MRT;
+    cfg.body_force = Vec3{Real(1e-5), 0, 0};
+    if (thermal) cfg.thermal = ThermalParams{};
+    try {
+      Solver solver(Int3{4, 4, 4}, cfg);
+      ADD_FAILURE() << "a body force with MRT was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("BGK/Guo only"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  SolverConfig bgk;
+  bgk.body_force = Vec3{Real(1e-5), 0, 0};
+  EXPECT_NO_THROW(Solver(Int3{4, 4, 4}, bgk));
 }
 
 }  // namespace
