@@ -28,6 +28,36 @@ LocalDomain LocalDomain::make(const Decomposition3& decomp, int node) {
   return ld;
 }
 
+lbm::CellBox LocalDomain::inner_box() const {
+  const Int3 d = local_dim();
+  lbm::CellBox box;
+  for (int a = 0; a < 3; ++a) {
+    const int inset_hi = ghost_hi[a] > 0 ? ghost_hi[a] + 1 : 0;
+    box.lo[a] = ghost_lo[a] > 0 ? ghost_lo[a] + 1 : 0;
+    box.hi[a] = std::max(box.lo[a], d[a] - inset_hi);
+  }
+  return box;
+}
+
+std::vector<lbm::CellBox> LocalDomain::shell_boxes() const {
+  const lbm::CellBox in = inner_box();
+  lbm::CellBox rest{Int3{0, 0, 0}, local_dim()};
+  if (in.empty()) return {rest};
+  // Peel z, then y, then x: each axis's two slabs span what the earlier
+  // axes left, and the rest narrows to the inner range on that axis.
+  std::vector<lbm::CellBox> shell;
+  for (int a = 2; a >= 0; --a) {
+    lbm::CellBox low = rest, high = rest;
+    low.hi[a] = in.lo[a];
+    high.lo[a] = in.hi[a];
+    if (!low.empty()) shell.push_back(low);
+    if (!high.empty()) shell.push_back(high);
+    rest.lo[a] = in.lo[a];
+    rest.hi[a] = in.hi[a];
+  }
+  return shell;
+}
+
 namespace {
 
 /// Tangent axes of a face's axis, in ascending order.
@@ -274,7 +304,7 @@ ExchangePlan build_plan(const netsim::CommSchedule& sched,
 
 HostNode::HostNode(std::unique_ptr<lbm::Lattice> lattice, const LocalDomain& ld)
     : lat_(std::move(lattice)), ld_(ld) {
-  split_.build(*lat_, ld_.ghost_lo, ld_.ghost_hi);
+  lat_->cell_class();  // classified here, before the ranks run
 }
 
 Payload HostNode::pack_face(int face) {
@@ -294,8 +324,14 @@ void HostNode::unpack_edge(Int3 off, const Payload& data) {
 }
 
 void HostNode::stream() { lbm::stream(*lat_); }
-void HostNode::stream_inner() { lbm::stream_inner(*lat_, split_); }
-void HostNode::stream_outer() { lbm::stream_outer(*lat_, split_); }
+void HostNode::stream_inner() { lbm::stream_region(*lat_, ld_.inner_box()); }
+
+void HostNode::stream_outer() {
+  for (const lbm::CellBox& box : ld_.shell_boxes()) {
+    lbm::stream_region(*lat_, box);
+  }
+  lbm::finish_stream(*lat_);
+}
 
 // --- the simulated-GPU node ------------------------------------------
 
@@ -314,6 +350,13 @@ int dir_slot(Face face, int dir) {
 /// The in-slice tangent axis of an x/y face.
 int slice_tangent(int face) { return face / 2 == 0 ? 1 : 0; }
 
+/// The texel rectangle of a box that spans every slice (z is never
+/// decomposed across GPU nodes).
+gpusim::Rect slice_rect(const lbm::CellBox& box, int depth) {
+  GC_CHECK(box.lo.z == 0 && box.hi.z == depth);
+  return gpusim::Rect{box.lo.x, box.lo.y, box.hi.x, box.hi.y};
+}
+
 }  // namespace
 
 GpuNode::GpuNode(const lbm::Lattice& local, const LocalDomain& ld, Real tau,
@@ -321,11 +364,12 @@ GpuNode::GpuNode(const lbm::Lattice& local, const LocalDomain& ld, Real tau,
     : ld_(ld),
       dev_(std::make_unique<gpusim::GpuDevice>(gpu, bus)),
       gpu_(std::make_unique<gpulbm::GpuLbmSolver>(*dev_, local, tau)) {
-  const Int3 dl = ld.local_dim();
-  inner_.x0 = ld.ghost_lo.x ? 2 : 0;
-  inner_.y0 = ld.ghost_lo.y ? 2 : 0;
-  inner_.x1 = dl.x - (ld.ghost_hi.x ? 2 : 0);
-  inner_.y1 = dl.y - (ld.ghost_hi.y ? 2 : 0);
+  const int depth = ld.local_dim().z;
+  const lbm::CellBox inner = ld.inner_box();
+  if (!inner.empty()) inner_.push_back(slice_rect(inner, depth));
+  for (const lbm::CellBox& box : ld.shell_boxes()) {
+    shell_.push_back(slice_rect(box, depth));
+  }
 }
 
 void GpuNode::collide() {
@@ -377,8 +421,8 @@ void GpuNode::unpack_edge(Int3 off, const Payload& data) {
 }
 
 void GpuNode::stream() { gpu_->stream_pass(); }
-void GpuNode::stream_inner() { gpu_->stream_pass_inner(inner_); }
-void GpuNode::stream_outer() { gpu_->stream_pass_outer(inner_); }
+void GpuNode::stream_inner() { gpu_->stream_rects(inner_); }
+void GpuNode::stream_outer() { gpu_->stream_rects(shell_); }
 
 // --- the shared driver state and the one exchange routine ------------
 
@@ -435,9 +479,9 @@ double ClusterExchange::hidden_ms(int node) const {
 }
 
 std::unique_ptr<lbm::Lattice> ClusterExchange::scatter(
-    const lbm::Lattice& global, int node) const {
+    const lbm::Lattice& global, int node, lbm::StorageMode mode) const {
   const LocalDomain& ld = domain(node);
-  auto lat = std::make_unique<lbm::Lattice>(ld.local_dim());
+  auto lat = std::make_unique<lbm::Lattice>(ld.local_dim(), mode);
 
   // Face boundary conditions: global faces keep the global BC; faces
   // toward neighbors are covered by the ghost layer and never consulted
@@ -460,23 +504,20 @@ std::unique_ptr<lbm::Lattice> ClusterExchange::scatter(
         });
   }
 
-  // Copy flags and distributions for every local cell (ghosts included:
-  // ghost flags persist; ghost f is refreshed by each step's exchange).
-  const Int3 dl = ld.local_dim();
-  for (int z = 0; z < dl.z; ++z) {
-    for (int y = 0; y < dl.y; ++y) {
-      for (int x = 0; x < dl.x; ++x) {
-        const Int3 g = Int3{x, y, z} + ld.global.lo - ld.ghost_lo;
-        GC_CHECK(global.in_bounds(g));
-        const i64 lc = lat->idx(x, y, z);
-        const i64 gcell = global.idx(g);
-        lat->set_flag(lc, global.flag(gcell));
-        for (int i = 0; i < lbm::Q; ++i) {
-          lat->set_f(i, lc, global.f(i, gcell));
-        }
-      }
-    }
-  }
+  // Copy flags, then distributions, for every local cell (ghosts
+  // included: ghost flags persist; ghost f is refreshed by each step's
+  // exchange).
+  const lbm::CellBox all{Int3{0, 0, 0}, ld.local_dim()};
+  const Int3 shift = ld.global.lo - ld.ghost_lo;
+  all.for_each(ld.local_dim(), [&](Int3 p) {
+    GC_CHECK(global.in_bounds(p + shift));
+    lat->set_flag(p, global.flag(p + shift));
+  });
+  all.for_each(ld.local_dim(), [&](Int3 p) {
+    const i64 lc = lat->idx(p);
+    const i64 gcell = global.idx(p + shift);
+    for (int i = 0; i < lbm::Q; ++i) lat->set_f(i, lc, global.f(i, gcell));
+  });
   return lat;
 }
 

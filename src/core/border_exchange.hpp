@@ -20,8 +20,8 @@
 
 #include "core/decomposition.hpp"
 #include "gpulbm/gpu_solver.hpp"
-#include "lbm/cell_class.hpp"
 #include "lbm/lattice.hpp"
+#include "lbm/step_context.hpp"
 #include "lbm/thermal.hpp"
 #include "netsim/mpilite.hpp"
 #include "obs/trace.hpp"
@@ -40,6 +40,17 @@ struct LocalDomain {
   /// Local coordinates of the owned region (half-open box).
   Int3 own_lo() const { return ghost_lo; }
   Int3 own_hi() const { return ghost_lo + global.size(); }
+  /// The overlap's inner region (§4.4), in local coordinates: the cells
+  /// that read no ghost, inset ghost + 1 cells (the ghost layer and the
+  /// shell that pulls from it) on every side that has a neighbor. Empty
+  /// (lo == hi) when the block is too thin to have one. Both node kinds
+  /// stream it while border messages are in flight.
+  lbm::CellBox inner_box() const;
+  /// The local cells outside inner_box(), as at most six disjoint
+  /// non-empty boxes: the low and high z slabs, then the y slabs between
+  /// them, then the x slabs between those (one box of every local cell
+  /// when the inner box is empty). Streamed after the ghost write-back.
+  std::vector<lbm::CellBox> shell_boxes() const;
   /// Global -> local coordinate shift.
   Int3 to_local(Int3 g) const { return g - global.lo + ghost_lo; }
   /// True when an axial neighbor sits behind `face` (0..5 as lbm::Face).
@@ -133,8 +144,8 @@ struct ExchangePlan {
 
 /// One cluster node as the exchange sees it: border payloads in the
 /// formats above, ghost write-back, and the three streaming passes
-/// (whole lattice, or the inner cells that read no ghost and then the
-/// outer shell).
+/// (whole lattice, or LocalDomain::inner_box, the cells that read no
+/// ghost, and then LocalDomain::shell_boxes, the shell around it).
 class ExchangeNode {
  public:
   ExchangeNode() = default;
@@ -155,8 +166,10 @@ class ExchangeNode {
 /// A node whose block lives in a host lbm::Lattice (any storage mode).
 class HostNode final : public ExchangeNode {
  public:
-  /// Takes the node's finished local lattice and splits it into inner and
-  /// outer cells once: node flags never change afterwards.
+  /// Takes the node's finished local lattice and classifies its cells
+  /// once: node flags never change afterwards. stream_inner() streams the
+  /// inner box (lbm::stream_region); stream_outer() streams the shell
+  /// boxes and finishes the step (lbm::finish_stream).
   HostNode(std::unique_ptr<lbm::Lattice> lattice, const LocalDomain& ld);
 
   lbm::Lattice& lattice() { return *lat_; }
@@ -173,7 +186,6 @@ class HostNode final : public ExchangeNode {
  private:
   std::unique_ptr<lbm::Lattice> lat_;
   const LocalDomain& ld_;
-  lbm::InnerOuterClass split_;
 };
 
 /// A node whose block lives on its own simulated GPU (2D decompositions
@@ -207,10 +219,10 @@ class GpuNode final : public ExchangeNode {
   const LocalDomain& ld_;
   std::unique_ptr<gpusim::GpuDevice> dev_;
   std::unique_ptr<gpulbm::GpuLbmSolver> gpu_;
-  /// Streaming rectangle whose texels read no ghost: inset two texels
-  /// (ghost layer + the shell that reads it) on every side with a
-  /// neighbor; z is undecomposed.
-  gpusim::Rect inner_;
+  /// LocalDomain::inner_box (none when it is empty) and shell_boxes as
+  /// texel rectangles of every slice: z is undecomposed.
+  std::vector<gpusim::Rect> inner_;
+  std::vector<gpusim::Rect> shell_;
   /// This step's read-back border planes, by face.
   std::array<netsim::Payload, 4> borders_;
 };
@@ -244,11 +256,12 @@ class ClusterExchange {
   /// enqueue stamps, not modeled.
   double hidden_ms(int node) const;
 
-  /// Builds node `node`'s double-buffered local lattice from `global`:
-  /// face BCs (Outflow toward neighbors), inlet and inlet profile, flags
-  /// and distributions of every local cell, ghosts included.
-  std::unique_ptr<lbm::Lattice> scatter(const lbm::Lattice& global,
-                                        int node) const;
+  /// Builds node `node`'s local lattice from `global`, in storage mode
+  /// `mode`: face BCs (Outflow toward neighbors), inlet and inlet profile,
+  /// then the flags of every local cell, ghosts included, then their
+  /// distributions (so a Sparse lattice builds its compact map once).
+  std::unique_ptr<lbm::Lattice> scatter(const lbm::Lattice& global, int node,
+                                        lbm::StorageMode mode) const;
 
   /// Copies the distributions of node `node`'s owned region of `local`
   /// into the global lattice `out`.

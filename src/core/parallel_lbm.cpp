@@ -22,14 +22,8 @@ ParallelLbm::ParallelLbm(const lbm::Lattice& global, ParallelConfig cfg)
   std::vector<std::unique_ptr<lbm::Lattice>> lattices;
   for (int node = 0; node < n; ++node) {
     const LocalDomain& ld = ex_.domain(node);
-    // Seeded in the natural double-buffered layout — the scatter
-    // interleaves flag and value writes, which would thrash a sparse
-    // remap — and converted to the requested storage once the local
-    // geometry is final.
-    std::unique_ptr<lbm::Lattice> lat = ex_.scatter(global, node);
-    if (cfg_.storage != lbm::StorageMode::DoubleBuffer) {
-      lat->convert_storage(cfg_.storage);
-    }
+    std::unique_ptr<lbm::Lattice> lat =
+        ex_.scatter(global, node, cfg_.storage);
     if (cfg_.thermal) {
       auto field = std::make_unique<lbm::ThermalField>(ld.local_dim(),
                                                        *cfg_.thermal);
@@ -52,9 +46,9 @@ ParallelLbm::ParallelLbm(const lbm::Lattice& global, ParallelConfig cfg)
     }
     lattices.push_back(std::move(lat));
   }
-  // Every lattice exists before any node splits its cells: interleaving
-  // the splits with the lattice builds changes the heap layout, which
-  // moved the benchmark scenes' peak RSS by 1 to 5%.
+  // Every lattice exists before any node classifies its cells:
+  // interleaving the classifications with the lattice builds changes the
+  // heap layout, which moved the benchmark scenes' peak RSS by 1 to 5%.
   nodes_.reserve(static_cast<std::size_t>(n));
   for (int node = 0; node < n; ++node) {
     nodes_.push_back(std::make_unique<HostNode>(

@@ -116,7 +116,7 @@ void GpuLbmSolver::collide_pass() {
   }
 }
 
-void GpuLbmSolver::stream_pass_rects(const std::vector<Rect>& rects) {
+void GpuLbmSolver::stream_rects(const std::vector<Rect>& rects) {
   const Int3 d = params_.dim;
   const Uniforms no_uniforms;
 
@@ -135,28 +135,7 @@ void GpuLbmSolver::stream_pass_rects(const std::vector<Rect>& rects) {
 
 void GpuLbmSolver::stream_pass() {
   const Int3 d = params_.dim;
-  stream_pass_rects({Rect{0, 0, d.x, d.y}});
-  ++steps_;
-}
-
-void GpuLbmSolver::stream_pass_inner(const Rect& inner) {
-  if (inner.x1 <= inner.x0 || inner.y1 <= inner.y0) return;
-  stream_pass_rects({inner});
-}
-
-void GpuLbmSolver::stream_pass_outer(const Rect& inner) {
-  const Int3 d = params_.dim;
-  std::vector<Rect> rects;
-  if (inner.x1 <= inner.x0 || inner.y1 <= inner.y0) {
-    rects.push_back(Rect{0, 0, d.x, d.y});  // empty inner: all outer
-  } else {
-    if (inner.y0 > 0) rects.push_back(Rect{0, 0, d.x, inner.y0});
-    if (inner.y1 < d.y) rects.push_back(Rect{0, inner.y1, d.x, d.y});
-    if (inner.x0 > 0) rects.push_back(Rect{0, inner.y0, inner.x0, inner.y1});
-    if (inner.x1 < d.x) rects.push_back(Rect{inner.x1, inner.y0, d.x, inner.y1});
-  }
-  if (!rects.empty()) stream_pass_rects(rects);
-  ++steps_;
+  stream_rects({Rect{0, 0, d.x, d.y}});
 }
 
 void GpuLbmSolver::step() {

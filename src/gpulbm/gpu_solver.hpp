@@ -1,9 +1,11 @@
 // Single-GPU LBM solver (Section 4.2) running on the simulated device:
 // distributions live in 5 RGBA texture stacks (x2 for ping-pong), flags in
 // one stack; collision and streaming execute as fragment-program render
-// passes per slice per stack. Functionally bit-identical to lbm::Solver
-// (same single-cell kernels); the device ledger provides the simulated
-// FX-5800 timing that calibrates the cluster model.
+// passes per slice per stack, streaming over the whole slice or over a
+// list of rectangles (the overlapped cluster step's inner rectangle and
+// shell strips). Functionally bit-identical to lbm::Solver (same
+// single-cell kernels); the device ledger provides the simulated FX-5800
+// timing that calibrates the cluster model.
 #pragma once
 
 #include <array>
@@ -26,7 +28,6 @@ class GpuLbmSolver {
   GpuLbmSolver& operator=(const GpuLbmSolver&) = delete;
 
   Int3 dim() const { return params_.dim; }
-  i64 steps() const { return steps_; }
   gpusim::GpuDevice& device() { return dev_; }
 
   /// One LBM step: 5 collision passes + 5 streaming passes per slice.
@@ -40,18 +41,14 @@ class GpuLbmSolver {
   /// into the current one. step() == collide_pass(); stream_pass().
   void stream_pass();
 
-  /// Streaming restricted to `inner` (per slice): texels whose pull
-  /// sources avoid the ghost margins, renderable while border messages
-  /// are in flight. Does not advance the step counter; always pair with
-  /// stream_pass_outer(). No-op for an empty rectangle.
-  void stream_pass_inner(const gpusim::Rect& inner);
-
-  /// Streams the complement of `inner` as up to four strip rectangles
-  /// (the paper's "multiple small rectangles" boundary covering) and
-  /// advances the step counter. stream_pass_inner + stream_pass_outer
-  /// renders every texel exactly once with the same programs as
-  /// stream_pass() — bit-identical, whatever the split.
-  void stream_pass_outer(const gpusim::Rect& inner);
+  /// Streaming passes restricted to `rects`, rendered in order in every
+  /// slice (none for an empty list). The overlapped step renders the
+  /// inner rectangle while border messages are in flight and then the
+  /// shell strips around it (the paper's "multiple small rectangles"
+  /// boundary covering; core::LocalDomain defines both). Any set of
+  /// calls whose rectangles cover every texel exactly once runs the same
+  /// programs on every texel as stream_pass(): bit-identical to it.
+  void stream_rects(const std::vector<gpusim::Rect>& rects);
 
   /// Gathers the 5 outgoing post-collision distributions of `face` on the
   /// in-slice plane coordinate `coord` (own border layer, possibly inset
@@ -98,9 +95,6 @@ class GpuLbmSolver {
  private:
   int wrap_slice(int z) const;
   std::vector<gpusim::TextureId> bound_for_stream(int z) const;
-  /// Streaming render passes over an explicit rectangle cover of each
-  /// slice (shared by the full and the inner/outer partitioned passes).
-  void stream_pass_rects(const std::vector<gpusim::Rect>& rects);
 
   gpusim::GpuDevice& dev_;
   LbmShaderParams params_;
@@ -113,7 +107,6 @@ class GpuLbmSolver {
   std::array<gpusim::TextureId, 2> border_tex_{-1, -1};  // lazy, reused
   Int3 border_tex_dim_{0, 0, 0};
   int cur_ = 0;
-  i64 steps_ = 0;
 };
 
 }  // namespace gc::gpulbm

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "util/common.hpp"
-#include "util/vec3.hpp"
 
 namespace gc::lbm {
 
@@ -32,8 +31,12 @@ struct CellSpan {
 ///     to solids/inlets/outflows, and Inlet/Outflow-flagged cells) —
 ///     these take the general pull_value path.
 ///   - solid: bounce-back obstacles (streaming writes zeros).
-/// The `*_z` arrays partition each list by z-slice (size dim.z + 1) so
-/// pooled kernels can hand out contiguous z-chunks without re-scanning.
+/// Every list is sorted by cell, and the `*_z` arrays partition each one
+/// by z-slice (size dim.z + 1), so pooled kernels hand out contiguous
+/// z-chunks without re-scanning, and a pass clipped to a CellBox finds
+/// the entries of each row of the box by binary search (cell_pass.hpp):
+/// the collide pass and the stream region pass, which the overlapped
+/// step runs on a rank's inner box and then on the shell around it.
 struct CellClass {
   std::vector<CellSpan> spans;    ///< bulk-fast runs, ascending by cell
   std::vector<i64> slow;          ///< non-solid cells needing pull_value
@@ -52,36 +55,6 @@ struct CellClass {
   /// is the only place that scans neighbor flags; every per-step kernel
   /// iterates the lists built here.
   void build(const Lattice& lat);
-};
-
-/// Inner/outer split of a CellClass for the overlapped distributed step
-/// (paper §4.4): `outer` holds every cell whose 19 pull sources may touch
-/// a ghost margin — the margin cells themselves plus the one-cell shell
-/// just inside them (pull reads stay within Chebyshev distance 1, so a
-/// one-cell shell suffices even for FreeSlip mirrors and bounce-back);
-/// `inner` is everything else. stream_inner() can therefore run while
-/// border messages are still in flight, and stream_outer() finishes the
-/// step once the ghost layers are written. The two halves partition the
-/// parent classification exactly: inner ∪ outer == spans+slow+solid,
-/// inner ∩ outer == ∅.
-struct InnerOuterClass {
-  std::vector<CellSpan> inner_spans;  ///< bulk-fast runs, ghost-safe
-  std::vector<CellSpan> outer_spans;  ///< bulk-fast runs near a margin
-  std::vector<i64> inner_slow;
-  std::vector<i64> outer_slow;
-  std::vector<i64> inner_solid;
-  std::vector<i64> outer_solid;
-
-  i64 inner_cells = 0;  ///< total inner cells (spans + slow + solid)
-  i64 outer_cells = 0;
-
-  Int3 ghost_lo{0, 0, 0};
-  Int3 ghost_hi{0, 0, 0};
-
-  /// Splits lat.cell_class() for ghost margins `ghost_lo`/`ghost_hi`
-  /// cells wide per face (0 = that face has no ghost layer). Stale after
-  /// any flag change — rebuild alongside the parent classification.
-  void build(const Lattice& lat, Int3 ghost_lo, Int3 ghost_hi);
 };
 
 }  // namespace gc::lbm

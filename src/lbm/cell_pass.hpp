@@ -3,10 +3,12 @@
 // the host kernels are written the same way. A pass is an addressing
 // policy (where a cell's 19 values live in the lattice's storage mode)
 // times a cell operator (what happens to them), chunked over z on the
-// step's pool. Bulk spans run the operator over tiles of adjacent cells,
-// the host's stand-in for the GPU's parallel pixel pipes. The public
-// kernels in collision/mrt/les/stream.cpp instantiate these templates;
-// outside src/lbm only the kernel tests include this header.
+// step's pool and clipped to a CellBox. Bulk spans run the operator over
+// tiles of adjacent cells, the host's stand-in for the GPU's parallel
+// pixel pipes. The public kernels in collision/mrt/les/stream.cpp
+// instantiate these templates (the stream region pass shares the
+// chunking and the box clipping); outside src/lbm only the kernel tests
+// include this header.
 #pragma once
 
 #include <algorithm>
@@ -33,12 +35,15 @@ void for_chunks(ThreadPool* pool, i64 begin, i64 end, i64 min_chunk,
   }
 }
 
-/// for_chunks over the z-slices [z0, z1) on ctx.pool. A chunk covers at
-/// least ~8K cells, so tiny lattices do not pay for dispatch.
+/// for_chunks over the z-slices of box (clipped to the lattice) on
+/// ctx.pool. A chunk covers at least ~8K cells, so tiny lattices do not
+/// pay for dispatch.
 template <class Body>
-void for_z_chunks(const Lattice& lat, const StepContext& ctx, int z0, int z1,
-                  const Body& body) {
+void for_z_chunks(const Lattice& lat, const StepContext& ctx,
+                  const CellBox& box, const Body& body) {
   const Int3 d = lat.dim();
+  const int z0 = std::clamp(box.lo.z, 0, d.z);
+  const int z1 = std::clamp(box.hi.z, z0, d.z);
   for_chunks(ctx.pool, z0, z1, ThreadPool::min_chunk_indices(i64(d.x) * d.y),
              [&body](i64 a, i64 b) {
                body(static_cast<int>(a), static_cast<int>(b));
@@ -60,6 +65,70 @@ std::span<const T> z_slice(const std::vector<T>& list,
 /// no wrap: exact for bulk-span cells, whose pull sources are interior.
 inline i64 pull_offset(Int3 d, int i) {
   return -(C[i].x + i64(d.x) * (C[i].y + i64(d.y) * C[i].z));
+}
+
+// ---- box clipping ----------------------------------------------------------
+// The cells of a box in one z-slice are runs of consecutive cell indices:
+// one run per row, or a single run when the box spans the lattice in x
+// (its rows then abut). Every CellClass list is sorted by cell, so the
+// entries of a run are found by binary search and walked without a
+// per-cell test.
+
+/// Calls run(a, b) for each run [a, b) of box in slice z, ascending.
+template <class Fn>
+void for_box_runs(Int3 d, const CellBox& box, int z, const Fn& run) {
+  const int x0 = std::clamp(box.lo.x, 0, d.x);
+  const int x1 = std::clamp(box.hi.x, x0, d.x);
+  const int y0 = std::clamp(box.lo.y, 0, d.y);
+  const int y1 = std::clamp(box.hi.y, y0, d.y);
+  if (x0 == x1) return;
+  const i64 slice = i64(z) * d.y;
+  if (x0 == 0 && x1 == d.x) {
+    if (y0 < y1) run((slice + y0) * d.x, (slice + y1) * d.x);
+    return;
+  }
+  for (int y = y0; y < y1; ++y) {
+    const i64 row = (slice + y) * d.x;
+    run(row + x0, row + x1);
+  }
+}
+
+/// Calls fn(sp) for every bulk span of slices [z0, z1), clipped to box.
+template <class Fn>
+void for_box_spans(const Lattice& lat, const CellClass& cc, const CellBox& box,
+                   int z0, int z1, const Fn& fn) {
+  for (int z = z0; z < z1; ++z) {
+    const auto spans = z_slice(cc.spans, cc.span_z, z, z + 1);
+    auto it = spans.begin();
+    for_box_runs(lat.dim(), box, z, [&](i64 a, i64 b) {
+      // A span never crosses a row, so only the first and last span of a
+      // run can stick out of it.
+      it = std::partition_point(it, spans.end(), [a](const CellSpan& sp) {
+        return sp.begin + sp.len <= a;
+      });
+      for (; it != spans.end() && it->begin < b; ++it) {
+        const i64 s0 = std::max(it->begin, a);
+        const i64 s1 = std::min(it->begin + it->len, b);
+        fn(CellSpan{s0, static_cast<i32>(s1 - s0)});
+      }
+    });
+  }
+}
+
+/// Calls fn(k, list[k]) for every entry k of a CellClass cell list (with
+/// per-z offsets list_z) whose cell lies in box, in slices [z0, z1).
+template <class Fn>
+void for_box_cells(const Lattice& lat, const std::vector<i64>& list,
+                   const std::vector<i64>& list_z, const CellBox& box, int z0,
+                   int z1, const Fn& fn) {
+  for (int z = z0; z < z1; ++z) {
+    auto it = list.begin() + list_z[static_cast<std::size_t>(z)];
+    const auto end = list.begin() + list_z[static_cast<std::size_t>(z) + 1];
+    for_box_runs(lat.dim(), box, z, [&](i64 a, i64 b) {
+      it = std::lower_bound(it, end, a);
+      for (; it != end && *it < b; ++it) fn(it - list.begin(), *it);
+    });
+  }
 }
 
 // ---- cell operators and the tile loop --------------------------------------
@@ -156,13 +225,11 @@ struct PlaneAddr {
     const i64 m = at(cell);
     for (int i = 0; i < Q; ++i) wr[i][m] = f[i];
   }
-  /// Zeroes the written values of solid cells, which is what a pull
+  /// Zeroes the written values of a solid cell, which is what a pull
   /// stream leaves there. Compact storage has no solid cells.
-  void zero_solids(std::span<const i64> cells) const {
+  void zero_solid(i64 cell) const {
     if constexpr (!kCompact) {
-      for (const i64 c : cells) {
-        for (int i = 0; i < Q; ++i) wr[i][c] = Real(0);
-      }
+      for (int i = 0; i < Q; ++i) wr[i][cell] = Real(0);
     }
   }
 
@@ -212,29 +279,12 @@ struct AaAddr {
 
 // ---- the collide pass ------------------------------------------------------
 
-/// True when box spans the lattice in x and y (z is the pass's slice
-/// range), so no cell needs a box test.
-inline bool covers_xy(const CellBox& box, Int3 d) {
-  return box.lo.x <= 0 && box.lo.y <= 0 && box.hi.x >= d.x && box.hi.y >= d.y;
-}
-
-/// Applies op to the bulk spans of slices [z0, z1) inside box. A span is
-/// one row, so once its y is inside only its x extent needs clipping.
-/// Under AA at odd parity, rd[i] and wr[OPP[i]] are the same pointer.
+/// Applies op to the bulk spans of slices [z0, z1) inside box. Under AA
+/// at odd parity, rd[i] and wr[OPP[i]] are the same pointer.
 template <class Addr, class Op>
 void collide_spans(const Lattice& lat, const CellClass& cc, const Addr& a,
                    const Op& op, const CellBox& box, int z0, int z1) {
-  const Int3 d = lat.dim();
-  const bool whole = covers_xy(box, d);
-  for (CellSpan sp : z_slice(cc.spans, cc.span_z, z0, z1)) {
-    if (!whole) {
-      const int y = static_cast<int>((sp.begin / d.x) % d.y);
-      const int x0 = static_cast<int>(sp.begin % d.x);
-      const int xb = std::max(x0, box.lo.x);
-      const int xe = std::min(x0 + sp.len, box.hi.x);
-      if (y < box.lo.y || y >= box.hi.y || xb >= xe) continue;
-      sp = {sp.begin + (xb - x0), static_cast<i32>(xe - xb)};
-    }
+  for_box_spans(lat, cc, box, z0, z1, [&](const CellSpan& sp) {
     const i64 at0 = a.at(sp.begin);
     const Real* in[Q];
     Real* out[Q];
@@ -243,7 +293,7 @@ void collide_spans(const Lattice& lat, const CellClass& cc, const Addr& a,
       out[i] = a.wr[i] + at0;
     }
     run_span(in, out, sp.len, op);
-  }
+  });
 }
 
 /// Applies op to the boundary fluid cells of slices [z0, z1) inside box,
@@ -253,27 +303,20 @@ void collide_spans(const Lattice& lat, const CellClass& cc, const Addr& a,
 template <class Addr, class Op>
 void collide_boundary(const Lattice& lat, const CellClass& cc, const Addr& a,
                       const Op& op, const CellBox& box, int z0, int z1) {
-  const bool whole = covers_xy(box, lat.dim());
-  auto advance = [&](std::span<const i64> cells) {
+  auto advance = [&](const std::vector<i64>& list,
+                     const std::vector<i64>& list_z) {
     Real f[Q];
-    for (const i64 c : cells) {
-      if (!whole) {
-        const Int3 p = lat.coords(c);
-        if (p.x < box.lo.x || p.x >= box.hi.x || p.y < box.lo.y ||
-            p.y >= box.hi.y) {
-          continue;
-        }
-      }
+    for_box_cells(lat, list, list_z, box, z0, z1, [&](i64, i64 c) {
       a.load(c, f);
       if (lat.flag(c) == CellType::Fluid) op(f, Lanes<1>{});
       a.store(c, f);
-    }
+    });
   };
   if constexpr (Addr::kAdvanceAll) {
-    advance(z_slice(cc.slow, cc.slow_z, z0, z1));
-    advance(z_slice(cc.solid, cc.solid_z, z0, z1));
+    advance(cc.slow, cc.slow_z);
+    advance(cc.solid, cc.solid_z);
   } else {
-    advance(z_slice(cc.fluid_slow, cc.fluid_slow_z, z0, z1));
+    advance(cc.fluid_slow, cc.fluid_slow_z);
   }
 }
 
@@ -288,11 +331,8 @@ template <class Op>
 void collide_pass(Lattice& lat, const Op& op, const StepContext& ctx,
                   const CellBox& box) {
   const CellClass& cc = lat.cell_class();  // build before dispatch
-  const int nz = lat.dim().z;
-  const int z0 = std::clamp(box.lo.z, 0, nz);
-  const int z1 = std::clamp(box.hi.z, z0, nz);
   auto run = [&](const auto& addr) {
-    for_z_chunks(lat, ctx, z0, z1, [&](int a, int b) {
+    for_z_chunks(lat, ctx, box, [&](int a, int b) {
       collide_spans(lat, cc, addr, op, box, a, b);
       collide_boundary(lat, cc, addr, op, box, a, b);
     });

@@ -114,7 +114,9 @@ void fused_z_range(const Lattice& lat, const CellClass& cc,
                    int z0, int z1) {
   i64 shift[Q];
   for (int i = 0; i < Q; ++i) shift[i] = detail::pull_offset(lat.dim(), i);
-  a.zero_solids(detail::z_slice(cc.solid, cc.solid_z, z0, z1));
+  for (const i64 c : detail::z_slice(cc.solid, cc.solid_z, z0, z1)) {
+    a.zero_solid(c);
+  }
 
   for (const CellSpan& sp : detail::z_slice(cc.spans, cc.span_z, z0, z1)) {
     const i64 out0 = a.at(sp.begin);
@@ -138,7 +140,7 @@ template <bool kCompact>
 void fused_pass(Lattice& lat, const CellClass& cc,
                 const detail::PlaneAddr<kCompact>& a, const BgkParams& p,
                 const StepContext& ctx) {
-  detail::for_z_chunks(lat, ctx, 0, lat.dim().z, [&](int z0, int z1) {
+  detail::for_z_chunks(lat, ctx, CellBox{}, [&](int z0, int z1) {
     fused_z_range(lat, cc, a, p, z0, z1);
   });
   lat.swap_buffers();
@@ -168,7 +170,7 @@ void aa_fused(Lattice& lat, const CellClass& cc, const BgkParams& p,
   lat.swap_buffers();  // flip parity: the zero-copy bulk stream
 
   const detail::AaAddr bulk(lat);
-  detail::for_z_chunks(lat, ctx, 0, lat.dim().z, [&](int z0, int z1) {
+  detail::for_z_chunks(lat, ctx, CellBox{}, [&](int z0, int z1) {
     detail::collide_spans(lat, cc, bulk, bgk_op(p), CellBox{}, z0, z1);
   });
 

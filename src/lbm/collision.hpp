@@ -24,8 +24,9 @@ struct BgkParams {
 /// ParallelLbm passes a rank's owned cells, so the ghost layers, which
 /// the exchange rewrites before anything reads them, are not collided.
 /// Collision never overlaps the exchange: in the overlapped step it is
-/// the inner cells' streaming (stream_inner) that runs while border
-/// messages are in flight.
+/// the stream region pass over the rank's inner box (stream_region) that
+/// runs while border messages are in flight. Both passes clip to a box
+/// the same way (cell_pass.hpp).
 void collide_bgk(Lattice& lat, const BgkParams& p, const StepContext& ctx = {},
                  const CellBox& box = {});
 

@@ -24,7 +24,9 @@
 //     collide advances 0->1 / 2->3 (in place: each cell's read-slot set
 //     equals its write-slot set), swap_buffers() flips 1->2 / 3->0 (pure
 //     parity flip: for bulk cells the post-flip logical value IS the
-//     streamed value; only boundary cells need explicit fixups).
+//     streamed value; only boundary cells need explicit fixups, which
+//     the stream region passes collect into one scratch before the flip
+//     and finish_stream scatters after it).
 //     `wrap` is a per-axis periodic index wrap — an internal address
 //     bijection, independent of the face boundary conditions.
 //
@@ -314,13 +316,11 @@ class Lattice {
   /// bans naked memcpy into plane storage.
   void copy_distributions_from(const Lattice& src);
 
-  /// Reusable scratch for the AA stream's boundary fixups (sized by the
-  /// stream kernels; kept on the lattice so the hot loop does not
-  /// reallocate every step).
+  /// Reusable scratch for the AA boundary fixups: Q values per entry of
+  /// CellClass::slow, filled by the stream region passes (or the fused
+  /// step) before the flip and scattered after it. Kept on the lattice
+  /// so the hot loop does not reallocate every step.
   std::vector<Real>& aa_fix_scratch() { return aa_fix_; }
-  /// Scratch holding the inner-region fixups between stream_inner and
-  /// stream_outer on the overlap path.
-  std::vector<Real>& aa_pending_scratch() { return aa_pending_; }
 
   // --- cell flags ---
   CellType flag(i64 cell) const { return static_cast<CellType>(flags_[cell]); }
@@ -413,8 +413,7 @@ class Lattice {
     }
     const i64 nbufs = mode_ == StorageMode::AA ? 1 : 2;
     return nbufs * Q * n_ * static_cast<i64>(sizeof(Real)) +
-           static_cast<i64>((aa_fix_.capacity() + aa_pending_.capacity()) *
-                            sizeof(Real));
+           static_cast<i64>(aa_fix_.capacity() * sizeof(Real));
   }
 
  private:
@@ -474,7 +473,6 @@ class Lattice {
   std::array<std::vector<Real>, 2> buf_;
   int cur_ = 0;
   std::vector<Real> aa_fix_;
-  std::vector<Real> aa_pending_;
   std::vector<i64> sparse_map_;    ///< dense cell -> compact id, -1 pruned
   std::vector<i64> sparse_cells_;  ///< compact id -> dense cell, ascending
   i64 sparse_n_ = 0;               ///< active (non-solid) cell count

@@ -4,8 +4,8 @@
 // taking a StepContext; a ThreadPool& converts to one implicitly, so a
 // `collide_bgk(lat, p, pool)` call reaches that same entry point.
 //
-// Also here: CellBox, the optional cell range a collide pass is clipped
-// to.
+// Also here: CellBox, the optional cell range a collide pass or a stream
+// region pass is clipped to.
 #pragma once
 
 #include <algorithm>
@@ -39,6 +39,9 @@ struct CellBox {
   static constexpr int kUnbounded = std::numeric_limits<int>::max();
   Int3 lo{0, 0, 0};
   Int3 hi{kUnbounded, kUnbounded, kUnbounded};
+
+  /// True when the box holds no cell, whatever lattice it is clipped to.
+  bool empty() const { return lo.x >= hi.x || lo.y >= hi.y || lo.z >= hi.z; }
 
   /// Calls fn(p) for every cell p of the box clipped to a lattice of
   /// dimensions d, x fastest: the box walk of the per-cell helpers

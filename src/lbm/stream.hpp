@@ -12,29 +12,32 @@
 
 namespace gc::lbm {
 
-/// Streams every cell from the current buffer into the back buffer,
-/// applying face boundary conditions, half-way bounce-back at solids,
-/// inlet equilibria and outflow copies; then swaps buffers and applies
-/// curved-boundary (Bouzidi) corrections for registered links. Runs on
-/// ctx.pool when set (z-slabs; the pull pattern has no write conflicts,
-/// so this is bit-identical to serial) and emits "stream" (pull pass)
-/// and "finish" (swap + inlet + curved corrections) spans on ctx.trace
-/// when attached.
+/// Streams the cells of `box` (clipped to the lattice) from the current
+/// buffer, with all boundary handling, on ctx.pool when set (z-chunks;
+/// the pull pattern has no write conflicts, so pooled equals serial bit
+/// for bit). DoubleBuffer and Sparse write the pulled values into the
+/// back buffer (zeros at solids). AA only reads: it collects the pulled
+/// values of the box's slow cells into the lattice's fixup scratch, at
+/// their position in CellClass::slow; its bulk streams in the flip. No
+/// span. A cell pulls only from cells one hop away (or across a periodic
+/// face), so the overlapped step streams the box of cells that read no
+/// ghost while border messages are in flight (core::LocalDomain).
+void stream_region(Lattice& lat, const CellBox& box,
+                   const StepContext& ctx = {});
+
+/// Completes a stream once region passes have covered every cell exactly
+/// once (any partition of the lattice into boxes, in any order; flags
+/// must not change in between): swaps the buffers (DoubleBuffer, Sparse)
+/// or flips the AA parity, scatters the AA fixups and zeroes solids
+/// through the new mapping, then re-imposes inlet equilibria and applies
+/// curved-boundary (Bouzidi) corrections. The AA scatter runs on
+/// ctx.pool when set. No span.
+void finish_stream(Lattice& lat, const StepContext& ctx = {});
+
+/// One stream of the whole lattice: stream_region over every cell, then
+/// finish_stream. Emits "stream" (the region pass) and "finish" spans on
+/// ctx.trace when attached.
 void stream(Lattice& lat, const StepContext& ctx = {});
-
-/// Streams only the inner partition of `split` into the back buffer —
-/// cells guaranteed not to read any ghost-margin texel — so it can run
-/// while border messages are still in flight. No buffer swap, no
-/// boundary finishing: always pair with stream_outer() afterwards.
-/// stream_inner + stream_outer is bit-identical to stream(): the pull
-/// pattern writes each cell exactly once, so phase order cannot change
-/// any value.
-void stream_inner(Lattice& lat, const InnerOuterClass& split);
-
-/// Streams the outer partition (ghost margins plus the one-cell shell
-/// inside them) after the ghost layers are written, then swaps buffers
-/// and applies inlet re-imposition and curved-boundary corrections.
-void stream_outer(Lattice& lat, const InnerOuterClass& split);
 
 namespace detail {
 
@@ -44,10 +47,6 @@ Real pull_value(const Lattice& lat, Int3 p, int i);
 
 /// All 19 pulled values of one cell: pull_value in every direction.
 void pull_cell(const Lattice& lat, i64 cell, Real f[Q]);
-
-/// True when all 19 pull sources of p are in-bounds fluid cells — the fast
-/// path where streaming is a plain shifted copy.
-bool is_interior_fluid(const Lattice& lat, Int3 p);
 
 }  // namespace detail
 }  // namespace gc::lbm

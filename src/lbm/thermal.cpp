@@ -21,7 +21,8 @@ void ThermalField::fill(Real v) {
   std::fill(T_.begin(), T_.end(), v);
 }
 
-void ThermalField::step(const Lattice& lat, const std::vector<Vec3>& velocity) {
+void ThermalField::step(const Lattice& lat, const std::vector<Vec3>& velocity,
+                        const CellBox& box) {
   GC_CHECK(lat.dim() == dim_);
   GC_CHECK(velocity.size() == T_.size());
   const Int3 d = dim_;
@@ -48,43 +49,44 @@ void ThermalField::step(const Lattice& lat, const std::vector<Vec3>& velocity) {
     return T_[static_cast<std::size_t>(qc)];
   };
 
-  for (int z = 0; z < d.z; ++z) {
-    for (int y = 0; y < d.y; ++y) {
-      for (int x = 0; x < d.x; ++x) {
-        const i64 c = idx(x, y, z);
-        const auto ci = static_cast<std::size_t>(c);
-        if (lat.flag(c) == CellType::Solid) {
-          T_next_[ci] = T_[ci];
-          continue;
-        }
-        const Real own = T_[ci];
-        const Int3 p{x, y, z};
-        Real lap = Real(0);
-        Real adv = Real(0);
-        const Vec3 u = velocity[ci];
-        for (int a = 0; a < 3; ++a) {
-          const Real tm = neighbor_t(p, a, -1, own);
-          const Real tp = neighbor_t(p, a, +1, own);
-          lap += tm + tp - Real(2) * own;
-          const Real ua = u[a];
-          // First-order upwind derivative along axis a.
-          adv += ua > Real(0) ? ua * (own - tm) : ua * (tp - own);
-        }
-        T_next_[ci] = own + params_.kappa * lap - adv;
-      }
+  // The new values of box go to T_next_ first, since the stencil reads
+  // T_ around every cell, and are then copied back.
+  box.for_each(d, [&](Int3 p) {
+    const auto ci = static_cast<std::size_t>(idx(p.x, p.y, p.z));
+    if (lat.flag(p) == CellType::Solid) {
+      T_next_[ci] = T_[ci];
+      return;
     }
-  }
-  T_.swap(T_next_);
+    const Real own = T_[ci];
+    Real lap = Real(0);
+    Real adv = Real(0);
+    const Vec3 u = velocity[ci];
+    for (int a = 0; a < 3; ++a) {
+      const Real tm = neighbor_t(p, a, -1, own);
+      const Real tp = neighbor_t(p, a, +1, own);
+      lap += tm + tp - Real(2) * own;
+      const Real ua = u[a];
+      // First-order upwind derivative along axis a.
+      adv += ua > Real(0) ? ua * (own - tm) : ua * (tp - own);
+    }
+    T_next_[ci] = own + params_.kappa * lap - adv;
+  });
+  box.for_each(d, [&](Int3 p) {
+    const auto ci = static_cast<std::size_t>(idx(p.x, p.y, p.z));
+    T_[ci] = T_next_[ci];
+  });
 }
 
-void ThermalField::buoyancy_force(const Lattice& lat,
-                                  std::vector<Vec3>& force) const {
+void ThermalField::buoyancy_force(const Lattice& lat, std::vector<Vec3>& force,
+                                  const CellBox& box) const {
   GC_CHECK(lat.dim() == dim_);
-  force.assign(T_.size(), Vec3{});
-  for (std::size_t c = 0; c < T_.size(); ++c) {
-    if (lat.flag(static_cast<i64>(c)) == CellType::Solid) continue;
-    force[c].z = params_.buoyancy * (T_[c] - params_.t_ref);
-  }
+  if (force.size() != T_.size()) force.assign(T_.size(), Vec3{});
+  box.for_each(dim_, [&](Int3 p) {
+    const auto c = static_cast<std::size_t>(idx(p.x, p.y, p.z));
+    force[c] = lat.flag(p) == CellType::Solid
+                   ? Vec3{}
+                   : Vec3{0, 0, params_.buoyancy * (T_[c] - params_.t_ref)};
+  });
 }
 
 double ThermalField::total_heat(const Lattice& lat) const {
@@ -98,11 +100,11 @@ double ThermalField::total_heat(const Lattice& lat) const {
 
 void ThermalField::advect(const Lattice& lat, const CellBox& box) {
   compute_velocity_field(lat, velocity_, box);
-  step(lat, velocity_);
+  step(lat, velocity_, box);
 }
 
 void ThermalField::apply_buoyancy(Lattice& lat, const CellBox& box) {
-  buoyancy_force(lat, force_);
+  buoyancy_force(lat, force_, box);
   apply_force_first_order(lat, force_, box);
 }
 

@@ -44,19 +44,24 @@ class ThermalField {
   /// Fill the whole field with a constant.
   void fill(Real v);
 
-  /// One explicit advection-diffusion update using the lattice's flags
-  /// (solid cells are adiabatic) and the given velocity field.
-  void step(const Lattice& lat, const std::vector<Vec3>& velocity);
+  /// One explicit advection-diffusion update of the cells of `box` (the
+  /// whole field by default) using the lattice's flags (solid cells are
+  /// adiabatic) and the given velocity field; T outside box is neither
+  /// computed nor written.
+  void step(const Lattice& lat, const std::vector<Vec3>& velocity,
+            const CellBox& box = {});
 
-  /// Boussinesq body force per cell: F_z = buoyancy * (T - t_ref).
-  void buoyancy_force(const Lattice& lat, std::vector<Vec3>& force) const;
+  /// Boussinesq body force on the cells of `box` (the whole field by
+  /// default): F_z = buoyancy * (T - t_ref), zero at solids. `force` is
+  /// zero-filled when it is sized; entries outside box are not written.
+  void buoyancy_force(const Lattice& lat, std::vector<Vec3>& force,
+                      const CellBox& box = {}) const;
 
   /// The hybrid step's two couplings, on the cells of `box` (the whole
   /// lattice by default), through scratch this field owns. advect() runs
-  /// step() with the lattice velocity of box; the velocity outside box is
-  /// zero, so a rank's ghost cells only diffuse until the next ghost swap
-  /// overwrites them. apply_buoyancy() adds the Boussinesq force to the
-  /// fluid cells of box after the collision.
+  /// step() on box with the lattice velocity of box, so a rank leaves its
+  /// ghost temperatures to the next ghost swap. apply_buoyancy() adds the
+  /// Boussinesq force to the fluid cells of box after the collision.
   void advect(const Lattice& lat, const CellBox& box = {});
   void apply_buoyancy(Lattice& lat, const CellBox& box = {});
 

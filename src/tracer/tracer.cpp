@@ -9,8 +9,7 @@ using lbm::CellType;
 using lbm::FaceBc;
 using lbm::Q;
 
-TracerCloud::TracerCloud(TracerParams params)
-    : params_(params), rng_(params.seed) {}
+TracerCloud::TracerCloud(TracerParams params) : rng_(params.seed) {}
 
 void TracerCloud::release(Int3 site, int count) {
   GC_CHECK(count >= 0);

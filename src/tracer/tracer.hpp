@@ -13,8 +13,6 @@ namespace gc::tracer {
 
 struct TracerParams {
   u64 seed = 7;
-  /// Particles hitting a Solid cell stay put this step (reflective walls).
-  bool stick_to_walls = false;
 };
 
 class TracerCloud {
@@ -38,7 +36,6 @@ class TracerCloud {
   void deposit(const lbm::Lattice& lat, std::vector<float>& density) const;
 
  private:
-  TracerParams params_;
   Rng rng_;
   std::vector<Int3> particles_;
   i64 escaped_ = 0;

@@ -177,14 +177,5 @@ TEST(Stream, InletCellReimposedAfterStream) {
   }
 }
 
-TEST(Stream, InteriorDetectorMatchesGeometry) {
-  Lattice lat(Int3{6, 6, 6});
-  lat.fill_solid_box(Int3{3, 3, 3}, Int3{4, 4, 4});
-  EXPECT_FALSE(detail::is_interior_fluid(lat, Int3{0, 3, 3}));  // domain edge
-  EXPECT_FALSE(detail::is_interior_fluid(lat, Int3{3, 3, 3}));  // solid
-  EXPECT_FALSE(detail::is_interior_fluid(lat, Int3{2, 3, 3}));  // solid nbr
-  EXPECT_TRUE(detail::is_interior_fluid(lat, Int3{1, 1, 1}));
-}
-
 }  // namespace
 }  // namespace gc::lbm

@@ -176,6 +176,37 @@ TEST(Thermal, HybridSolverProducesConvectionPlume) {
   EXPECT_GT(above.u.z, 1e-5);
 }
 
+TEST(Thermal, AdvectLeavesCellsOutsideTheBoxUnchanged) {
+  // A distributed rank advects its owned box only: the ghost temperatures
+  // around it wait for the next ghost swap, bit for bit.
+  Lattice lat(Int3{8, 7, 6});
+  lat.init_equilibrium(Real(1), Vec3{Real(0.02), Real(-0.01), 0});
+  lat.fill_solid_box(Int3{3, 3, 2}, Int3{5, 4, 3});
+  ThermalParams p;
+  p.kappa = Real(0.1);
+  ThermalField T(lat.dim(), p);
+  for (i64 c = 0; c < lat.num_cells(); ++c) {
+    T.set_t(c, Real(0.25) * Real(c % 5));
+  }
+  const std::vector<Real> before = T.field();
+  const CellBox box{Int3{1, 1, 0}, Int3{7, 5, 6}};
+  T.advect(lat, box);
+
+  int changed_inside = 0;
+  for (i64 c = 0; c < lat.num_cells(); ++c) {
+    const Int3 q = lat.coords(c);
+    const bool inside = q.x >= box.lo.x && q.x < box.hi.x &&
+                        q.y >= box.lo.y && q.y < box.hi.y;
+    const Real was = before[static_cast<std::size_t>(c)];
+    if (inside) {
+      changed_inside += T.t(c) != was;
+    } else {
+      ASSERT_EQ(T.t(c), was) << "cell " << q << " outside the box changed";
+    }
+  }
+  EXPECT_GT(changed_inside, 0);
+}
+
 TEST(Thermal, SolverRequiresMrtForThermal) {
   SolverConfig cfg;
   cfg.collision = CollisionKind::BGK;

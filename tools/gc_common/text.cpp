@@ -167,15 +167,6 @@ bool string_literal(const std::string& arg, std::string* out) {
   return true;
 }
 
-bool bare_identifier(const std::string& arg) {
-  const std::string t = trim(arg);
-  if (t.empty() || !ident_char(t[0]) ||
-      std::isdigit(static_cast<unsigned char>(t[0]))) {
-    return false;
-  }
-  return std::all_of(t.begin(), t.end(), ident_char);
-}
-
 bool contains_ci(const std::string& hay, const std::string& needle) {
   auto it = std::search(hay.begin(), hay.end(), needle.begin(), needle.end(),
                         [](char a, char b) {

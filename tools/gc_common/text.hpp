@@ -44,8 +44,6 @@ bool extract_call_args(const SourceView& v, std::size_t line, std::size_t col,
 /// If `arg` is a plain string literal ("..."), returns its contents.
 bool string_literal(const std::string& arg, std::string* out);
 
-bool bare_identifier(const std::string& arg);
-
 bool contains_ci(const std::string& hay, const std::string& needle);
 
 /// Position of the ')' closing the paren at `open` on the same line, or

@@ -19,14 +19,10 @@ using tool::skip_spaces;
 using tool::trim;
 using tool::extract_call_args;
 using tool::string_literal;
-using tool::bare_identifier;
 using tool::contains_ci;
 using tool::matching_close;
 
 const std::vector<Rule> kRules = {
-    {"GCL001", "deprecated-shim-call", Severity::kError,
-     "call site of a deleted compatibility shim",
-     "use the StepContext kernel entry points / traffic_bytes_per_step"},
     {"GCL002", "non-canonical-trace-name", Severity::kError,
      "trace name not in the span/counter/gauge canon",
      "add the name to src/obs/span_canon.cpp or use a canonical one"},
@@ -123,47 +119,6 @@ struct Ctx {
                            static_cast<int>(col + 1), std::move(message)});
   }
 };
-
-// --- GCL001: deprecated shim calls ----------------------------------------
-
-void check_deprecated_shims(Ctx& ctx) {
-  for (std::size_t l = 0; l < ctx.v.code.size(); ++l) {
-    const std::string& code = ctx.v.code[l];
-    // traffic_bytes( — exact name; traffic_bytes_per_step never matches
-    // because the identifier continues past "bytes".
-    for (std::size_t p = find_ident(code, "traffic_bytes");
-         p != std::string::npos; p = find_ident(code, "traffic_bytes", p + 1)) {
-      const std::size_t after = skip_spaces(code, p + 13);
-      if (after < code.size() && code[after] == '(') {
-        ctx.report("GCL001", l, p,
-                   "ClusterSimulator::traffic_bytes was removed; call "
-                   "traffic_bytes_per_step");
-      }
-    }
-    // Kernel entry points with a bare ThreadPool argument (the deleted
-    // pool-overload shims): any top-level argument that is a lone
-    // identifier containing "pool".
-    for (const char* fn : {"fused_stream_collide", "collide_bgk_forced"}) {
-      for (std::size_t p = find_ident(code, fn); p != std::string::npos;
-           p = find_ident(code, fn, p + 1)) {
-        const std::size_t open = skip_spaces(code, p + std::strlen(fn));
-        if (open >= code.size() || code[open] != '(') continue;
-        std::vector<std::string> args;
-        if (!extract_call_args(ctx.v, l, open, &args)) continue;
-        // The shims took the pool as a trailing argument; the first
-        // argument is always the lattice, so skip it (it may legitimately
-        // be *named* something pool-ish, e.g. `pooled`).
-        for (std::size_t a = 1; a < args.size(); ++a) {
-          if (bare_identifier(args[a]) && contains_ci(args[a], "pool")) {
-            ctx.report("GCL001", l, p,
-                       std::string(fn) + " no longer takes ThreadPool&; "
-                       "pass StepContext{&" + trim(args[a]) + "}");
-          }
-        }
-      }
-    }
-  }
-}
 
 // --- GCL002: trace name canon ---------------------------------------------
 
@@ -531,7 +486,6 @@ std::vector<Finding> lint_source(const std::string& path,
   std::vector<Finding> out;
   const SourceView v = preprocess(content);
   Ctx ctx{path, classify(path), v, &out, {}};
-  check_deprecated_shims(ctx);
   check_trace_names(ctx);
   check_raw_tags(ctx);
   check_includes(ctx);

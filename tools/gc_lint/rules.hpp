@@ -2,9 +2,6 @@
 // libclang dependency) that enforces the conventions the runtime layers
 // assume but cannot themselves verify statically:
 //
-//   GCL001 deprecated-shim-call    no resurrecting deleted compat shims
-//                                  (ThreadPool& kernel overloads,
-//                                  ClusterSimulator::traffic_bytes)
 //   GCL002 non-canonical-trace-name span/counter/gauge string literals at
 //                                  instrumentation sites must come from
 //                                  the canon in src/obs/span_canon.cpp
