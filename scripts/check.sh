@@ -100,7 +100,10 @@ for stage in "${STAGES[@]}"; do
       # sparse fluid-index layout) per seeded config, the dedicated AA
       # storage suite, and both distributed drivers (host lattices and
       # simulated GPUs) against the serial reference and each other — one
-      # border-exchange pipeline runs under both. Bit-exactness across
+      # border-exchange pipeline runs under both — plus the stream region
+      # pass and the fused step built on it (StreamRegion, CollisionTiles,
+      # CellClass), and the one pull rule the host and the simulated GPU
+      # share (FaceBcSweep, PeriodicDomainBitExact). Bit-exactness across
       # storage modes and drivers is a merge gate.
       note "equiv: equivalence harness across storage modes and drivers"
       bdir=build-check/equiv
@@ -108,7 +111,7 @@ for stage in "${STAGES[@]}"; do
           && cmake --build "$bdir" -j "$JOBS" --target gc_tests \
               > "$bdir.build.log" 2>&1 \
           && "$bdir/tests/gc_tests" \
-              --gtest_filter='OverlapExec.*:*/OverlapExec.*:StorageAA.*:SparseLattice.KernelsMatchDenseReference:Parallel.*:*/ParallelVsSerial.*:GpuCluster.*:*/GpuClusterVsSerial.*'; then
+              --gtest_filter='OverlapExec.*:*/OverlapExec.*:StorageAA.*:SparseLattice.KernelsMatchDenseReference:Parallel.*:*/ParallelVsSerial.*:GpuCluster.*:*/GpuClusterVsSerial.*:StreamRegion.*:CollisionTiles.*:CellClass.FusedPooledBitExactVsSerialSplit:AxisFaces/FaceBcSweep.*:GpuSolver.PeriodicDomainBitExact'; then
         RESULT[equiv]="ok"
       else
         RESULT[equiv]="FAIL"; FAILED=1

@@ -143,16 +143,8 @@ void GpuLbmSolver::step() {
   stream_pass();
 }
 
-std::vector<Real> GpuLbmSolver::read_border_plane(Face face, int coord,
-                                                  int t0, int t1, int z0,
-                                                  int z1) {
-  const int axis = face / 2;
-  GC_CHECK_MSG(axis < 2, "read_border_plane supports X/Y faces only");
-  GC_CHECK(t1 > t0 && z1 > z0);
-  const int bw = t1 - t0;
-  const int bh = z1 - z0;
-  const int other = 1 - cur_;
-
+std::vector<Real> GpuLbmSolver::read_border(int buf, Face face, int coord,
+                                            int t0, int bw, int bh, int z0) {
   if (border_tex_[0] < 0 || border_tex_dim_.x != bw ||
       border_tex_dim_.y != bh) {
     for (TextureId id : border_tex_) {
@@ -163,20 +155,24 @@ std::vector<Real> GpuLbmSolver::read_border_plane(Face face, int coord,
     border_tex_dim_ = Int3{bw, bh, 1};
   }
 
+  // A Z face's border is one slice: one pass per texture. An X/Y face's
+  // texture row r is gathered from slice z0 + r.
+  const bool z_face = face / 2 == 2;
   const Uniforms no_uniforms;
-  for (int z = z0; z < z1; ++z) {
+  for (int r = 0; r < (z_face ? 1 : bh); ++r) {
     std::vector<TextureId> bound;
     for (int s = 0; s < NUM_STACKS; ++s) {
-      bound.push_back(f_[other][s][static_cast<std::size_t>(z)]);
+      bound.push_back(f_[buf][s][static_cast<std::size_t>(z0 + r)]);
     }
-    const Rect row{0, z - z0, bw, z - z0 + 1};
+    const Rect rect = z_face ? Rect{0, 0, bw, bh} : Rect{0, r, bw, r + 1};
     for (int g = 0; g < 2; ++g) {
       BorderGatherProgram prog(params_, face, g, coord, t0);
-      dev_.render(prog, border_tex_[static_cast<std::size_t>(g)], row, bound,
+      dev_.render(prog, border_tex_[static_cast<std::size_t>(g)], rect, bound,
                   no_uniforms);
     }
   }
 
+  // The optimization's payoff: exactly two read operations.
   const std::vector<float> a = dev_.readback(border_tex_[0]);
   const std::vector<float> b = dev_.readback(border_tex_[1]);
   std::vector<Real> out;
@@ -191,6 +187,14 @@ std::vector<Real> GpuLbmSolver::read_border_plane(Face face, int coord,
     }
   }
   return out;
+}
+
+std::vector<Real> GpuLbmSolver::read_border_plane(Face face, int coord,
+                                                  int t0, int t1, int z0,
+                                                  int z1) {
+  GC_CHECK_MSG(face / 2 < 2, "read_border_plane supports X/Y faces only");
+  GC_CHECK(t1 > t0 && z1 > z0);
+  return read_border(1 - cur_, face, coord, t0, t1 - t0, z1 - z0, z0);
 }
 
 void GpuLbmSolver::write_ghost_plane(Face face, int coord, int t0, int t1,
@@ -256,63 +260,10 @@ void GpuLbmSolver::copy_state_to_host(lbm::Lattice& out) const {
 std::vector<Real> GpuLbmSolver::read_border_gathered(Face face) {
   const Int3 d = params_.dim;
   const int axis = face / 2;
+  const int edge = face % 2 == 0 ? 0 : d[axis] - 1;
   const int bw = axis == 0 ? d.y : d.x;
   const int bh = axis == 2 ? d.y : d.z;
-
-  if (border_tex_[0] < 0 || border_tex_dim_.x != bw ||
-      border_tex_dim_.y != bh) {
-    for (TextureId id : border_tex_) {
-      if (id >= 0) dev_.destroy_texture(id);
-    }
-    border_tex_[0] = dev_.create_texture(bw, bh);
-    border_tex_[1] = dev_.create_texture(bw, bh);
-    border_tex_dim_ = Int3{bw, bh, 1};
-  }
-
-  auto bind_slice = [&](int z) {
-    std::vector<TextureId> bound;
-    for (int s = 0; s < NUM_STACKS; ++s) {
-      bound.push_back(f_[cur_][s][static_cast<std::size_t>(z)]);
-    }
-    return bound;
-  };
-  const Uniforms no_uniforms;
-
-  if (axis == 2) {
-    // Z faces: the whole border lives in one slice — one pass per group.
-    const int z = (face == lbm::FACE_ZMIN) ? 0 : d.z - 1;
-    const Rect full{0, 0, bw, bh};
-    for (int g = 0; g < 2; ++g) {
-      BorderGatherProgram prog(params_, face, g);
-      dev_.render(prog, border_tex_[static_cast<std::size_t>(g)], full,
-                  bind_slice(z), no_uniforms);
-    }
-  } else {
-    // X/Y faces: gather row z of the border texture from slice z.
-    for (int z = 0; z < d.z; ++z) {
-      const Rect row{0, z, bw, z + 1};
-      for (int g = 0; g < 2; ++g) {
-        BorderGatherProgram prog(params_, face, g);
-        dev_.render(prog, border_tex_[static_cast<std::size_t>(g)], row,
-                    bind_slice(z), no_uniforms);
-      }
-    }
-  }
-
-  // The optimization's payoff: exactly two read operations.
-  const std::vector<float> a = dev_.readback(border_tex_[0]);
-  const std::vector<float> b = dev_.readback(border_tex_[1]);
-
-  std::vector<Real> out;
-  out.reserve(static_cast<std::size_t>(bw) * bh * 5);
-  for (int row = 0; row < bh; ++row) {
-    for (int t = 0; t < bw; ++t) {
-      const std::size_t o = (static_cast<std::size_t>(row) * bw + t) * 4;
-      for (int k = 0; k < 4; ++k) out.push_back(a[o + static_cast<std::size_t>(k)]);
-      out.push_back(b[o]);
-    }
-  }
-  return out;
+  return read_border(cur_, face, edge, 0, bw, bh, axis == 2 ? edge : 0);
 }
 
 std::vector<Real> GpuLbmSolver::read_border_unbundled(Face face) {

@@ -93,6 +93,13 @@ class GpuLbmSolver {
   std::vector<float> read_moments();
 
  private:
+  /// The one border read-back: renders BorderGatherProgram (layer
+  /// `coord`, first tangent t0) from buffer `buf` into the two bw x bh
+  /// border textures, row r from slice z0 + r (a Z face: the whole
+  /// texture from slice z0), reads both back and interleaves them as
+  /// [row][texel][k].
+  std::vector<Real> read_border(int buf, lbm::Face face, int coord, int t0,
+                                int bw, int bh, int z0);
   int wrap_slice(int z) const;
   std::vector<gpusim::TextureId> bound_for_stream(int z) const;
 

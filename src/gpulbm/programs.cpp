@@ -1,6 +1,7 @@
 #include "gpulbm/programs.hpp"
 
 #include "lbm/collision.hpp"
+#include "lbm/stream.hpp"
 
 namespace gc::gpulbm {
 
@@ -9,34 +10,7 @@ using gpusim::RGBA;
 using lbm::C;
 using lbm::CellType;
 using lbm::FaceBc;
-using lbm::OPP;
 using lbm::Q;
-
-namespace {
-
-/// Wrap/flag resolution shared by stream pulls. Returns the crossed
-/// non-periodic face (0..5) or -1 after wrapping periodic axes.
-int resolve_periodic(const LbmShaderParams& p, Int3& src) {
-  int face = -1;
-  for (int a = 0; a < 3; ++a) {
-    if (src[a] < 0) {
-      if (p.face_bc[static_cast<std::size_t>(2 * a)] == FaceBc::Periodic) {
-        src[a] += p.dim[a];
-      } else if (face < 0) {
-        face = 2 * a;
-      }
-    } else if (src[a] >= p.dim[a]) {
-      if (p.face_bc[static_cast<std::size_t>(2 * a + 1)] == FaceBc::Periodic) {
-        src[a] -= p.dim[a];
-      } else if (face < 0) {
-        face = 2 * a + 1;
-      }
-    }
-  }
-  return face;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------- collision
 
@@ -69,80 +43,47 @@ RGBA CollisionProgram::shade(FragmentContext& ctx) const {
 
 // ---------------------------------------------------------------- streaming
 
-float StreamProgram::fetch_dir(FragmentContext& ctx, int i, int x, int y,
-                               int dz) const {
-  const RGBA v = ctx.fetch(stream_f_unit(stack_of(i), dz), x, y);
-  return v[channel_of(i)];
-}
+namespace {
 
-int StreamProgram::flag_at(FragmentContext& ctx, int x, int y, int dz) const {
-  return static_cast<int>(ctx.fetch(stream_flag_unit(dz), x, y).r);
-}
+/// The pull rule's source adapter on the stream pass's bound textures:
+/// the hop's z picks the slice bound at the -1/0/+1 units (the solver
+/// binds wrapped slices there), x and y address the texel.
+struct TextureSource {
+  const LbmShaderParams& p;
+  FragmentContext& ctx;
+  Int3 dim() const { return p.dim; }
+  FaceBc face_bc(int face) const {
+    return p.face_bc[static_cast<std::size_t>(face)];
+  }
+  CellType flag(Int3 src, Int3 hop) const {
+    return static_cast<CellType>(
+        static_cast<int>(ctx.fetch(stream_flag_unit(hop.z), src.x, src.y).r));
+  }
+  Real f(int i, Int3 src, Int3 hop) const {
+    return ctx.fetch(stream_f_unit(stack_of(i), hop.z), src.x,
+                     src.y)[channel_of(i)];
+  }
+  Real inlet_eq(int i, Int3) const {
+    return lbm::equilibrium(i, p.inlet_density, p.inlet_velocity);
+  }
+};
 
-float StreamProgram::pull(FragmentContext& ctx, Int3 pcell, int i) const {
-  Int3 src = pcell - C[i];
-  const int crossed = resolve_periodic(p_, src);
-  if (crossed >= 0) {
-    const FaceBc bc = p_.face_bc[static_cast<std::size_t>(crossed)];
-    switch (bc) {
-      case FaceBc::Inlet:
-        return lbm::equilibrium(i, p_.inlet_density, p_.inlet_velocity);
-      case FaceBc::Wall:
-        return fetch_dir(ctx, OPP[i], pcell.x, pcell.y, 0);
-      case FaceBc::Outflow:
-        return fetch_dir(ctx, i, pcell.x, pcell.y, 0);
-      case FaceBc::FreeSlip: {
-        // Same-row specular reflection: only the tangential offset applies.
-        const int axis = crossed / 2;
-        const int m = lbm::mirror_direction(i, axis);
-        Int3 cm = C[m];
-        cm[axis] = 0;
-        Int3 srcm = pcell - cm;
-        const int crossed2 = resolve_periodic(p_, srcm);
-        const int dz = axis == 2 ? 0 : -cm.z;
-        if (crossed2 < 0 && flag_at(ctx, srcm.x, srcm.y, dz) !=
-                                static_cast<int>(CellType::Solid)) {
-          return fetch_dir(ctx, m, srcm.x, srcm.y, dz);
-        }
-        return fetch_dir(ctx, OPP[i], pcell.x, pcell.y, 0);
-      }
-      case FaceBc::Periodic:
-        break;  // unreachable
-    }
-    return fetch_dir(ctx, OPP[i], pcell.x, pcell.y, 0);
-  }
-
-  // In-bounds source: z offset in link space (the solver binds wrapped
-  // slices at the -1/+1 units, so -C[i].z addresses the right texture).
-  const int flag = flag_at(ctx, src.x, src.y, -C[i].z);
-  if (flag == static_cast<int>(CellType::Solid)) {
-    return fetch_dir(ctx, OPP[i], pcell.x, pcell.y, 0);
-  }
-  if (flag == static_cast<int>(CellType::Inlet)) {
-    return lbm::equilibrium(i, p_.inlet_density, p_.inlet_velocity);
-  }
-  if (flag == static_cast<int>(CellType::Outflow)) {
-    return fetch_dir(ctx, i, pcell.x, pcell.y, 0);
-  }
-  return fetch_dir(ctx, i, src.x, src.y, -C[i].z);
-}
+}  // namespace
 
 RGBA StreamProgram::shade(FragmentContext& ctx) const {
+  const TextureSource src{p_, ctx};
   const Int3 pcell{ctx.x(), ctx.y(), z_};
-  const int own = flag_at(ctx, pcell.x, pcell.y, 0);
+  const CellType own = src.flag(pcell, Int3{0, 0, 0});
 
   RGBA out;
-  if (own == static_cast<int>(CellType::Solid)) {
+  if (own == CellType::Solid) {
     return out;  // zeros
   }
   for (int ch = 0; ch < 4; ++ch) {
     const int dir = dir_at(out_stack_, ch);
     if (dir < 0) continue;
-    if (own == static_cast<int>(CellType::Inlet)) {
-      out[ch] = lbm::equilibrium(dir, p_.inlet_density, p_.inlet_velocity);
-    } else {
-      out[ch] = pull(ctx, pcell, dir);
-    }
+    out[ch] = own == CellType::Inlet ? src.inlet_eq(dir, pcell)
+                                     : lbm::detail::pull(src, pcell, dir);
   }
   return out;
 }
@@ -188,17 +129,6 @@ std::array<int, 5> outgoing_directions(lbm::Face face) {
   GC_CHECK(k == 5);
   return dirs;
 }
-
-namespace {
-int edge_coord(const LbmShaderParams& p, lbm::Face face) {
-  const int axis = face / 2;
-  return (face % 2 == 0) ? 0 : p.dim[axis] - 1;
-}
-}  // namespace
-
-BorderGatherProgram::BorderGatherProgram(const LbmShaderParams& params,
-                                         lbm::Face face, int group)
-    : BorderGatherProgram(params, face, group, edge_coord(params, face), 0) {}
 
 BorderGatherProgram::BorderGatherProgram(const LbmShaderParams& params,
                                          lbm::Face face, int group, int coord,

@@ -4,7 +4,8 @@
 // single read-back amortizes the AGP read setup (Section 4.3).
 //
 // Programs share the single-cell kernels of src/lbm (collide_bgk_cell,
-// equilibrium), so the GPU path is bit-identical to the host reference.
+// equilibrium, and the pull rule lbm::detail::pull with its boundary
+// handling), so the GPU path is bit-identical to the host reference.
 #pragma once
 
 #include <array>
@@ -54,8 +55,10 @@ class CollisionProgram : public gpusim::FragmentProgram {
 };
 
 /// Streaming pass for slice z: gathers each direction of `out_stack` from
-/// the neighbor texel in the appropriate stack/slice, applying the same
-/// boundary handling as lbm::detail::pull_value.
+/// the neighbor texel in the appropriate stack/slice through the host's
+/// pull rule (lbm::detail::pull, on texture fetches), so every boundary
+/// is handled as the host handles it. Inlet cells take their
+/// equilibrium, solid cells zeros.
 class StreamProgram : public gpusim::FragmentProgram {
  public:
   StreamProgram(const LbmShaderParams& params, int out_stack, int z)
@@ -66,12 +69,6 @@ class StreamProgram : public gpusim::FragmentProgram {
   int arithmetic_instructions() const override { return 12; }
 
  private:
-  /// Pull the post-collision value for direction i at cell (x, y, z_).
-  float pull(gpusim::FragmentContext& ctx, Int3 pcell, int i) const;
-  float fetch_dir(gpusim::FragmentContext& ctx, int i, int x, int y,
-                  int dz) const;
-  int flag_at(gpusim::FragmentContext& ctx, int x, int y, int dz) const;
-
   LbmShaderParams p_;
   int out_stack_;
   int z_;
@@ -94,20 +91,16 @@ class MomentsProgram : public gpusim::FragmentProgram {
 /// face (C[i] has a positive component along the face's outward normal).
 std::array<int, 5> outgoing_directions(lbm::Face face);
 
-/// Border-gather pass: renders one row (y = z_row) of the border texture
-/// for `face`; texel t of that row collects the outgoing distributions at
-/// boundary cell index t along the face. group 0 packs the first four
-/// directions into RGBA, group 1 packs the fifth into R.
+/// Border-gather pass: renders one row of the border texture for `face`
+/// from the bound slice; texel t of that row collects the outgoing
+/// distributions at boundary cell index t along the face. group 0 packs
+/// the first four directions into RGBA, group 1 packs the fifth into R.
 class BorderGatherProgram : public gpusim::FragmentProgram {
  public:
-  /// Full-domain-edge variant: gathers the lattice's outermost layer.
-  BorderGatherProgram(const LbmShaderParams& params, lbm::Face face,
-                      int group);
-
-  /// Plane variant (X/Y faces): gathers the layer at in-slice coordinate
-  /// `coord`, with border texel t mapping to tangent coordinate t0 + t —
-  /// how the distributed driver reads an *inset* own-border layer that
-  /// sits one cell inside a ghost layer.
+  /// Gathers the layer at in-slice coordinate `coord` (x for an X face,
+  /// y for a Y face: the lattice's edge, or an own-border layer inset
+  /// past a ghost layer), border texel t mapping to tangent coordinate
+  /// t0 + t. A Z face's layer is the whole bound slice, texel (x, y).
   BorderGatherProgram(const LbmShaderParams& params, lbm::Face face,
                       int group, int coord, int t0);
 

@@ -5,10 +5,11 @@
 // times a cell operator (what happens to them), chunked over z on the
 // step's pool and clipped to a CellBox. Bulk spans run the operator over
 // tiles of adjacent cells, the host's stand-in for the GPU's parallel
-// pixel pipes. The public kernels in collision/mrt/les/stream.cpp
-// instantiate these templates (the stream region pass shares the
-// chunking and the box clipping); outside src/lbm only the kernel tests
-// include this header.
+// pixel pipes. Streaming is a region pass plus a finish that take an
+// optional cell operator: none for a plain stream, BGK for the fused
+// stream+collide step, so the two share one streaming body. The public
+// kernels in collision/mrt/les/stream.cpp instantiate these templates;
+// outside src/lbm only the kernel tests include this header.
 #pragma once
 
 #include <algorithm>
@@ -16,8 +17,10 @@
 #include <type_traits>
 #include <vector>
 
+#include "lbm/boundary.hpp"
 #include "lbm/lattice.hpp"
 #include "lbm/step_context.hpp"
+#include "lbm/stream.hpp"
 
 namespace gc::lbm::detail {
 
@@ -349,6 +352,209 @@ void collide_pass(Lattice& lat, const Op& op, const StepContext& ctx,
       lat.aa_mark_collided();
       return;
   }
+}
+
+// ---- the stream pass -------------------------------------------------------
+// A stream is a region pass per box plus one finish. Given a cell
+// operator, the same two collide each fluid cell's pulled values: that
+// is the fused stream+collide step. A plain stream passes NoOp.
+
+/// The operator of a plain stream: pulled values stay as pulled.
+struct NoOp {};
+
+template <class Op>
+inline constexpr bool kCollides = !std::is_same_v<Op, NoOp>;
+
+/// The streamed values of one slow cell: its pulls, collided with op when
+/// the cell is fluid. An inlet cell keeps its pulls until the finish
+/// imposes its equilibrium; outflow cells pass through.
+template <class Op>
+void pull_slow_cell(const Lattice& lat, i64 cell, const Op& op, Real f[Q]) {
+  pull_cell(lat, cell, f);
+  if constexpr (kCollides<Op>) {
+    if (lat.flag(cell) == CellType::Fluid) op(f, Lanes<1>{});
+  }
+}
+
+/// Calls fn(k, list[k]) for every entry k of a CellClass cell list whose
+/// cell lies in box, like for_box_cells, but in equal shares of those
+/// entries per chunk on ctx.pool rather than by z-slice: the AA ring of
+/// a periodic box lies mostly in its first and last slices, where equal
+/// z-chunks would hand box_aa's 4 threads 7876/4032/4032/7876 of its
+/// 23,816 ring cells. Each chunk walks the box's runs and skips the
+/// entries before its share, so no entry is tested. Without a pool there
+/// is nothing to share out, and the plain walk runs.
+template <class Fn>
+void for_box_cells_even(const Lattice& lat, const std::vector<i64>& list,
+                        const std::vector<i64>& list_z, const CellBox& box,
+                        const StepContext& ctx, const Fn& fn) {
+  const Int3 d = lat.dim();
+  const int z0 = std::clamp(box.lo.z, 0, d.z);
+  const int z1 = std::clamp(box.hi.z, z0, d.z);
+  if (!ctx.pool) return for_box_cells(lat, list, list_z, box, z0, z1, fn);
+  // Calls range(b, e) for the entries [b, e) of each run, ascending.
+  auto for_ranges = [&](const auto& range) {
+    for (int z = z0; z < z1; ++z) {
+      auto it = list.begin() + list_z[static_cast<std::size_t>(z)];
+      const auto end = list.begin() + list_z[static_cast<std::size_t>(z) + 1];
+      for_box_runs(d, box, z, [&](i64 a, i64 b) {
+        it = std::lower_bound(it, end, a);
+        const auto stop = std::lower_bound(it, end, b);
+        range(it - list.begin(), stop - list.begin());
+        it = stop;
+      });
+    }
+  };
+  i64 total = 0;
+  for_ranges([&total](i64 b, i64 e) { total += e - b; });
+  for_chunks(ctx.pool, 0, total, ThreadPool::min_chunk_indices(256),
+             [&](i64 n0, i64 n1) {
+               i64 n = 0;  // the box's entries before this range
+               for_ranges([&](i64 b, i64 e) {
+                 const i64 k1 = std::min(e, b + n1 - n);
+                 for (i64 k = b + std::max<i64>(0, n0 - n); k < k1; ++k) {
+                   fn(k, list[static_cast<std::size_t>(k)]);
+                 }
+                 n += e - b;
+               });
+             });
+}
+
+/// DoubleBuffer and Sparse: streams the cells of box into the back
+/// buffer. A bulk cell's pull is an offset, so a bulk span reads shifted
+/// plane pointers: a plain copy without an operator, the tile loop with
+/// one. The compact layout needs the index map only for each span's base
+/// offsets (the pull sources of a bulk span, or of any piece of one, form
+/// another contiguous run of fluid cells). Slow cells take pull_slow_cell
+/// and solid cells are zeroed where they have storage.
+template <bool kCompact, class Op>
+void pull_region(Lattice& lat, const CellClass& cc,
+                 const PlaneAddr<kCompact>& a, const CellBox& box,
+                 const StepContext& ctx, const Op& op) {
+  i64 shift[Q];
+  for (int i = 0; i < Q; ++i) shift[i] = pull_offset(lat.dim(), i);
+  for_z_chunks(lat, ctx, box, [&](int z0, int z1) {
+    for_box_spans(lat, cc, box, z0, z1, [&](const CellSpan& sp) {
+      const i64 out0 = a.at(sp.begin);
+      if constexpr (kCollides<Op>) {
+        const Real* in[Q];
+        Real* out[Q];
+        for (int i = 0; i < Q; ++i) {
+          in[i] = a.rd[i] + a.at(sp.begin + shift[i]);
+          out[i] = a.wr[i] + out0;
+        }
+        run_span(in, out, sp.len, op);
+      } else {
+        for (int i = 0; i < Q; ++i) {
+          Real* GC_RESTRICT out = a.wr[i] + out0;
+          const Real* GC_RESTRICT in = a.rd[i] + a.at(sp.begin + shift[i]);
+          for (i32 k = 0; k < sp.len; ++k) out[k] = in[k];
+        }
+      }
+    });
+    Real f[Q];
+    for_box_cells(lat, cc.slow, cc.slow_z, box, z0, z1, [&](i64, i64 cell) {
+      pull_slow_cell(lat, cell, op, f);
+      a.store(cell, f);
+    });
+    for_box_cells(lat, cc.solid, cc.solid_z, box, z0, z1,
+                  [&](i64, i64 cell) { a.zero_solid(cell); });
+  });
+}
+
+/// AA: collects the streamed values of the box's slow cells into the
+/// fixup scratch, at their position in CellClass::slow. A pure read of
+/// the post-collide field through the accessors, which is exactly what
+/// the double-buffered pull reads; the bulk streams in the flip.
+template <class Op>
+void collect_region(Lattice& lat, const CellClass& cc, const CellBox& box,
+                    const StepContext& ctx, const Op& op) {
+  std::vector<Real>& fix = lat.aa_fix_scratch();
+  fix.resize(cc.slow.size() * Q);
+  for_box_cells_even(lat, cc.slow, cc.slow_z, box, ctx, [&](i64 k, i64 cell) {
+    pull_slow_cell(lat, cell, op, fix.data() + k * Q);
+  });
+}
+
+/// The stream region pass (stream_region) over box, colliding every
+/// fluid cell with op unless op is NoOp.
+template <class Op = NoOp>
+void stream_pass(Lattice& lat, const CellBox& box, const StepContext& ctx,
+                 const Op& op = {}) {
+  const CellClass& cc = lat.cell_class();  // build before dispatch
+  switch (lat.storage_mode()) {
+    case StorageMode::DoubleBuffer:
+      pull_region(lat, cc, NaturalAddr::to_back(lat), box, ctx, op);
+      return;
+    case StorageMode::Sparse:
+      pull_region(lat, cc, CompactAddr::to_back(lat), box, ctx, op);
+      return;
+    case StorageMode::AA:
+      collect_region(lat, cc, box, ctx, op);
+      return;
+  }
+}
+
+/// AA: flips the parity (the zero-copy bulk stream), then writes the
+/// region passes' fixups, and zeros at solids, through the new mapping.
+/// With an operator the bulk is first collided in place by the collide
+/// pass's span loop, the writes go through the post-collide mapping and
+/// the lattice ends collided, so the next fused step flips first; a
+/// lattice fresh from init enters that cycle as post-collision. Each
+/// cell writes its own slot group, so every phase runs in chunks on
+/// ctx.pool.
+template <class Op>
+void finish_aa(Lattice& lat, const CellClass& cc, const StepContext& ctx,
+               const Op& op) {
+  const std::vector<Real>& fix = lat.aa_fix_scratch();
+  const i64 nslow = static_cast<i64>(cc.slow.size());
+  GC_CHECK_MSG(static_cast<i64>(fix.size()) == nslow * Q,
+               "finish_stream(AA) needs the region passes' fixups first");
+  if constexpr (kCollides<Op>) {
+    if (!lat.aa_collided()) lat.aa_adopt_collided_layout();
+  }
+  lat.swap_buffers();
+  if constexpr (kCollides<Op>) {
+    const AaAddr bulk(lat);
+    for_z_chunks(lat, ctx, CellBox{}, [&](int z0, int z1) {
+      collide_spans(lat, cc, bulk, op, CellBox{}, z0, z1);
+    });
+  }
+  auto put = [&lat](i64 cell, const Real* f) {
+    if constexpr (kCollides<Op>) {
+      lat.scatter_cell_collided(cell, f);
+    } else {
+      lat.scatter_cell(cell, f);
+    }
+  };
+  const Real zeros[Q] = {};
+  const i64 min_chunk = ThreadPool::min_chunk_indices(256);
+  for_chunks(ctx.pool, 0, nslow, min_chunk, [&](i64 k0, i64 k1) {
+    for (i64 k = k0; k < k1; ++k) {
+      put(cc.slow[static_cast<std::size_t>(k)], fix.data() + k * Q);
+    }
+  });
+  for_chunks(ctx.pool, 0, static_cast<i64>(cc.solid.size()), min_chunk,
+             [&](i64 k0, i64 k1) {
+               for (i64 k = k0; k < k1; ++k) {
+                 put(cc.solid[static_cast<std::size_t>(k)], zeros);
+               }
+             });
+  if constexpr (kCollides<Op>) lat.aa_mark_collided();
+}
+
+/// finish_stream, with op the operator of the region passes it
+/// completes: swaps the buffers or finishes AA, then imposes the inlets
+/// and applies the curved links.
+template <class Op = NoOp>
+void finish_pass(Lattice& lat, const StepContext& ctx, const Op& op = {}) {
+  if (lat.storage_mode() == StorageMode::AA) {
+    finish_aa(lat, lat.cell_class(), ctx, op);
+  } else {
+    lat.swap_buffers();
+  }
+  impose_inlets(lat);
+  apply_curved_bounce(lat);
 }
 
 }  // namespace gc::lbm::detail

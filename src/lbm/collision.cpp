@@ -1,7 +1,6 @@
 #include "lbm/collision.hpp"
 
 #include "lbm/cell_pass.hpp"
-#include "lbm/stream.hpp"
 #include "obs/trace.hpp"
 
 namespace gc::lbm {
@@ -88,109 +87,6 @@ auto bgk_op(const BgkParams& p) {
   };
 }
 
-/// The fused value of one slow cell: its pulled values, collided when
-/// the cell is fluid, the inlet equilibrium when it is an inlet, and
-/// passed through otherwise (outflow).
-void fused_slow_cell(const Lattice& lat, i64 cell, const BgkParams& p,
-                     Real f[Q]) {
-  detail::pull_cell(lat, cell, f);
-  const CellType t = lat.flag(cell);
-  if (t == CellType::Fluid) {
-    collide_bgk_cell(f, p.tau, p.force);
-  } else if (t == CellType::Inlet) {
-    equilibrium_all(lat.inlet_density(),
-                    lat.inlet_velocity_at(lat.coords(cell)), f);
-  }
-}
-
-/// Fused pull+collide over slices [z0, z1) into the back buffer: bulk
-/// spans read the 19 distributions straight off shifted plane pointers
-/// (the pull is just an offset for classified bulk cells) and run the
-/// pass's tile loop, with no flag work at all. The slow minority takes
-/// fused_slow_cell; solids are zeroed.
-template <bool kCompact>
-void fused_z_range(const Lattice& lat, const CellClass& cc,
-                   const detail::PlaneAddr<kCompact>& a, const BgkParams& p,
-                   int z0, int z1) {
-  i64 shift[Q];
-  for (int i = 0; i < Q; ++i) shift[i] = detail::pull_offset(lat.dim(), i);
-  for (const i64 c : detail::z_slice(cc.solid, cc.solid_z, z0, z1)) {
-    a.zero_solid(c);
-  }
-
-  for (const CellSpan& sp : detail::z_slice(cc.spans, cc.span_z, z0, z1)) {
-    const i64 out0 = a.at(sp.begin);
-    const Real* in[Q];
-    Real* out[Q];
-    for (int i = 0; i < Q; ++i) {
-      in[i] = a.rd[i] + a.at(sp.begin + shift[i]);
-      out[i] = a.wr[i] + out0;
-    }
-    detail::run_span(in, out, sp.len, bgk_op(p));
-  }
-
-  Real f[Q];
-  for (const i64 cell : detail::z_slice(cc.slow, cc.slow_z, z0, z1)) {
-    fused_slow_cell(lat, cell, p, f);
-    a.store(cell, f);
-  }
-}
-
-template <bool kCompact>
-void fused_pass(Lattice& lat, const CellClass& cc,
-                const detail::PlaneAddr<kCompact>& a, const BgkParams& p,
-                const StepContext& ctx) {
-  detail::for_z_chunks(lat, ctx, CellBox{}, [&](int z0, int z1) {
-    fused_z_range(lat, cc, a, p, z0, z1);
-  });
-  lat.swap_buffers();
-}
-
-/// AA fused step. The slow cells' fused values are computed BEFORE the
-/// parity flip into scratch; the flip then streams the bulk for free;
-/// the bulk is collided in place by the collide pass's span loop, and
-/// the slow/solid results are scattered through the post-collide
-/// mapping. Every phase runs in chunks on ctx.pool: each cell writes its
-/// own slot group, so chunks never overlap. The lattice ends the step
-/// collided: the next fused call flips first.
-void aa_fused(Lattice& lat, const CellClass& cc, const BgkParams& p,
-              const StepContext& ctx) {
-  if (!lat.aa_collided()) lat.aa_adopt_collided_layout();
-  const i64 nslow = static_cast<i64>(cc.slow.size());
-  auto& fix = lat.aa_fix_scratch();
-  fix.resize(static_cast<std::size_t>(nslow * Q));
-  const i64 min_chunk = ThreadPool::min_chunk_indices(256);
-  detail::for_chunks(ctx.pool, 0, nslow, min_chunk, [&](i64 k0, i64 k1) {
-    for (i64 k = k0; k < k1; ++k) {
-      fused_slow_cell(lat, cc.slow[static_cast<std::size_t>(k)], p,
-                      fix.data() + k * Q);
-    }
-  });
-
-  lat.swap_buffers();  // flip parity: the zero-copy bulk stream
-
-  const detail::AaAddr bulk(lat);
-  detail::for_z_chunks(lat, ctx, CellBox{}, [&](int z0, int z1) {
-    detail::collide_spans(lat, cc, bulk, bgk_op(p), CellBox{}, z0, z1);
-  });
-
-  detail::for_chunks(ctx.pool, 0, nslow, min_chunk, [&](i64 k0, i64 k1) {
-    for (i64 k = k0; k < k1; ++k) {
-      lat.scatter_cell_collided(cc.slow[static_cast<std::size_t>(k)],
-                                fix.data() + k * Q);
-    }
-  });
-  const Real zeros[Q] = {};
-  detail::for_chunks(ctx.pool, 0, static_cast<i64>(cc.solid.size()),
-                     min_chunk, [&](i64 k0, i64 k1) {
-                       for (i64 k = k0; k < k1; ++k) {
-                         lat.scatter_cell_collided(
-                             cc.solid[static_cast<std::size_t>(k)], zeros);
-                       }
-                     });
-  lat.aa_mark_collided();
-}
-
 }  // namespace
 
 void collide_bgk(Lattice& lat, const BgkParams& p, const StepContext& ctx,
@@ -205,18 +101,9 @@ void fused_stream_collide(Lattice& lat, const BgkParams& p,
   GC_CHECK_MSG(lat.curved_links().empty(),
                "fused_stream_collide does not support curved links");
   obs::ScopedSpan span(ctx.trace, "fused", ctx.rank, "lbm");
-  const CellClass& cc = lat.cell_class();  // build before dispatch
-  switch (lat.storage_mode()) {
-    case StorageMode::DoubleBuffer:
-      fused_pass(lat, cc, detail::NaturalAddr::to_back(lat), p, ctx);
-      return;
-    case StorageMode::Sparse:
-      fused_pass(lat, cc, detail::CompactAddr::to_back(lat), p, ctx);
-      return;
-    case StorageMode::AA:
-      aa_fused(lat, cc, p, ctx);
-      return;
-  }
+  const auto op = bgk_op(p);
+  detail::stream_pass(lat, CellBox{}, ctx, op);
+  detail::finish_pass(lat, ctx, op);
 }
 
 }  // namespace gc::lbm

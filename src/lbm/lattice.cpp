@@ -78,28 +78,34 @@ std::vector<Real> Lattice::sparse_expand() const {
 
 void Lattice::sparse_compact(std::vector<Real> natural) {
   // The map in ascending dense order: the span-contiguity invariant the
-  // sparse kernels rely on.
-  sparse_map_.assign(static_cast<std::size_t>(n_), i64(-1));
-  sparse_cells_.clear();
+  // sparse kernels rely on. Every buffer is a fresh allocation of its
+  // size, so a smaller layout releases what the old one held.
+  sparse_n_ = n_ - count(CellType::Solid);
+  std::vector<i64> map(static_cast<std::size_t>(n_), i64(-1));
+  std::vector<i64> cells;
+  cells.reserve(static_cast<std::size_t>(sparse_n_));
   for (i64 c = 0; c < n_; ++c) {
     if (flags_[static_cast<std::size_t>(c)] ==
         static_cast<u8>(CellType::Solid)) {
       continue;
     }
-    sparse_map_[static_cast<std::size_t>(c)] =
-        static_cast<i64>(sparse_cells_.size());
-    sparse_cells_.push_back(c);
+    map[static_cast<std::size_t>(c)] = static_cast<i64>(cells.size());
+    cells.push_back(c);
   }
-  sparse_n_ = static_cast<i64>(sparse_cells_.size());
+  sparse_map_ = std::move(map);
+  sparse_cells_ = std::move(cells);
   // Dropping solid cells' values is unobservable: no compute path reads
   // them, and dense comparisons skip Solid.
-  buf_[cur_].assign(static_cast<std::size_t>(Q * sparse_n_), Real(0));
+  const auto size = static_cast<std::size_t>(Q * sparse_n_);
+  buf_[1 - cur_] = std::vector<Real>();  // never held beside the new layout
+  std::vector<Real> compact(size);
   for (int i = 0; i < Q; ++i) {
     const Real* src = natural.data() + plane(i);
-    Real* dst = buf_[cur_].data() + sparse_slot(i, 0);
+    Real* dst = compact.data() + sparse_slot(i, 0);
     for (i64 m = 0; m < sparse_n_; ++m) dst[m] = src[sparse_cells_[m]];
   }
-  buf_[1 - cur_].assign(static_cast<std::size_t>(Q * sparse_n_), Real(0));
+  buf_[cur_] = std::move(compact);
+  buf_[1 - cur_] = std::vector<Real>(size, Real(0));
   sparse_dirty_ = false;
 }
 
@@ -114,7 +120,9 @@ void Lattice::convert_storage(StorageMode mode) {
   if (mode == mode_) return;
   // Every conversion funnels through the natural double-buffered layout
   // in buf_[0]: normalize the source, then relabel/compact into the
-  // target mode.
+  // target mode. What the old mode held and the new one does not use is
+  // released: the AA fixups, the sparse index pair, a second buffer.
+  aa_fix_ = std::vector<Real>();
   if (mode_ == StorageMode::AA && phase_ != 0) {
     std::vector<Real> natural(static_cast<std::size_t>(Q * n_));
     for (int i = 0; i < Q; ++i)
@@ -124,10 +132,8 @@ void Lattice::convert_storage(StorageMode mode) {
   } else if (mode_ == StorageMode::Sparse) {
     ensure_sparse();
     buf_[0] = sparse_expand();
-    sparse_map_.clear();
-    sparse_map_.shrink_to_fit();
-    sparse_cells_.clear();
-    sparse_cells_.shrink_to_fit();
+    sparse_map_ = std::vector<i64>();
+    sparse_cells_ = std::vector<i64>();
     sparse_n_ = 0;
     sparse_dirty_ = true;
   } else if (cur_ == 1) {
@@ -139,8 +145,7 @@ void Lattice::convert_storage(StorageMode mode) {
     case StorageMode::AA:
       GC_CHECK_MSG(curved_links_.empty(),
                    "AA storage does not support curved boundary links");
-      buf_[1].clear();
-      buf_[1].shrink_to_fit();
+      buf_[1] = std::vector<Real>();
       break;
     case StorageMode::Sparse: {
       GC_CHECK_MSG(curved_links_.empty(),
@@ -151,7 +156,7 @@ void Lattice::convert_storage(StorageMode mode) {
       return;
     }
     case StorageMode::DoubleBuffer:
-      buf_[1].assign(static_cast<std::size_t>(Q * n_), Real(0));
+      buf_[1] = std::vector<Real>(static_cast<std::size_t>(Q * n_), Real(0));
       break;
   }
   mode_ = mode;

@@ -317,9 +317,10 @@ class Lattice {
   void copy_distributions_from(const Lattice& src);
 
   /// Reusable scratch for the AA boundary fixups: Q values per entry of
-  /// CellClass::slow, filled by the stream region passes (or the fused
-  /// step) before the flip and scattered after it. Kept on the lattice
-  /// so the hot loop does not reallocate every step.
+  /// CellClass::slow, filled by the stream region passes (plain or fused)
+  /// before the flip and scattered by the finish after it. Kept on the
+  /// lattice so the hot loop does not reallocate every step; released
+  /// when the lattice converts to another mode.
   std::vector<Real>& aa_fix_scratch() { return aa_fix_; }
 
   // --- cell flags ---
@@ -401,19 +402,17 @@ class Lattice {
   /// Number of cells with the given flag.
   i64 count(CellType t) const;
 
-  /// Bytes of distribution storage (both buffers in double-buffered
-  /// mode, one buffer plus fixup scratch in AA mode, two compact buffers
-  /// plus the index map in sparse mode), as the texture-memory footprint
-  /// of Section 2 would account for them.
+  /// Bytes of distribution storage, as the texture-memory footprint of
+  /// Section 2 would account for them: what the buffers hold (their
+  /// capacity), so the figure cannot under-report. That is both buffers
+  /// in double-buffered mode, one buffer plus the fixup scratch in AA
+  /// mode, and two compact buffers plus the index pair in sparse mode.
   i64 storage_bytes() const {
-    if (mode_ == StorageMode::Sparse) {
-      ensure_sparse();
-      return 2 * Q * sparse_n_ * static_cast<i64>(sizeof(Real)) +
-             (n_ + sparse_n_) * static_cast<i64>(sizeof(i64));
-    }
-    const i64 nbufs = mode_ == StorageMode::AA ? 1 : 2;
-    return nbufs * Q * n_ * static_cast<i64>(sizeof(Real)) +
-           static_cast<i64>(aa_fix_.capacity() * sizeof(Real));
+    if (mode_ == StorageMode::Sparse) ensure_sparse();
+    const std::size_t reals =
+        buf_[0].capacity() + buf_[1].capacity() + aa_fix_.capacity();
+    const std::size_t ids = sparse_map_.capacity() + sparse_cells_.capacity();
+    return static_cast<i64>(reals * sizeof(Real) + ids * sizeof(i64));
   }
 
  private:

@@ -115,10 +115,11 @@ TEST(GpuSolver, BitExactVsHostReference) {
   }
 }
 
-// The host pull (lbm::detail::pull_value) and the GPU stream program
-// (StreamProgram::pull) each implement every face BC; this sweep holds
-// the two copies equal. One axis takes every pair of non-periodic face
-// BCs, the other two stay periodic, and the inlet blows along that axis.
+// The host pull (lbm::detail::pull_value) and the GPU stream program run
+// one pull rule (lbm::detail::pull) over different sources, a lattice and
+// bound textures; this sweep holds the two sources equal under every face
+// BC. One axis takes every pair of non-periodic face BCs, the other two
+// stay periodic, and the inlet blows along that axis.
 using FaceBcCase = std::tuple<int, FaceBc, FaceBc>;
 class FaceBcSweep : public ::testing::TestWithParam<FaceBcCase> {};
 

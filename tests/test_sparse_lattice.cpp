@@ -311,6 +311,54 @@ TEST(SparseLattice, CurvedLinksAreRejectedWithTypedError) {
   EXPECT_THROW(lat.convert_storage(StorageMode::Sparse), Error);
 }
 
+TEST(SparseLattice, ConversionHoldsWhatBuildingHolds) {
+  // However a lattice reaches the sparse layout (converted from
+  // DoubleBuffer, converted from AA after a step with its fixups filled,
+  // loaded from a sparse checkpoint, or rebuilt after cells turn solid),
+  // it holds what the same geometry built Sparse holds: no buffer keeps
+  // the capacity of the layout it came from, and storage_bytes() counts
+  // capacity, so it would show one that did.
+  const Int3 dim{60, 50, 20};
+  const BgkParams bgk{Real(0.8), Vec3{}};
+  auto shape = [](Lattice& lat) {
+    lat.fill_solid_box(Int3{0, 0, 0}, Int3{60, 20, 20});  // 40% solid
+    lat.set_flag(Int3{30, 35, 10}, CellType::Solid);
+    lat.init_equilibrium(Real(1), Vec3{Real(0.02), 0, 0});
+  };
+  Lattice built(dim, StorageMode::Sparse);
+  shape(built);
+  const i64 active = built.sparse_active_cells();
+  const i64 want = built.storage_bytes();
+  EXPECT_EQ(want, 2 * Q * active * static_cast<i64>(sizeof(Real)) +
+                      (built.num_cells() + active) *
+                          static_cast<i64>(sizeof(i64)));
+
+  Lattice from_db(dim);
+  shape(from_db);
+  from_db.convert_storage(StorageMode::Sparse);
+  EXPECT_EQ(from_db.storage_bytes(), want);
+
+  Lattice from_aa(dim, StorageMode::AA);
+  shape(from_aa);
+  collide_bgk(from_aa, bgk);
+  stream(from_aa);
+  from_aa.convert_storage(StorageMode::Sparse);
+  EXPECT_EQ(from_aa.storage_bytes(), want);
+
+  TempPath f("sparse_bytes.gclb");
+  io::save_checkpoint(f.path(), built);
+  const Lattice loaded = io::load_checkpoint(f.path());
+  ASSERT_EQ(loaded.storage_mode(), StorageMode::Sparse);
+  EXPECT_EQ(loaded.storage_bytes(), want);
+
+  Lattice grown(dim, StorageMode::Sparse);
+  grown.init_equilibrium(Real(1), Vec3{Real(0.02), 0, 0});
+  collide_bgk(grown, bgk);
+  stream(grown);
+  shape(grown);
+  EXPECT_EQ(grown.storage_bytes(), want);
+}
+
 TEST(SparseCheckpoint, SaveLoadRoundTripsAcrossLayouts) {
   TempPath f("sparse.gclb");
   const Lattice dense = make_dense();

@@ -1,6 +1,7 @@
 // The stream region pass: streaming a lattice box by box and then
 // finishing equals one stream() bit for bit on every storage mode, serial
-// and pooled; the overlap's inner box never reads a ghost cell; and every
+// and pooled; the fused step (the same pass with BGK) equals a stream then
+// a collide; the overlap's inner box never reads a ghost cell; and every
 // rank's inner box and shell partition its local lattice exactly.
 #include <gtest/gtest.h>
 
@@ -126,6 +127,42 @@ TEST(StreamRegion, AnyPartitionEqualsStream) {
               std::string(storage_mode_name(mode)) + " combo " +
                   std::to_string(combo) + (p ? " pooled" : " serial") +
                   " step " + std::to_string(step));
+        }
+      }
+    }
+  }
+}
+
+TEST(StreamRegion, FusedEqualsStreamThenCollide) {
+  // The fused step is the region pass and the finish with BGK as their
+  // operator: one collide then three fused steps equals one collide then
+  // three (stream; collide) steps bit for bit, on every storage mode and
+  // face-BC combination, serial and pooled, without and with a Guo body
+  // force. Three steps, so AA fuses from both parities.
+  const Int3 dim{9, 7, 6};
+  const Vec3 forces[] = {Vec3{}, Vec3{Real(2e-5), Real(-1e-5), Real(3e-5)}};
+  ThreadPool pool(3);
+  for (const StorageMode mode : kModes) {
+    for (int combo = 0; combo < 5; ++combo) {
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        for (const Vec3& force : forces) {
+          const StepContext ctx{p, nullptr, 0};
+          const BgkParams bgk{Real(0.8), force};
+          const u64 seed = 500 + static_cast<u64>(combo);
+          Lattice split = make_lattice(dim, mode, combo, seed);
+          Lattice fused = make_lattice(dim, mode, combo, seed);
+          collide_bgk(split, bgk, ctx);
+          collide_bgk(fused, bgk, ctx);
+          for (int step = 0; step < 3; ++step) {
+            stream(split, ctx);
+            collide_bgk(split, bgk, ctx);
+            fused_stream_collide(fused, bgk, ctx);
+          }
+          expect_same_field(split, fused,
+                            std::string(storage_mode_name(mode)) + " combo " +
+                                std::to_string(combo) +
+                                (p ? " pooled" : " serial") +
+                                (force.x != 0 ? " forced" : ""));
         }
       }
     }
