@@ -85,9 +85,6 @@ void BM_FusedStreamCollide(benchmark::State& state) {
 }
 BENCHMARK(BM_FusedStreamCollide)->Arg(32)->Arg(64)->Arg(80);
 
-// Span-path streaming on a mixed domain: inlet/outflow faces plus solid
-// obstacles, so the precomputed classification carries bulk spans, a slow
-// boundary minority, and solid runs (the realistic urban-lattice shape).
 // Split path on the in-place AA lattice: the advancing collision performs
 // the slot swap, streaming is a parity flip + boundary fixups — half the
 // distribution traffic and half the footprint of the DB split path.
@@ -112,6 +109,24 @@ void BM_FusedStreamCollideAa(benchmark::State& state) {
 }
 BENCHMARK(BM_FusedStreamCollideAa)->Arg(32)->Arg(64)->Arg(80);
 
+// The AA fused step on a box walled on all six faces: its boundary ring
+// is slow (every ring cell has a link that bounces back), so this keeps a
+// number for the AA slow path — the collect before the flip and the
+// fixup scatter after it — which a periodic box no longer has.
+void BM_FusedStreamCollideAaWalled(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  lbm::Lattice lat = make_lattice(n, lbm::StorageMode::AA);
+  for (int face = 0; face < 6; ++face) {
+    lat.set_face_bc(static_cast<lbm::Face>(face), lbm::FaceBc::Wall);
+  }
+  lat.cell_class();  // classification built outside the timed loop
+  for (auto _ : state) {
+    lbm::fused_stream_collide(lat, lbm::BgkParams{Real(0.8), Vec3{}});
+  }
+  state.SetItemsProcessed(state.iterations() * lat.num_cells());
+}
+BENCHMARK(BM_FusedStreamCollideAaWalled)->Arg(64);
+
 // Sparse fluid-index storage on a solid-laden domain (same obstacle as
 // BM_StreamSpans): compact buffers over the non-solid cells only, so both
 // passes touch ~f bytes where f is the fluid fraction — solid cells cost
@@ -133,6 +148,9 @@ void BM_FusedStreamCollideSparse(benchmark::State& state) {
 }
 BENCHMARK(BM_FusedStreamCollideSparse)->Arg(64)->Arg(80);
 
+// Span-path streaming on a mixed domain: inlet/outflow faces plus solid
+// obstacles, so the precomputed classification carries bulk spans, a slow
+// boundary minority, and solid runs (the realistic urban-lattice shape).
 void BM_StreamSpans(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   lbm::Lattice lat = make_lattice(n);

@@ -101,17 +101,19 @@ for stage in "${STAGES[@]}"; do
       # storage suite, and both distributed drivers (host lattices and
       # simulated GPUs) against the serial reference and each other — one
       # border-exchange pipeline runs under both — plus the stream region
-      # pass and the fused step built on it (StreamRegion, CollisionTiles,
-      # CellClass), and the one pull rule the host and the simulated GPU
-      # share (FaceBcSweep, PeriodicDomainBitExact). Bit-exactness across
-      # storage modes and drivers is a merge gate.
+      # pass and the fused step built on it, each storage mode against the
+      # pull rule itself (StreamRegion, CollisionTiles, CellClass), the
+      # bulk/slow classification against its brute-force rule, and the one
+      # pull rule the host and the simulated GPU share (FaceBcSweep,
+      # PeriodicDomainBitExact, BitExactVsHostReference). Bit-exactness
+      # across storage modes and drivers is a merge gate.
       note "equiv: equivalence harness across storage modes and drivers"
       bdir=build-check/equiv
       if cmake -B "$bdir" -S . > "$bdir.cfg.log" 2>&1 \
           && cmake --build "$bdir" -j "$JOBS" --target gc_tests \
               > "$bdir.build.log" 2>&1 \
           && "$bdir/tests/gc_tests" \
-              --gtest_filter='OverlapExec.*:*/OverlapExec.*:StorageAA.*:SparseLattice.KernelsMatchDenseReference:Parallel.*:*/ParallelVsSerial.*:GpuCluster.*:*/GpuClusterVsSerial.*:StreamRegion.*:CollisionTiles.*:CellClass.FusedPooledBitExactVsSerialSplit:AxisFaces/FaceBcSweep.*:GpuSolver.PeriodicDomainBitExact'; then
+              --gtest_filter='OverlapExec.*:*/OverlapExec.*:StorageAA.*:SparseLattice.KernelsMatchDenseReference:Parallel.*:*/ParallelVsSerial.*:GpuCluster.*:*/GpuClusterVsSerial.*:StreamRegion.*:CollisionTiles.*:CellClass.FusedPooledBitExactVsSerialSplit:CellClass.MatchesBruteForceUnderEveryFaceBc:AxisFaces/FaceBcSweep.*:GpuSolver.PeriodicDomainBitExact:GpuSolver.BitExactVsHostReference'; then
         RESULT[equiv]="ok"
       else
         RESULT[equiv]="FAIL"; FAILED=1

@@ -1,6 +1,7 @@
 #include "lbm/cell_class.hpp"
 
 #include "lbm/lattice.hpp"
+#include "lbm/stream.hpp"
 
 namespace gc::lbm {
 
@@ -29,6 +30,25 @@ void CellClass::build(const Lattice& lat) {
   const u8 solid_flag = static_cast<u8>(CellType::Solid);
   const u8 inlet_flag = static_cast<u8>(CellType::Inlet);
 
+  // Coordinate c of axis a may hold a bulk cell when every face it lies
+  // on is periodic; a link across any other face needs a rule.
+  const detail::LatticeSource src_of{lat};
+  auto open = [&](int a, int c) {
+    return (c > 0 || src_of.face_bc(2 * a) == FaceBc::Periodic) &&
+           (c < d[a] - 1 || src_of.face_bc(2 * a + 1) == FaceBc::Periodic);
+  };
+  // A cell on a periodic face: its pulls wrap as the pull rule wraps them.
+  auto wrapped_sources_fluid = [&](Int3 p) {
+    for (int i = 1; i < Q; ++i) {
+      Int3 src = p - C[i];
+      if (detail::resolve_periodic(src_of, src) >= 0 ||
+          lat.flag(src) != CellType::Fluid) {
+        return false;
+      }
+    }
+    return true;
+  };
+
   for (int z = 0; z < d.z; ++z) {
     span_z[static_cast<std::size_t>(z)] = static_cast<i64>(spans.size());
     slow_z[static_cast<std::size_t>(z)] = static_cast<i64>(slow.size());
@@ -39,28 +59,41 @@ void CellClass::build(const Lattice& lat) {
     const bool z_interior = z >= 1 && z < d.z - 1;
     for (int y = 0; y < d.y; ++y) {
       const bool row_interior = z_interior && y >= 1 && y < d.y - 1;
-      i64 open = -1;  // first cell of the span currently being extended
+      const bool row_open = open(2, z) && open(1, y);
+      i64 run = -1;  // first cell of the span currently being extended
+      auto close_run = [&](i64 end) {
+        if (run >= 0) {
+          spans.push_back({run, static_cast<i32>(end - run), !row_interior});
+          run = -1;
+        }
+      };
       i64 cell = lat.idx(0, y, z);
       for (int x = 0; x < d.x; ++x, ++cell) {
         const u8 t = flags[static_cast<std::size_t>(cell)];
-        bool fast = row_interior && x >= 1 && x < d.x - 1 && t == fluid;
-        if (fast) {
+        const bool x_interior = x >= 1 && x < d.x - 1;
+        bool fast = false;
+        if (t == fluid && row_interior && x_interior) {
+          fast = true;
           for (int i = 1; i < Q; ++i) {
             if (flags[static_cast<std::size_t>(cell + shift[i])] != fluid) {
               fast = false;
               break;
             }
           }
+        } else if (t == fluid && row_open && open(0, x)) {
+          fast = wrapped_sources_fluid(Int3{x, y, z});
         }
         if (fast) {
-          if (open < 0) open = cell;
           ++bulk_cells;
+          if (x_interior) {
+            if (run < 0) run = cell;
+          } else {  // its x pulls wrap: a span of its own
+            close_run(cell);
+            spans.push_back({cell, 1, true});
+          }
           continue;
         }
-        if (open >= 0) {
-          spans.push_back({open, static_cast<i32>(cell - open)});
-          open = -1;
-        }
+        close_run(cell);
         if (t == solid_flag) {
           solid.push_back(cell);
         } else {
@@ -72,10 +105,7 @@ void CellClass::build(const Lattice& lat) {
           }
         }
       }
-      if (open >= 0) {
-        const i64 row_end = lat.idx(0, y, z) + d.x;
-        spans.push_back({open, static_cast<i32>(row_end - open)});
-      }
+      close_run(cell);
     }
   }
   span_z[static_cast<std::size_t>(d.z)] = static_cast<i64>(spans.size());

@@ -65,9 +65,29 @@ std::span<const T> z_slice(const std::vector<T>& list,
 }
 
 /// Linear offset from a cell to its pull source along direction i, with
-/// no wrap: exact for bulk-span cells, whose pull sources are interior.
+/// no wrap: exact for the cells of a bulk span whose pulls do not wrap.
 inline i64 pull_offset(Int3 d, int i) {
   return -(C[i].x + i64(d.x) * (C[i].y + i64(d.y) * C[i].z));
+}
+
+/// The cells the first cell of bulk span sp pulls from, one per
+/// direction; cell k of the span pulls from src[i] + k. An interior
+/// span's pulls lie at the constant offsets `shift` (pull_offset); a span
+/// whose pulls wrap crosses only periodic faces, wrapped as the pull rule
+/// wraps them.
+inline void span_sources(const Lattice& lat, const CellSpan& sp,
+                         const i64 shift[Q], i64 src[Q]) {
+  if (!sp.wraps) {
+    for (int i = 0; i < Q; ++i) src[i] = sp.begin + shift[i];
+    return;
+  }
+  const LatticeSource s{lat};
+  const Int3 p = lat.coords(sp.begin);
+  for (int i = 0; i < Q; ++i) {
+    Int3 q = p - C[i];
+    resolve_periodic(s, q);
+    src[i] = lat.idx(q);
+  }
 }
 
 // ---- box clipping ----------------------------------------------------------
@@ -112,7 +132,7 @@ void for_box_spans(const Lattice& lat, const CellClass& cc, const CellBox& box,
       for (; it != spans.end() && it->begin < b; ++it) {
         const i64 s0 = std::max(it->begin, a);
         const i64 s1 = std::min(it->begin + it->len, b);
-        fn(CellSpan{s0, static_cast<i32>(s1 - s0)});
+        fn(CellSpan{s0, static_cast<i32>(s1 - s0), it->wraps});
       }
     });
   }
@@ -155,16 +175,27 @@ inline constexpr int kLanesOf =
 /// Runs op over the len cells of one bulk span, reading cell k's values
 /// at in[i][k] and writing them to out[i][k]. The cells are staged a tile
 /// at a time in a [Q][L] block, so every lane loop of the operator has a
-/// fixed trip count and the compiler vectorizes it. A partial tile is
-/// padded with copies of its last cell, which are computed and dropped.
-/// A tile is read whole before any of it is written, which is safe when
-/// in and out overlap as long as the tile's read slots are its write
-/// slots (in place, and AA: see AaAddr).
+/// fixed trip count and the compiler vectorizes it. A span shorter than
+/// half a tile (such as the one-cell spans of a periodic x axis) runs one
+/// cell at a time: a padded tile would compute more dropped lanes than
+/// kept ones. The partial last tile of a longer span is padded with
+/// copies of its last cell, which are computed and dropped. A tile is
+/// read whole before any of it is written, which is safe when in and out
+/// overlap as long as the tile's read slots are its write slots (in
+/// place, and AA: see AaAddr).
 template <class Op>
 void run_span(const Real* const in[Q], Real* const out[Q], i32 len,
               const Op& op) {
   constexpr int L = kLanesOf<Op>;
   alignas(64) Real t[Q * L];
+  if (2 * len < L) {
+    for (i32 k = 0; k < len; ++k) {
+      for (int i = 0; i < Q; ++i) t[i] = in[i][k];
+      op(t, Lanes<1>{});
+      for (int i = 0; i < Q; ++i) out[i][k] = t[i];
+    }
+    return;
+  }
   for (i32 k0 = 0; k0 < len; k0 += L) {
     const int n = std::min<i32>(L, len - k0);
     for (int i = 0; i < Q; ++i) {
@@ -191,9 +222,12 @@ void run_span(const Real* const in[Q], Real* const out[Q], i32 len,
 
 // ---- addressing policies ---------------------------------------------------
 // A policy tells a pass where a cell's 19 values are:
-//   rd[i], wr[i]  plane bases the pass reads and writes; the bulk span
-//                 starting at dense cell c sits at at(c) .. at(c)+len-1
-//   load, store   the values of one boundary cell
+//   rd[i], wr[i]  plane bases the pass reads and writes; a bulk cell c
+//                 sits at at(c) (DoubleBuffer, Sparse), and the cells of
+//                 a bulk span at consecutive offsets from its first
+//   span          the read and write pointers of a bulk span's cells for
+//                 a collide (in place)
+//   load, store   the values of one slow cell
 //   kAdvanceAll   a collide advances every cell, copying non-fluid cells
 //                 through (AA), instead of touching fluid cells only
 
@@ -218,6 +252,13 @@ struct PlaneAddr {
       return lat->sparse_index(cell);
     } else {
       return cell;
+    }
+  }
+  void span(const CellSpan& sp, const Real* in[Q], Real* out[Q]) const {
+    const i64 m = at(sp.begin);
+    for (int i = 0; i < Q; ++i) {
+      in[i] = rd[i] + m;
+      out[i] = wr[i] + m;
     }
   }
   void load(i64 cell, Real f[Q]) const {
@@ -254,13 +295,15 @@ using CompactAddr = PlaneAddr<true>;
 
 /// AA addressing, for the advancing collide: bulk cells read through the
 /// current mapping and write the slots the post-collide mapping assigns,
-/// so the next parity flip streams them for free. Boundary cells, whose
-/// mapping wraps, go through gather_cell / scatter_cell_collided. Every
-/// cell must be advanced, not just fluid ones: the flip streams the
-/// whole field, solid border cells hold their init values until first
-/// streamed, and the exchange packs border cells of any flag. Each
-/// cell's read-slot set equals its write-slot set, so cells can be
-/// advanced in any order and in parallel, and so can whole tiles.
+/// so the next parity flip streams them for free. Interior spans use the
+/// affine base pointers; a span whose pulls wrap takes its pointers from
+/// the mapping at its first cell, and slow cells go through gather_cell /
+/// scatter_cell_collided. Every cell must be advanced, not just fluid
+/// ones: the flip streams the whole field, solid border cells hold their
+/// init values until first streamed, and the exchange packs border cells
+/// of any flag. Each cell's read-slot set equals its write-slot set, so
+/// cells can be advanced in any order and in parallel, and so can whole
+/// tiles.
 struct AaAddr {
   static constexpr bool kAdvanceAll = true;
   Lattice* lat;
@@ -273,7 +316,13 @@ struct AaAddr {
       wr[i] = l.aa_bulk_write_ptr(i);
     }
   }
-  i64 at(i64 cell) const { return cell; }
+  void span(const CellSpan& sp, const Real* in[Q], Real* out[Q]) const {
+    if (sp.wraps) return lat->aa_span_ptrs(lat->coords(sp.begin), in, out);
+    for (int i = 0; i < Q; ++i) {
+      in[i] = rd[i] + sp.begin;
+      out[i] = wr[i] + sp.begin;
+    }
+  }
   void load(i64 cell, Real f[Q]) const { lat->gather_cell(cell, f); }
   void store(i64 cell, const Real f[Q]) const {
     lat->scatter_cell_collided(cell, f);
@@ -288,18 +337,14 @@ template <class Addr, class Op>
 void collide_spans(const Lattice& lat, const CellClass& cc, const Addr& a,
                    const Op& op, const CellBox& box, int z0, int z1) {
   for_box_spans(lat, cc, box, z0, z1, [&](const CellSpan& sp) {
-    const i64 at0 = a.at(sp.begin);
     const Real* in[Q];
     Real* out[Q];
-    for (int i = 0; i < Q; ++i) {
-      in[i] = a.rd[i] + at0;
-      out[i] = a.wr[i] + at0;
-    }
+    a.span(sp, in, out);
     run_span(in, out, sp.len, op);
   });
 }
 
-/// Applies op to the boundary fluid cells of slices [z0, z1) inside box,
+/// Applies op to the slow fluid cells of slices [z0, z1) inside box,
 /// one cell at a time through the policy's load/store. Under AA every
 /// slow and solid cell is loaded and stored, and only the fluid ones
 /// collide.
@@ -376,57 +421,14 @@ void pull_slow_cell(const Lattice& lat, i64 cell, const Op& op, Real f[Q]) {
   }
 }
 
-/// Calls fn(k, list[k]) for every entry k of a CellClass cell list whose
-/// cell lies in box, like for_box_cells, but in equal shares of those
-/// entries per chunk on ctx.pool rather than by z-slice: the AA ring of
-/// a periodic box lies mostly in its first and last slices, where equal
-/// z-chunks would hand box_aa's 4 threads 7876/4032/4032/7876 of its
-/// 23,816 ring cells. Each chunk walks the box's runs and skips the
-/// entries before its share, so no entry is tested. Without a pool there
-/// is nothing to share out, and the plain walk runs.
-template <class Fn>
-void for_box_cells_even(const Lattice& lat, const std::vector<i64>& list,
-                        const std::vector<i64>& list_z, const CellBox& box,
-                        const StepContext& ctx, const Fn& fn) {
-  const Int3 d = lat.dim();
-  const int z0 = std::clamp(box.lo.z, 0, d.z);
-  const int z1 = std::clamp(box.hi.z, z0, d.z);
-  if (!ctx.pool) return for_box_cells(lat, list, list_z, box, z0, z1, fn);
-  // Calls range(b, e) for the entries [b, e) of each run, ascending.
-  auto for_ranges = [&](const auto& range) {
-    for (int z = z0; z < z1; ++z) {
-      auto it = list.begin() + list_z[static_cast<std::size_t>(z)];
-      const auto end = list.begin() + list_z[static_cast<std::size_t>(z) + 1];
-      for_box_runs(d, box, z, [&](i64 a, i64 b) {
-        it = std::lower_bound(it, end, a);
-        const auto stop = std::lower_bound(it, end, b);
-        range(it - list.begin(), stop - list.begin());
-        it = stop;
-      });
-    }
-  };
-  i64 total = 0;
-  for_ranges([&total](i64 b, i64 e) { total += e - b; });
-  for_chunks(ctx.pool, 0, total, ThreadPool::min_chunk_indices(256),
-             [&](i64 n0, i64 n1) {
-               i64 n = 0;  // the box's entries before this range
-               for_ranges([&](i64 b, i64 e) {
-                 const i64 k1 = std::min(e, b + n1 - n);
-                 for (i64 k = b + std::max<i64>(0, n0 - n); k < k1; ++k) {
-                   fn(k, list[static_cast<std::size_t>(k)]);
-                 }
-                 n += e - b;
-               });
-             });
-}
-
 /// DoubleBuffer and Sparse: streams the cells of box into the back
-/// buffer. A bulk cell's pull is an offset, so a bulk span reads shifted
-/// plane pointers: a plain copy without an operator, the tile loop with
-/// one. The compact layout needs the index map only for each span's base
-/// offsets (the pull sources of a bulk span, or of any piece of one, form
-/// another contiguous run of fluid cells). Slow cells take pull_slow_cell
-/// and solid cells are zeroed where they have storage.
+/// buffer. A bulk cell's pull is a copy from its source, so a bulk span
+/// reads plane pointers shifted to its sources (span_sources): a plain
+/// copy without an operator, the tile loop with one. The compact layout
+/// needs the index map only for each span's base offsets (the pull
+/// sources of a bulk span, or of any piece of one, form another
+/// contiguous run of fluid cells). Slow cells take pull_slow_cell and
+/// solid cells are zeroed where they have storage.
 template <bool kCompact, class Op>
 void pull_region(Lattice& lat, const CellClass& cc,
                  const PlaneAddr<kCompact>& a, const CellBox& box,
@@ -435,19 +437,21 @@ void pull_region(Lattice& lat, const CellClass& cc,
   for (int i = 0; i < Q; ++i) shift[i] = pull_offset(lat.dim(), i);
   for_z_chunks(lat, ctx, box, [&](int z0, int z1) {
     for_box_spans(lat, cc, box, z0, z1, [&](const CellSpan& sp) {
+      i64 src[Q];
+      span_sources(lat, sp, shift, src);
       const i64 out0 = a.at(sp.begin);
       if constexpr (kCollides<Op>) {
         const Real* in[Q];
         Real* out[Q];
         for (int i = 0; i < Q; ++i) {
-          in[i] = a.rd[i] + a.at(sp.begin + shift[i]);
+          in[i] = a.rd[i] + a.at(src[i]);
           out[i] = a.wr[i] + out0;
         }
         run_span(in, out, sp.len, op);
       } else {
         for (int i = 0; i < Q; ++i) {
           Real* GC_RESTRICT out = a.wr[i] + out0;
-          const Real* GC_RESTRICT in = a.rd[i] + a.at(sp.begin + shift[i]);
+          const Real* GC_RESTRICT in = a.rd[i] + a.at(src[i]);
           for (i32 k = 0; k < sp.len; ++k) out[k] = in[k];
         }
       }
@@ -465,14 +469,17 @@ void pull_region(Lattice& lat, const CellClass& cc,
 /// AA: collects the streamed values of the box's slow cells into the
 /// fixup scratch, at their position in CellClass::slow. A pure read of
 /// the post-collide field through the accessors, which is exactly what
-/// the double-buffered pull reads; the bulk streams in the flip.
+/// the double-buffered pull reads; the bulk, periodic faces included,
+/// streams in the flip.
 template <class Op>
 void collect_region(Lattice& lat, const CellClass& cc, const CellBox& box,
                     const StepContext& ctx, const Op& op) {
   std::vector<Real>& fix = lat.aa_fix_scratch();
   fix.resize(cc.slow.size() * Q);
-  for_box_cells_even(lat, cc.slow, cc.slow_z, box, ctx, [&](i64 k, i64 cell) {
-    pull_slow_cell(lat, cell, op, fix.data() + k * Q);
+  for_z_chunks(lat, ctx, box, [&](int z0, int z1) {
+    for_box_cells(lat, cc.slow, cc.slow_z, box, z0, z1, [&](i64 k, i64 cell) {
+      pull_slow_cell(lat, cell, op, fix.data() + k * Q);
+    });
   });
 }
 

@@ -43,6 +43,16 @@ Real* Lattice::aa_bulk_write_ptr(int i) {
   return phase_ == 0 ? base + plane(OPP[i]) : base + plane(i) + dir_offset(i);
 }
 
+void Lattice::aa_span_ptrs(Int3 p, const Real* rd[Q], Real* wr[Q]) {
+  GC_CHECK_MSG(mode_ == StorageMode::AA && !aa_collided(),
+               "AA collide span pointers require an un-collided lattice");
+  // The collide writes f_i where it read f_OPP[i] (a cell's read-slot set
+  // is its write-slot set), so one slot per direction serves both.
+  Real* base = buf_[cur_].data();
+  for (int i = 0; i < Q; ++i) wr[OPP[i]] = base + slot(i, p, phase_);
+  for (int i = 0; i < Q; ++i) rd[i] = wr[OPP[i]];
+}
+
 void Lattice::scatter_cell_collided(i64 cell, const Real* in) {
   GC_CHECK(mode_ == StorageMode::AA && !aa_collided());
   // The post-collide mapping at the current parity: 0->1 or 2->3.

@@ -24,11 +24,14 @@
 //     collide advances 0->1 / 2->3 (in place: each cell's read-slot set
 //     equals its write-slot set), swap_buffers() flips 1->2 / 3->0 (pure
 //     parity flip: for bulk cells the post-flip logical value IS the
-//     streamed value; only boundary cells need explicit fixups, which
-//     the stream region passes collect into one scratch before the flip
-//     and finish_stream scatters after it).
+//     streamed value; only slow cells, those with a link that needs a
+//     rule, need explicit fixups, which the stream region passes collect
+//     into one scratch before the flip and finish_stream scatters after
+//     it).
 //     `wrap` is a per-axis periodic index wrap — an internal address
-//     bijection, independent of the face boundary conditions.
+//     bijection, independent of the face boundary conditions. Across a
+//     periodic face it is also the periodic pull, so the flip streams
+//     the cells on periodic faces with the rest of the bulk.
 //
 //   Sparse — indirect fluid-index addressing (Tomczak & Szafran's
 //     sparse-geometry GPU LBM): two compact buffers hold only the
@@ -59,6 +62,10 @@
 #include "util/vec3.hpp"
 
 namespace gc::lbm {
+
+namespace detail {
+struct AaAddr;
+}  // namespace detail
 
 /// Per-cell classification.
 enum class CellType : u8 {
@@ -293,8 +300,9 @@ class Lattice {
   /// AA bulk base pointers: base[cell] is logical f_i(cell) under the
   /// current mapping (read) or the slot the advancing collide writes for
   /// f_i(cell) (write). The affine form only holds where the mapping
-  /// needs no wrap — interior/bulk-span cells; boundary cells must go
-  /// through gather_cell/scatter_cell_collided.
+  /// needs no wrap — interior bulk spans; a span whose pulls wrap takes
+  /// its pointers from the mapping at its first cell (AaAddr), and slow
+  /// cells go through gather_cell/scatter_cell_collided.
   const Real* aa_bulk_read_ptr(int i) const;
   Real* aa_bulk_write_ptr(int i);
 
@@ -356,7 +364,7 @@ class Lattice {
   // --- domain face boundary conditions ---
   void set_face_bc(Face face, FaceBc bc) {
     face_bc_[face] = bc;
-    class_dirty_ = true;  // conservative: keep classification fresh
+    class_dirty_ = true;  // CellClass reads the face BCs
   }
   FaceBc face_bc(Face face) const { return face_bc_[face]; }
 
@@ -446,6 +454,13 @@ class Lattice {
     if (p.z < 0) p.z += dim_.z; else if (p.z >= dim_.z) p.z -= dim_.z;
     return p;
   }
+  friend struct detail::AaAddr;
+  /// AA pointers of a bulk span that starts at p and whose mapping wraps
+  /// (CellSpan::wraps): rd[i][k] is logical f_i of the span's k-th cell
+  /// under the current mapping, and wr[i][k] the slot the advancing
+  /// collide writes for it. The mapping never wraps between the cells of
+  /// a span, so one pointer per direction serves all of them.
+  void aa_span_ptrs(Int3 p, const Real* rd[Q], Real* wr[Q]);
   /// Compact-storage slot of f_i at compact id m (Sparse mode).
   i64 sparse_slot(int i, i64 m) const { return i64(i) * sparse_n_ + m; }
   /// Rebuilds the compact layout lazily after a flag change. Logically

@@ -6,24 +6,6 @@
 namespace gc::lbm {
 namespace detail {
 
-namespace {
-
-/// The pull rule's source adapter on a lattice's current buffer.
-struct LatticeSource {
-  const Lattice& lat;
-  Int3 dim() const { return lat.dim(); }
-  FaceBc face_bc(int face) const {
-    return lat.face_bc(static_cast<Face>(face));
-  }
-  CellType flag(Int3 src, Int3) const { return lat.flag(src); }
-  Real f(int i, Int3 src, Int3) const { return lat.f(i, src); }
-  Real inlet_eq(int i, Int3 cell) const {
-    return equilibrium(i, lat.inlet_density(), lat.inlet_velocity_at(cell));
-  }
-};
-
-}  // namespace
-
 Real pull_value(const Lattice& lat, Int3 p, int i) {
   return pull(LatticeSource{lat}, p, i);
 }

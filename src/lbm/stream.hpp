@@ -20,11 +20,11 @@ namespace gc::lbm {
 /// DoubleBuffer and Sparse write the pulled values into the back buffer
 /// (zeros at solids), in z-chunks. AA only reads: it collects the pulled
 /// values of the box's slow cells into the lattice's fixup scratch, at
-/// their position in CellClass::slow, in equal shares of those cells per
-/// chunk; its bulk streams in the flip. No span. A cell pulls only from
-/// cells one hop away (or across a periodic face), so the overlapped step
-/// streams the box of cells that read no ghost while border messages are
-/// in flight (core::LocalDomain).
+/// their position in CellClass::slow, in the same z-chunks; its bulk,
+/// which includes the cells on periodic faces, streams in the flip. No
+/// span. A cell pulls only from cells one hop away (or across a periodic
+/// face), so the overlapped step streams the box of cells that read no
+/// ghost while border messages are in flight (core::LocalDomain).
 void stream_region(Lattice& lat, const CellBox& box,
                    const StepContext& ctx = {});
 
@@ -126,6 +126,22 @@ Real pull(const Src& s, Int3 p, int i) {
   }
   return s.f(i, src, hop);
 }
+
+/// The pull rule's source adapter on a lattice's current buffer. The
+/// classification and the bulk span pass wrap a cell's pulls through it
+/// too, so a bulk cell's sources are the ones the pull rule reads.
+struct LatticeSource {
+  const Lattice& lat;
+  Int3 dim() const { return lat.dim(); }
+  FaceBc face_bc(int face) const {
+    return lat.face_bc(static_cast<Face>(face));
+  }
+  CellType flag(Int3 src, Int3) const { return lat.flag(src); }
+  Real f(int i, Int3 src, Int3) const { return lat.f(i, src); }
+  Real inlet_eq(int i, Int3 cell) const {
+    return equilibrium(i, lat.inlet_density(), lat.inlet_velocity_at(cell));
+  }
+};
 
 /// Value pulled for direction i at cell position p: the pull rule on the
 /// lattice's *current* buffer; callers write the back buffer.

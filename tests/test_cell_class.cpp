@@ -17,34 +17,57 @@ namespace {
 constexpr FaceBc kAllBcs[] = {FaceBc::Periodic, FaceBc::Wall, FaceBc::Inlet,
                               FaceBc::Outflow, FaceBc::FreeSlip};
 
-void randomize_flags(Lattice& lat, u64 seed) {
+/// Random solid, inlet and outflow cells among fluid, `scale` times the
+/// default shares (12%, 5% and 5%).
+void randomize_flags(Lattice& lat, u64 seed, double scale = 1) {
   Rng rng(seed);
   for (i64 c = 0; c < lat.num_cells(); ++c) {
     const double u = rng.uniform();
     CellType t = CellType::Fluid;
-    if (u < 0.12) {
+    if (u < 0.12 * scale) {
       t = CellType::Solid;
-    } else if (u < 0.17) {
+    } else if (u < 0.17 * scale) {
       t = CellType::Inlet;
-    } else if (u < 0.22) {
+    } else if (u < 0.22 * scale) {
       t = CellType::Outflow;
     }
     lat.set_flag(c, t);
   }
 }
 
-/// Brute-force bulk test: p is a fluid cell off the domain faces whose
-/// 18 pull sources are fluid, so streaming it is a plain shifted copy.
-bool reference_bulk(const Lattice& lat, Int3 p) {
+/// The pull source of direction i at p, wrapped across periodic faces;
+/// false when the link crosses a face of any other kind.
+bool wrapped_source(const Lattice& lat, Int3 p, int i, Int3& src) {
   const Int3 d = lat.dim();
-  if (p.x < 1 || p.y < 1 || p.z < 1 || p.x >= d.x - 1 || p.y >= d.y - 1 ||
-      p.z >= d.z - 1) {
-    return false;
-  }
-  for (int i = 0; i < Q; ++i) {
-    if (lat.flag(p - C[i]) != CellType::Fluid) return false;
+  src = p - C[i];
+  for (int a = 0; a < 3; ++a) {
+    if (src[a] >= 0 && src[a] < d[a]) continue;
+    const Face face = static_cast<Face>(src[a] < 0 ? 2 * a : 2 * a + 1);
+    if (lat.face_bc(face) != FaceBc::Periodic) return false;
+    src[a] = (src[a] + d[a]) % d[a];
   }
   return true;
+}
+
+/// Brute-force bulk test: p is a fluid cell whose 18 pulls, wrapped
+/// across periodic faces, all reach fluid cells, so streaming it is a
+/// plain copy from its sources.
+bool reference_bulk(const Lattice& lat, Int3 p) {
+  for (int i = 0; i < Q; ++i) {
+    Int3 src;
+    if (!wrapped_source(lat, p, i, src)) return false;
+    if (lat.flag(src) != CellType::Fluid) return false;
+  }
+  return true;
+}
+
+/// Whether any pull of cell p leaves the domain (and so wraps, if p is
+/// bulk).
+bool reference_wraps(const Lattice& lat, Int3 p) {
+  for (int i = 0; i < Q; ++i) {
+    if (!lat.in_bounds(p - C[i])) return true;
+  }
+  return false;
 }
 
 /// Brute-force per-cell category: 0 = bulk-fast, 1 = slow, 2 = solid.
@@ -55,13 +78,18 @@ int reference_category(const Lattice& lat, i64 cell) {
 
 TEST(CellClass, MatchesBruteForceUnderEveryFaceBc) {
   // Every FaceBc appears on every face across the rotated combinations;
-  // the flag field is re-randomized per combination.
-  for (int combo = 0; combo < 5; ++combo) {
+  // the flag field is re-randomized per combination. Combination 5 is a
+  // periodic box with few obstacles, so most of its face cells are bulk
+  // and their pulls wrap on every axis.
+  i64 x_wrapping = 0;
+  for (int combo = 0; combo < 6; ++combo) {
     Lattice lat(Int3{9, 8, 7});
     for (int face = 0; face < 6; ++face) {
-      lat.set_face_bc(static_cast<Face>(face), kAllBcs[(combo + face) % 5]);
+      lat.set_face_bc(static_cast<Face>(face),
+                      combo == 5 ? FaceBc::Periodic
+                                 : kAllBcs[(combo + face) % 5]);
     }
-    randomize_flags(lat, 100 + static_cast<u64>(combo));
+    randomize_flags(lat, 100 + static_cast<u64>(combo), combo == 5 ? 0.1 : 1);
 
     const CellClass& cc = lat.cell_class();
 
@@ -76,7 +104,21 @@ TEST(CellClass, MatchesBruteForceUnderEveryFaceBc) {
     i64 span_cells = 0;
     for (const CellSpan& sp : cc.spans) {
       ASSERT_GT(sp.len, 0);
-      for (i32 k = 0; k < sp.len; ++k) put(sp.begin + k, 0);
+      bool wraps = false;
+      for (i32 k = 0; k < sp.len; ++k) {
+        put(sp.begin + k, 0);
+        const Int3 p = lat.coords(sp.begin + k);
+        wraps = wraps || reference_wraps(lat, p);
+        if (p.x == 0 || p.x == lat.dim().x - 1) {
+          // Its x pulls wrap: any other cell in its span would pull x
+          // from a different offset.
+          EXPECT_EQ(sp.len, 1) << "x-wrapping cell " << p << " (combo "
+                               << combo << ")";
+          ++x_wrapping;
+        }
+      }
+      EXPECT_EQ(sp.wraps, wraps) << "span at " << lat.coords(sp.begin)
+                                 << " (combo " << combo << ")";
       span_cells += sp.len;
     }
     EXPECT_EQ(span_cells, cc.bulk_cells);
@@ -100,6 +142,7 @@ TEST(CellClass, MatchesBruteForceUnderEveryFaceBc) {
     EXPECT_EQ(cc.fluid_slow, want_fluid_slow);
     EXPECT_EQ(cc.inlet, want_inlet);
   }
+  EXPECT_GT(x_wrapping, 0);
 }
 
 TEST(CellClass, ZPartitionsAreConsistent) {
@@ -133,20 +176,47 @@ TEST(CellClass, ZPartitionsAreConsistent) {
 }
 
 TEST(CellClass, SpansNeverCrossRows) {
-  Lattice lat(Int3{8, 8, 8});
-  // All-fluid interior: bulk rows span x=1..6 of every interior row.
-  const CellClass& cc = lat.cell_class();
-  const Int3 d = lat.dim();
-  for (const CellSpan& sp : cc.spans) {
-    const Int3 a = lat.coords(sp.begin);
-    const Int3 b = lat.coords(sp.begin + sp.len - 1);
-    EXPECT_EQ(a.y, b.y);
-    EXPECT_EQ(a.z, b.z);
-    EXPECT_EQ(a.x, 1);
-    EXPECT_EQ(b.x, d.x - 2);
+  const Int3 d{8, 8, 8};
+  {
+    // All-fluid periodic box: every cell is bulk, and each row is the
+    // spans [0,1), [1,7), [7,8), the x-wrapping cells on their own.
+    Lattice lat(d);
+    const CellClass& cc = lat.cell_class();
+    EXPECT_TRUE(cc.slow.empty());
+    EXPECT_EQ(cc.bulk_cells, lat.num_cells());
+    ASSERT_EQ(static_cast<i64>(cc.spans.size()), 3 * i64(d.y) * d.z);
+    for (std::size_t s = 0; s < cc.spans.size(); ++s) {
+      const CellSpan& sp = cc.spans[s];
+      const Int3 a = lat.coords(sp.begin);
+      const Int3 b = lat.coords(sp.begin + sp.len - 1);
+      const int row = static_cast<int>(s / 3);
+      EXPECT_EQ(a.y, row % d.y);
+      EXPECT_EQ(a.z, row / d.y);
+      EXPECT_EQ(b.y, a.y);
+      EXPECT_EQ(b.z, a.z);
+      const int lo[3] = {0, 1, d.x - 1}, hi[3] = {0, d.x - 2, d.x - 1};
+      EXPECT_EQ(a.x, lo[s % 3]);
+      EXPECT_EQ(b.x, hi[s % 3]);
+    }
   }
-  EXPECT_EQ(static_cast<i64>(cc.spans.size()),
-            i64(d.y - 2) * (d.z - 2));
+  {
+    // All-fluid walled box: bulk rows span x=1..6 of every interior row.
+    Lattice lat(d);
+    for (int face = 0; face < 6; ++face) {
+      lat.set_face_bc(static_cast<Face>(face), FaceBc::Wall);
+    }
+    const CellClass& cc = lat.cell_class();
+    for (const CellSpan& sp : cc.spans) {
+      const Int3 a = lat.coords(sp.begin);
+      const Int3 b = lat.coords(sp.begin + sp.len - 1);
+      EXPECT_EQ(a.y, b.y);
+      EXPECT_EQ(a.z, b.z);
+      EXPECT_EQ(a.x, 1);
+      EXPECT_EQ(b.x, d.x - 2);
+      EXPECT_FALSE(sp.wraps);
+    }
+    EXPECT_EQ(static_cast<i64>(cc.spans.size()), i64(d.y - 2) * (d.z - 2));
+  }
 }
 
 TEST(CellClass, FusedPooledBitExactVsSerialSplit) {

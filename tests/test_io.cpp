@@ -136,8 +136,13 @@ TEST_P(StepTraffic, MatchesTheStorageModesPlaneTraffic) {
         break;
       }
       case lbm::StorageMode::AA: {
+        // The periodic box has no slow cell: the flip streams all of it.
         const auto slow = static_cast<double>(lat.cell_class().slow.size());
-        EXPECT_GT(slow, 0);
+        if (solid_block) {
+          EXPECT_GT(slow, 0);
+        } else {
+          EXPECT_EQ(slow, 0);
+        }
         EXPECT_DOUBLE_EQ(split, 2 * kPlanes * lat.num_cells() +
                                     2 * kPlanes * slow);
         EXPECT_DOUBLE_EQ(fused, split);

@@ -1,8 +1,10 @@
-// The stream region pass: streaming a lattice box by box and then
-// finishing equals one stream() bit for bit on every storage mode, serial
-// and pooled; the fused step (the same pass with BGK) equals a stream then
-// a collide; the overlap's inner box never reads a ghost cell; and every
-// rank's inner box and shell partition its local lattice exactly.
+// The stream region pass: one stream() equals the pull rule cell by cell
+// and the fused step the pull rule then BGK; streaming a lattice box by
+// box and then finishing equals one stream() bit for bit on every storage
+// mode, serial and pooled; the fused step (the same pass with BGK) equals
+// a stream then a collide; the overlap's inner box never reads a ghost
+// cell; and every rank's inner box and shell partition its local lattice
+// exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,17 +28,17 @@ constexpr FaceBc kAllBcs[] = {FaceBc::Periodic, FaceBc::Wall, FaceBc::Inlet,
 constexpr StorageMode kModes[] = {StorageMode::DoubleBuffer, StorageMode::AA,
                                   StorageMode::Sparse};
 
-/// Random flags (solid, inlet and outflow cells among fluid) and random
-/// near-equilibrium values, set in the double-buffered layout and then
-/// converted to `mode`.
-void randomize(Lattice& lat, StorageMode mode, u64 seed) {
+/// Random flags (solid, inlet and outflow cells among fluid, at `scale`
+/// times 12%, 4% and 4%) and random near-equilibrium values, set in the
+/// double-buffered layout and then converted to `mode`.
+void randomize(Lattice& lat, StorageMode mode, u64 seed, double scale = 1) {
   Rng rng(seed);
   for (i64 c = 0; c < lat.num_cells(); ++c) {
     const double u = rng.uniform();
-    lat.set_flag(c, u < 0.12   ? CellType::Solid
-                    : u < 0.16 ? CellType::Inlet
-                    : u < 0.20 ? CellType::Outflow
-                               : CellType::Fluid);
+    lat.set_flag(c, u < 0.12 * scale   ? CellType::Solid
+                    : u < 0.16 * scale ? CellType::Inlet
+                    : u < 0.20 * scale ? CellType::Outflow
+                                       : CellType::Fluid);
   }
   for (int i = 0; i < Q; ++i) {
     for (i64 c = 0; c < lat.num_cells(); ++c) {
@@ -47,14 +49,19 @@ void randomize(Lattice& lat, StorageMode mode, u64 seed) {
 }
 
 /// Face BC combination `combo` (0..4): every FaceBc lands on every face
-/// across the five combinations.
+/// across the five combinations. Combination 5 is a periodic box with a
+/// tenth of the obstacles, so most cells on its faces are bulk cells
+/// whose pulls wrap.
+constexpr int kCombos = 6;
 Lattice make_lattice(Int3 dim, StorageMode mode, int combo, u64 seed) {
   Lattice lat(dim);
   for (int face = 0; face < 6; ++face) {
-    lat.set_face_bc(static_cast<Face>(face), kAllBcs[(combo + face) % 5]);
+    lat.set_face_bc(static_cast<Face>(face), combo == 5
+                                                 ? FaceBc::Periodic
+                                                 : kAllBcs[(combo + face) % 5]);
   }
   lat.set_inlet(Real(1), Vec3{Real(0.04), Real(0.01), 0});
-  randomize(lat, mode, seed);
+  randomize(lat, mode, seed, combo == 5 ? 0.1 : 1);
   return lat;
 }
 
@@ -101,6 +108,66 @@ void expect_same_field(const Lattice& want, const Lattice& got,
   }
 }
 
+/// Holds `got`, one stream of `pre` (with BGK when bgk is set), to the
+/// pull rule applied cell by cell to pre: pull_cell at fluid and outflow
+/// cells, then BGK at fluid cells when bgk is set; the inlet equilibrium
+/// at inlet cells; zeros at solid cells.
+void expect_pull_rule(const Lattice& pre, const Lattice& got,
+                      const BgkParams* bgk, const std::string& what) {
+  Real inlet[Q];
+  equilibrium_all(pre.inlet_density(), pre.inlet_velocity(), inlet);
+  Real f[Q];
+  for (i64 c = 0; c < pre.num_cells(); ++c) {
+    switch (pre.flag(c)) {
+      case CellType::Solid:
+        for (int i = 0; i < Q; ++i) f[i] = Real(0);
+        break;
+      case CellType::Inlet:
+        for (int i = 0; i < Q; ++i) f[i] = inlet[i];
+        break;
+      case CellType::Outflow:
+        detail::pull_cell(pre, c, f);
+        break;
+      case CellType::Fluid:
+        detail::pull_cell(pre, c, f);
+        if (bgk) collide_bgk_cell(f, bgk->tau, bgk->force);
+        break;
+    }
+    for (int i = 0; i < Q; ++i) {
+      ASSERT_EQ(f[i], got.f(i, c))
+          << what << " i=" << i << " at " << pre.coords(c) << " ("
+          << (pre.flag(c) == CellType::Fluid ? "fluid" : "not fluid") << ")";
+    }
+  }
+}
+
+TEST(StreamRegion, StreamEqualsThePullRule) {
+  // Every storage mode against the one pull rule, not against another
+  // mode: one stream(), and one fused step, of a collided lattice, serial
+  // and pooled, on every face-BC combination, the periodic box included.
+  const Int3 dim{9, 7, 6};
+  const BgkParams bgk{Real(0.8), Vec3{Real(2e-5), Real(-1e-5), Real(3e-5)}};
+  ThreadPool pool(3);
+  for (const StorageMode mode : kModes) {
+    for (int combo = 0; combo < kCombos; ++combo) {
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        const StepContext ctx{p, nullptr, 0};
+        const std::string what = std::string(storage_mode_name(mode)) +
+                                 " combo " + std::to_string(combo) +
+                                 (p ? " pooled" : " serial");
+        Lattice lat = make_lattice(dim, mode, combo, 700 + u64(combo));
+        collide_bgk(lat, bgk);
+        const Lattice pre = lat;
+        Lattice fused = lat;
+        stream(lat, ctx);
+        expect_pull_rule(pre, lat, nullptr, what + " stream");
+        fused_stream_collide(fused, bgk, ctx);
+        expect_pull_rule(pre, fused, &bgk, what + " fused");
+      }
+    }
+  }
+}
+
 TEST(StreamRegion, AnyPartitionEqualsStream) {
   // Two steps, so AA streams from both parities.
   const Int3 dim{9, 7, 6};
@@ -108,7 +175,7 @@ TEST(StreamRegion, AnyPartitionEqualsStream) {
   ThreadPool pool(3);
   Rng rng(91);
   for (const StorageMode mode : kModes) {
-    for (int combo = 0; combo < 5; ++combo) {
+    for (int combo = 0; combo < kCombos; ++combo) {
       for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
         const StepContext ctx{p, nullptr, 0};
         const u64 seed = 300 + static_cast<u64>(combo);
@@ -143,7 +210,7 @@ TEST(StreamRegion, FusedEqualsStreamThenCollide) {
   const Vec3 forces[] = {Vec3{}, Vec3{Real(2e-5), Real(-1e-5), Real(3e-5)}};
   ThreadPool pool(3);
   for (const StorageMode mode : kModes) {
-    for (int combo = 0; combo < 5; ++combo) {
+    for (int combo = 0; combo < kCombos; ++combo) {
       for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
         for (const Vec3& force : forces) {
           const StepContext ctx{p, nullptr, 0};
