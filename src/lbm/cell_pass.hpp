@@ -175,27 +175,16 @@ inline constexpr int kLanesOf =
 /// Runs op over the len cells of one bulk span, reading cell k's values
 /// at in[i][k] and writing them to out[i][k]. The cells are staged a tile
 /// at a time in a [Q][L] block, so every lane loop of the operator has a
-/// fixed trip count and the compiler vectorizes it. A span shorter than
-/// half a tile (such as the one-cell spans of a periodic x axis) runs one
-/// cell at a time: a padded tile would compute more dropped lanes than
-/// kept ones. The partial last tile of a longer span is padded with
-/// copies of its last cell, which are computed and dropped. A tile is
-/// read whole before any of it is written, which is safe when in and out
-/// overlap as long as the tile's read slots are its write slots (in
-/// place, and AA: see AaAddr).
+/// fixed trip count and the compiler vectorizes it. A partial tile is
+/// padded with copies of its last cell, which are computed and dropped.
+/// A tile is read whole before any of it is written, which is safe when
+/// in and out overlap as long as the tile's read slots are its write
+/// slots (in place, and AA: see AaAddr).
 template <class Op>
 void run_span(const Real* const in[Q], Real* const out[Q], i32 len,
               const Op& op) {
   constexpr int L = kLanesOf<Op>;
   alignas(64) Real t[Q * L];
-  if (2 * len < L) {
-    for (i32 k = 0; k < len; ++k) {
-      for (int i = 0; i < Q; ++i) t[i] = in[i][k];
-      op(t, Lanes<1>{});
-      for (int i = 0; i < Q; ++i) out[i][k] = t[i];
-    }
-    return;
-  }
   for (i32 k0 = 0; k0 < len; k0 += L) {
     const int n = std::min<i32>(L, len - k0);
     for (int i = 0; i < Q; ++i) {
