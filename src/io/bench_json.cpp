@@ -2,6 +2,16 @@
 
 namespace gc::io {
 
+namespace {
+
+/// AA: the fixups of one step, a read and a write per rule link.
+double aa_fixup_bytes(const lbm::Lattice& lat) {
+  return 2.0 * static_cast<double>(lat.cell_class().rule_links) *
+         sizeof(Real);
+}
+
+}  // namespace
+
 double split_step_traffic_bytes(const lbm::Lattice& lat) {
   const double plane_set =
       static_cast<double>(lbm::Q) * static_cast<double>(lat.num_cells()) *
@@ -17,11 +27,8 @@ double split_step_traffic_bytes(const lbm::Lattice& lat) {
            static_cast<double>(lat.sparse_active_cells()) * sizeof(Real);
   }
   // AA: the advancing collide reads + writes every plane in place; the
-  // stream is a parity flip plus per-slow-cell fixups (gather + scatter).
-  const double fixups =
-      2.0 * static_cast<double>(lbm::Q) *
-      static_cast<double>(lat.cell_class().slow.size()) * sizeof(Real);
-  return 2.0 * plane_set + fixups;
+  // stream is a parity flip plus one read and one write per rule link.
+  return 2.0 * plane_set + aa_fixup_bytes(lat);
 }
 
 double fused_step_traffic_bytes(const lbm::Lattice& lat) {
@@ -35,10 +42,7 @@ double fused_step_traffic_bytes(const lbm::Lattice& lat) {
     return 2.0 * static_cast<double>(lbm::Q) *
            static_cast<double>(lat.sparse_active_cells()) * sizeof(Real);
   }
-  const double fixups =
-      2.0 * static_cast<double>(lbm::Q) *
-      static_cast<double>(lat.cell_class().slow.size()) * sizeof(Real);
-  return 2.0 * plane_set + fixups;
+  return 2.0 * plane_set + aa_fixup_bytes(lat);
 }
 
 }  // namespace gc::io

@@ -16,7 +16,7 @@ namespace gc::io {
 /// Analytic f-plane main-memory traffic of one step of the split
 /// collide+stream path (collide reads+writes every plane; DB streaming
 /// reads the front and writes the back buffer, AA streams in place via
-/// the parity flip, touching only the O(surface) fixup cells).
+/// the parity flip, reading and writing only the slow cells' rule links).
 double split_step_traffic_bytes(const lbm::Lattice& lat);
 
 /// Same for the fused stream+collide path (one read + one write of every

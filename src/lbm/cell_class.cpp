@@ -1,5 +1,8 @@
 #include "lbm/cell_class.hpp"
 
+#include <bit>
+#include <limits>
+
 #include "lbm/lattice.hpp"
 #include "lbm/stream.hpp"
 
@@ -13,11 +16,14 @@ void CellClass::build(const Lattice& lat) {
   fluid_slow.clear();
   solid.clear();
   inlet.clear();
+  slow_links.clear();
   span_z.assign(static_cast<std::size_t>(d.z) + 1, 0);
   slow_z.assign(static_cast<std::size_t>(d.z) + 1, 0);
   fluid_slow_z.assign(static_cast<std::size_t>(d.z) + 1, 0);
   solid_z.assign(static_cast<std::size_t>(d.z) + 1, 0);
   bulk_cells = 0;
+  rule_links = 0;
+  const bool aa = lat.storage_mode() == StorageMode::AA;
 
   const i64 sx = 1, sy = d.x, sz = i64(d.x) * d.y;
   i64 shift[Q];
@@ -37,16 +43,18 @@ void CellClass::build(const Lattice& lat) {
     return (c > 0 || src_of.face_bc(2 * a) == FaceBc::Periodic) &&
            (c < d[a] - 1 || src_of.face_bc(2 * a + 1) == FaceBc::Periodic);
   };
-  // A cell on a periodic face: its pulls wrap as the pull rule wraps them.
-  auto wrapped_sources_fluid = [&](Int3 p) {
-    for (int i = 1; i < Q; ++i) {
+  // The links of p whose pull needs a rule, its pulls wrapped as the pull
+  // rule wraps them; a fluid cell with none is bulk.
+  auto rule_mask = [&](Int3 p) {
+    u32 mask = 0;
+    for (int i = 0; i < Q; ++i) {
       Int3 src = p - C[i];
       if (detail::resolve_periodic(src_of, src) >= 0 ||
           lat.flag(src) != CellType::Fluid) {
-        return false;
+        mask |= u32(1) << i;
       }
     }
-    return true;
+    return mask;
   };
 
   for (int z = 0; z < d.z; ++z) {
@@ -81,7 +89,7 @@ void CellClass::build(const Lattice& lat) {
             }
           }
         } else if (t == fluid && row_open && open(0, x)) {
-          fast = wrapped_sources_fluid(Int3{x, y, z});
+          fast = rule_mask(Int3{x, y, z}) == 0;
         }
         if (fast) {
           ++bulk_cells;
@@ -98,6 +106,11 @@ void CellClass::build(const Lattice& lat) {
           solid.push_back(cell);
         } else {
           slow.push_back(cell);
+          if (aa) {
+            const u32 mask = rule_mask(Int3{x, y, z});
+            slow_links.push_back({mask, static_cast<u32>(rule_links)});
+            rule_links += std::popcount(mask);
+          }
           if (t == fluid) {
             fluid_slow.push_back(cell);
           } else if (t == inlet_flag) {
@@ -113,6 +126,8 @@ void CellClass::build(const Lattice& lat) {
   fluid_slow_z[static_cast<std::size_t>(d.z)] =
       static_cast<i64>(fluid_slow.size());
   solid_z[static_cast<std::size_t>(d.z)] = static_cast<i64>(solid.size());
+  GC_CHECK_MSG(rule_links <= std::numeric_limits<u32>::max(),
+               "AA rule links overflow their u32 offsets: " << rule_links);
 }
 
 }  // namespace gc::lbm

@@ -3,16 +3,18 @@
 // the host kernels are written the same way. A pass is an addressing
 // policy (where a cell's 19 values live in the lattice's storage mode)
 // times a cell operator (what happens to them), chunked over z on the
-// step's pool and clipped to a CellBox. Bulk spans run the operator over
-// tiles of adjacent cells, the host's stand-in for the GPU's parallel
-// pixel pipes. Streaming is a region pass plus a finish that take an
-// optional cell operator: none for a plain stream, BGK for the fused
+// step's pool and clipped to a CellBox. Bulk spans, and under AA the
+// runs of slow and solid cells too, run the operator over tiles of
+// adjacent cells, the host's stand-in for the GPU's parallel pixel
+// pipes. Streaming is a region pass plus a finish that take an optional
+// cell operator: none for a plain stream, BGK for the fused
 // stream+collide step, so the two share one streaming body. The public
 // kernels in collision/mrt/les/stream.cpp instantiate these templates;
 // outside src/lbm only the kernel tests include this header.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -172,6 +174,17 @@ template <class Op>
 inline constexpr int kLanesOf =
     std::is_invocable_v<const Op&, Real*, Lanes<kTile>> ? kTile : 1;
 
+/// The identity operator: a plain stream's operator (pulled values stay
+/// as pulled), and the one the AA collide runs on cells that do not
+/// collide, so their values move into the post-collide slots unchanged.
+struct NoOp {
+  template <int L>
+  void operator()(Real*, Lanes<L>) const {}
+};
+
+template <class Op>
+inline constexpr bool kCollides = !std::is_same_v<Op, NoOp>;
+
 /// Runs op over the len cells of one bulk span, reading cell k's values
 /// at in[i][k] and writing them to out[i][k]. The cells are staged a tile
 /// at a time in a [Q][L] block, so every lane loop of the operator has a
@@ -214,11 +227,9 @@ void run_span(const Real* const in[Q], Real* const out[Q], i32 len,
 //   rd[i], wr[i]  plane bases the pass reads and writes; a bulk cell c
 //                 sits at at(c) (DoubleBuffer, Sparse), and the cells of
 //                 a bulk span at consecutive offsets from its first
-//   span          the read and write pointers of a bulk span's cells for
-//                 a collide (in place)
-//   load, store   the values of one slow cell
-//   kAdvanceAll   a collide advances every cell, copying non-fluid cells
-//                 through (AA), instead of touching fluid cells only
+//   span          the read and write pointers of a span's cells for a
+//                 collide (in place)
+//   load, store   the values of one slow cell (DoubleBuffer, Sparse)
 
 /// Plane addressing: a cell's values sit at one index of 19 planes. The
 /// index is the cell itself in the double-buffered layout (NaturalAddr)
@@ -228,7 +239,6 @@ void run_span(const Real* const in[Q], Real* const out[Q], i32 len,
 /// stream reads it and writes the back buffer (to_back).
 template <bool kCompact>
 struct PlaneAddr {
-  static constexpr bool kAdvanceAll = false;
   const Lattice* lat;
   const Real* rd[Q];
   Real* wr[Q];
@@ -282,19 +292,18 @@ struct PlaneAddr {
 using NaturalAddr = PlaneAddr<false>;
 using CompactAddr = PlaneAddr<true>;
 
-/// AA addressing, for the advancing collide: bulk cells read through the
+/// AA addressing, for the advancing collide: cells read through the
 /// current mapping and write the slots the post-collide mapping assigns,
 /// so the next parity flip streams them for free. Interior spans use the
-/// affine base pointers; a span whose pulls wrap takes its pointers from
-/// the mapping at its first cell, and slow cells go through gather_cell /
-/// scatter_cell_collided. Every cell must be advanced, not just fluid
-/// ones: the flip streams the whole field, solid border cells hold their
-/// init values until first streamed, and the exchange packs border cells
-/// of any flag. Each cell's read-slot set equals its write-slot set, so
-/// cells can be advanced in any order and in parallel, and so can whole
-/// tiles.
+/// affine base pointers; a span on a lattice face (CellSpan::wraps) takes
+/// its pointers from the mapping at its first cell. Slow and solid cells
+/// are advanced in runs through the same span pointers (collide_boundary).
+/// Every cell must be advanced, not just fluid ones: the flip streams the
+/// whole field, solid border cells hold their init values until first
+/// streamed, and the exchange packs border cells of any flag. Each cell's
+/// read-slot set equals its write-slot set, so cells can be advanced in
+/// any order and in parallel, and so can whole tiles.
 struct AaAddr {
-  static constexpr bool kAdvanceAll = true;
   Lattice* lat;
   const Real* rd[Q];
   Real* wr[Q];
@@ -311,10 +320,6 @@ struct AaAddr {
       in[i] = rd[i] + sp.begin;
       out[i] = wr[i] + sp.begin;
     }
-  }
-  void load(i64 cell, Real f[Q]) const { lat->gather_cell(cell, f); }
-  void store(i64 cell, const Real f[Q]) const {
-    lat->scatter_cell_collided(cell, f);
   }
 };
 
@@ -333,34 +338,80 @@ void collide_spans(const Lattice& lat, const CellClass& cc, const Addr& a,
   });
 }
 
-/// Applies op to the slow fluid cells of slices [z0, z1) inside box,
-/// one cell at a time through the policy's load/store. Under AA every
-/// slow and solid cell is loaded and stored, and only the fluid ones
-/// collide.
-template <class Addr, class Op>
-void collide_boundary(const Lattice& lat, const CellClass& cc, const Addr& a,
-                      const Op& op, const CellBox& box, int z0, int z1) {
-  auto advance = [&](const std::vector<i64>& list,
-                     const std::vector<i64>& list_z) {
-    Real f[Q];
-    for_box_cells(lat, list, list_z, box, z0, z1, [&](i64, i64 c) {
-      a.load(c, f);
-      if (lat.flag(c) == CellType::Fluid) op(f, Lanes<1>{});
-      a.store(c, f);
-    });
+/// DoubleBuffer, Sparse: applies op to the slow fluid cells of slices
+/// [z0, z1) inside box, one cell at a time through the policy's
+/// load/store.
+template <bool kCompact, class Op>
+void collide_boundary(const Lattice& lat, const CellClass& cc,
+                      const PlaneAddr<kCompact>& a, const Op& op,
+                      const CellBox& box, int z0, int z1) {
+  Real f[Q];
+  for_box_cells(lat, cc.fluid_slow, cc.fluid_slow_z, box, z0, z1,
+                [&](i64, i64 c) {
+                  a.load(c, f);
+                  op(f, Lanes<1>{});
+                  a.store(c, f);
+                });
+}
+
+/// AA: advances the cells of a CellClass cell list (slow or solid) in
+/// slices [z0, z1) inside box through the tile loop, in runs of
+/// consecutive cells of one row and one fluidness: fluid runs take op,
+/// the others NoOp, which moves their values into the post-collide slots.
+/// The x-end cells are runs of their own, so the mapping never wraps
+/// between the cells of a run, and a run on a lattice face takes its
+/// pointers from the mapping at its first cell, as a face span does.
+template <class Op>
+void advance_runs(const Lattice& lat, const std::vector<i64>& list,
+                  const std::vector<i64>& list_z, const AaAddr& a,
+                  const Op& op, const CellBox& box, int z0, int z1) {
+  if (list.empty()) return;
+  const Int3 d = lat.dim();
+  CellSpan run{0, 0, false};
+  bool fluid = false;
+  i64 row_end = 0;  // the run grows only by cells before this one
+  auto flush = [&] {
+    if (run.len == 0) return;
+    const Real* in[Q];
+    Real* out[Q];
+    a.span(run, in, out);
+    if (fluid) {
+      run_span(in, out, run.len, op);
+    } else {
+      run_span(in, out, run.len, NoOp{});
+    }
   };
-  if constexpr (Addr::kAdvanceAll) {
-    advance(cc.slow, cc.slow_z);
-    advance(cc.solid, cc.solid_z);
-  } else {
-    advance(cc.fluid_slow, cc.fluid_slow_z);
-  }
+  for_box_cells(lat, list, list_z, box, z0, z1, [&](i64, i64 c) {
+    const bool f = lat.flag(c) == CellType::Fluid;
+    if (c == run.begin + run.len && c < row_end && f == fluid) {
+      ++run.len;
+      return;
+    }
+    flush();
+    const Int3 p = lat.coords(c);
+    const bool x_end = p.x == 0 || p.x == d.x - 1;
+    run = CellSpan{c, 1,
+                   x_end || p.y == 0 || p.y == d.y - 1 || p.z == 0 ||
+                       p.z == d.z - 1};
+    fluid = f;
+    row_end = x_end ? c : c - p.x + d.x - 1;
+  });
+  flush();
+}
+
+/// AA: advances every slow and solid cell of slices [z0, z1) inside box.
+template <class Op>
+void collide_boundary(const Lattice& lat, const CellClass& cc, const AaAddr& a,
+                      const Op& op, const CellBox& box, int z0, int z1) {
+  advance_runs(lat, cc.slow, cc.slow_z, a, op, box, z0, z1);
+  advance_runs(lat, cc.solid, cc.solid_z, a, op, box, z0, z1);
 }
 
 /// Collides the cells of box in place with op, chunked over z on
 /// ctx.pool: the one storage-mode dispatch of every collide kernel. Only
-/// fluid cells change value. Under AA every cell in the box is advanced
-/// and the lattice is marked collided; ghost cells outside the box stay
+/// fluid cells change value. Under AA every cell in the box is advanced,
+/// slow and solid cells in runs through the tile loop like the bulk, and
+/// the lattice is marked collided; ghost cells outside the box stay
 /// un-advanced, which is safe because unpack rewrites them under the
 /// post-collide mapping before anything reads them. Emits no span: the
 /// caller's "collide" span times the phase.
@@ -392,12 +443,6 @@ void collide_pass(Lattice& lat, const Op& op, const StepContext& ctx,
 // A stream is a region pass per box plus one finish. Given a cell
 // operator, the same two collide each fluid cell's pulled values: that
 // is the fused stream+collide step. A plain stream passes NoOp.
-
-/// The operator of a plain stream: pulled values stay as pulled.
-struct NoOp {};
-
-template <class Op>
-inline constexpr bool kCollides = !std::is_same_v<Op, NoOp>;
 
 /// The streamed values of one slow cell: its pulls, collided with op when
 /// the cell is fluid. An inlet cell keeps its pulls until the finish
@@ -455,25 +500,31 @@ void pull_region(Lattice& lat, const CellClass& cc,
   });
 }
 
-/// AA: collects the streamed values of the box's slow cells into the
-/// fixup scratch, at their position in CellClass::slow. A pure read of
-/// the post-collide field through the accessors, which is exactly what
-/// the double-buffered pull reads; the bulk, periodic faces included,
-/// streams in the flip.
-template <class Op>
-void collect_region(Lattice& lat, const CellClass& cc, const CellBox& box,
-                    const StepContext& ctx, const Op& op) {
+/// AA: collects the pulls of the box's rule links (CellClass::RuleLinks)
+/// into the fixup scratch, at each slow cell's offset. A pure read of the
+/// post-collide field through the accessors, which is exactly what the
+/// double-buffered pull reads; every other link of every cell, the bulk
+/// and the periodic faces included, streams in the flip.
+inline void collect_region(Lattice& lat, const CellClass& cc,
+                           const CellBox& box, const StepContext& ctx) {
   std::vector<Real>& fix = lat.aa_fix_scratch();
-  fix.resize(cc.slow.size() * Q);
+  fix.resize(static_cast<std::size_t>(cc.rule_links));
+  if (cc.rule_links == 0) return;
   for_z_chunks(lat, ctx, box, [&](int z0, int z1) {
     for_box_cells(lat, cc.slow, cc.slow_z, box, z0, z1, [&](i64 k, i64 cell) {
-      pull_slow_cell(lat, cell, op, fix.data() + k * Q);
+      const CellClass::RuleLinks r = cc.slow_links[static_cast<std::size_t>(k)];
+      const Int3 p = lat.coords(cell);
+      Real* v = fix.data() + r.at;
+      for (u32 m = r.mask; m != 0; m &= m - 1) {
+        *v++ = pull_value(lat, p, std::countr_zero(m));
+      }
     });
   });
 }
 
 /// The stream region pass (stream_region) over box, colliding every
-/// fluid cell with op unless op is NoOp.
+/// fluid cell with op unless op is NoOp. Under AA the pass only collects
+/// the rule links; the finish collides.
 template <class Op = NoOp>
 void stream_pass(Lattice& lat, const CellBox& box, const StepContext& ctx,
                  const Op& op = {}) {
@@ -486,57 +537,49 @@ void stream_pass(Lattice& lat, const CellBox& box, const StepContext& ctx,
       pull_region(lat, cc, CompactAddr::to_back(lat), box, ctx, op);
       return;
     case StorageMode::AA:
-      collect_region(lat, cc, box, ctx, op);
+      collect_region(lat, cc, box, ctx);
       return;
   }
 }
 
-/// AA: flips the parity (the zero-copy bulk stream), then writes the
-/// region passes' fixups, and zeros at solids, through the new mapping.
-/// With an operator the bulk is first collided in place by the collide
-/// pass's span loop, the writes go through the post-collide mapping and
-/// the lattice ends collided, so the next fused step flips first; a
-/// lattice fresh from init enters that cycle as post-collision. Each
-/// cell writes its own slot group, so every phase runs in chunks on
-/// ctx.pool.
+/// AA: flips the parity (the zero-copy stream of every plain link), then
+/// writes the region passes' rule links, and zeros at solids, through the
+/// new mapping. Each cell writes its own slot group, so both run in
+/// chunks on ctx.pool. With an operator the whole lattice is then
+/// collided in place by the collide pass and ends collided, so the next
+/// fused step flips first; a lattice fresh from init enters that cycle as
+/// post-collision.
 template <class Op>
 void finish_aa(Lattice& lat, const CellClass& cc, const StepContext& ctx,
                const Op& op) {
   const std::vector<Real>& fix = lat.aa_fix_scratch();
-  const i64 nslow = static_cast<i64>(cc.slow.size());
-  GC_CHECK_MSG(static_cast<i64>(fix.size()) == nslow * Q,
+  GC_CHECK_MSG(static_cast<i64>(fix.size()) == cc.rule_links,
                "finish_stream(AA) needs the region passes' fixups first");
   if constexpr (kCollides<Op>) {
     if (!lat.aa_collided()) lat.aa_adopt_collided_layout();
   }
   lat.swap_buffers();
-  if constexpr (kCollides<Op>) {
-    const AaAddr bulk(lat);
-    for_z_chunks(lat, ctx, CellBox{}, [&](int z0, int z1) {
-      collide_spans(lat, cc, bulk, op, CellBox{}, z0, z1);
-    });
-  }
-  auto put = [&lat](i64 cell, const Real* f) {
-    if constexpr (kCollides<Op>) {
-      lat.scatter_cell_collided(cell, f);
-    } else {
-      lat.scatter_cell(cell, f);
-    }
-  };
-  const Real zeros[Q] = {};
   const i64 min_chunk = ThreadPool::min_chunk_indices(256);
-  for_chunks(ctx.pool, 0, nslow, min_chunk, [&](i64 k0, i64 k1) {
-    for (i64 k = k0; k < k1; ++k) {
-      put(cc.slow[static_cast<std::size_t>(k)], fix.data() + k * Q);
-    }
-  });
+  for_chunks(ctx.pool, 0, static_cast<i64>(cc.slow.size()), min_chunk,
+             [&](i64 k0, i64 k1) {
+               for (i64 k = k0; k < k1; ++k) {
+                 const auto kk = static_cast<std::size_t>(k);
+                 const CellClass::RuleLinks r = cc.slow_links[kk];
+                 const Int3 p = lat.coords(cc.slow[kk]);
+                 const Real* v = fix.data() + r.at;
+                 for (u32 m = r.mask; m != 0; m &= m - 1) {
+                   lat.set_f(std::countr_zero(m), p, *v++);
+                 }
+               }
+             });
+  const Real zeros[Q] = {};
   for_chunks(ctx.pool, 0, static_cast<i64>(cc.solid.size()), min_chunk,
              [&](i64 k0, i64 k1) {
                for (i64 k = k0; k < k1; ++k) {
-                 put(cc.solid[static_cast<std::size_t>(k)], zeros);
+                 lat.scatter_cell(cc.solid[static_cast<std::size_t>(k)], zeros);
                }
              });
-  if constexpr (kCollides<Op>) lat.aa_mark_collided();
+  if constexpr (kCollides<Op>) collide_pass(lat, op, ctx, CellBox{});
 }
 
 /// finish_stream, with op the operator of the region passes it

@@ -53,13 +53,6 @@ void Lattice::aa_span_ptrs(Int3 p, const Real* rd[Q], Real* wr[Q]) {
   for (int i = 0; i < Q; ++i) rd[i] = wr[OPP[i]];
 }
 
-void Lattice::scatter_cell_collided(i64 cell, const Real* in) {
-  GC_CHECK(mode_ == StorageMode::AA && !aa_collided());
-  // The post-collide mapping at the current parity: 0->1 or 2->3.
-  const Int3 p = coords(cell);
-  for (int i = 0; i < Q; ++i) buf_[cur_][slot(i, p, phase_ | 1)] = in[i];
-}
-
 void Lattice::aa_adopt_collided_layout() {
   GC_CHECK_MSG(mode_ == StorageMode::AA && phase_ == 0,
                "fused-cycle entry conversion starts from AA phase 0");
@@ -131,8 +124,10 @@ void Lattice::convert_storage(StorageMode mode) {
   // Every conversion funnels through the natural double-buffered layout
   // in buf_[0]: normalize the source, then relabel/compact into the
   // target mode. What the old mode held and the new one does not use is
-  // released: the AA fixups, the sparse index pair, a second buffer.
+  // released: the AA fixups, the sparse index pair, a second buffer. The
+  // classification records rule links under AA only, so it is rebuilt.
   aa_fix_ = std::vector<Real>();
+  class_dirty_ = true;
   if (mode_ == StorageMode::AA && phase_ != 0) {
     std::vector<Real> natural(static_cast<std::size_t>(Q * n_));
     for (int i = 0; i < Q; ++i)

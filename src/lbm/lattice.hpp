@@ -23,11 +23,13 @@
 //
 //     collide advances 0->1 / 2->3 (in place: each cell's read-slot set
 //     equals its write-slot set), swap_buffers() flips 1->2 / 3->0 (pure
-//     parity flip: for bulk cells the post-flip logical value IS the
-//     streamed value; only slow cells, those with a link that needs a
-//     rule, need explicit fixups, which the stream region passes collect
-//     into one scratch before the flip and finish_stream scatters after
-//     it).
+//     parity flip: for every link whose pull is a plain copy, the
+//     post-flip logical value IS the streamed value). Only the rule
+//     links of the slow cells (CellClass::RuleLinks: a non-fluid or
+//     out-of-domain source) need explicit fixups, which the stream region
+//     passes collect into one scratch before the flip and finish_stream
+//     writes after it; the flip streams the slow cells' other links with
+//     the bulk.
 //     `wrap` is a per-axis periodic index wrap — an internal address
 //     bijection, independent of the face boundary conditions. Across a
 //     periodic face it is also the periodic pull, so the flip streams
@@ -165,8 +167,8 @@ class Lattice {
   }
 
   /// Marks the AA lattice collided (phase 0->1 or 2->3) after an
-  /// advancing collision pass has rewritten every cell through
-  /// collide_write_ptr / scatter_cell_collided.
+  /// advancing collision pass has rewritten every cell into the slots of
+  /// the post-collide mapping (AaAddr in cell_pass.hpp).
   void aa_mark_collided() {
     GC_CHECK_MSG(mode_ == StorageMode::AA && !aa_collided(),
                  "aa_mark_collided requires an un-collided AA lattice");
@@ -204,21 +206,13 @@ class Lattice {
     }
     buf_[cur_][slot(i, cell)] = v;
   }
-
-  /// All 19 logical values of one cell, via the current mapping.
-  void gather_cell(i64 cell, Real* out) const {
-    if (mode_ == StorageMode::Sparse) {
-      const i64 m = sparse_index(cell);
-      if (m < 0) {
-        for (int i = 0; i < Q; ++i) out[i] = Real(0);
-      } else {
-        for (int i = 0; i < Q; ++i) out[i] = buf_[cur_][sparse_slot(i, m)];
-      }
-      return;
-    }
-    const Int3 p = coords(cell);
-    for (int i = 0; i < Q; ++i) out[i] = buf_[cur_][slot(i, p, phase_)];
+  /// set_f(i, idx(p), v), for a caller that already has the coordinates.
+  void set_f(int i, Int3 p, Real v) {
+    if (mode_ == StorageMode::Sparse) return set_f(i, idx(p), v);
+    buf_[cur_][slot(i, p, phase_)] = v;
   }
+
+  /// Writes all 19 logical values of one cell, via the current mapping.
   void scatter_cell(i64 cell, const Real* in) {
     if (mode_ == StorageMode::Sparse) {
       const i64 m = sparse_index(cell);
@@ -229,11 +223,6 @@ class Lattice {
     const Int3 p = coords(cell);
     for (int i = 0; i < Q; ++i) buf_[cur_][slot(i, p, phase_)] = in[i];
   }
-  /// Writes one cell's 19 values into the slots the post-collide mapping
-  /// at the current parity assigns — the per-cell form of what an
-  /// advancing AA collision pass does (AA mode, un-collided only).
-  void scatter_cell_collided(i64 cell, const Real* in);
-
   /// Raw plane pointers for kernels that assume the natural layout
   /// (double-buffered kernels, checkpoint fast path). Guarded: only
   /// valid when plane_layout_natural().
@@ -300,9 +289,8 @@ class Lattice {
   /// AA bulk base pointers: base[cell] is logical f_i(cell) under the
   /// current mapping (read) or the slot the advancing collide writes for
   /// f_i(cell) (write). The affine form only holds where the mapping
-  /// needs no wrap — interior bulk spans; a span whose pulls wrap takes
-  /// its pointers from the mapping at its first cell (AaAddr), and slow
-  /// cells go through gather_cell/scatter_cell_collided.
+  /// needs no wrap — interior spans and runs; a span or run on a lattice
+  /// face takes its pointers from the mapping at its first cell (AaAddr).
   const Real* aa_bulk_read_ptr(int i) const;
   Real* aa_bulk_write_ptr(int i);
 
@@ -324,11 +312,11 @@ class Lattice {
   /// bans naked memcpy into plane storage.
   void copy_distributions_from(const Lattice& src);
 
-  /// Reusable scratch for the AA boundary fixups: Q values per entry of
-  /// CellClass::slow, filled by the stream region passes (plain or fused)
-  /// before the flip and scattered by the finish after it. Kept on the
-  /// lattice so the hot loop does not reallocate every step; released
-  /// when the lattice converts to another mode.
+  /// Reusable scratch for the AA boundary fixups: one value per rule link
+  /// (CellClass::rule_links, at each slow cell's RuleLinks::at), filled by
+  /// the stream region passes before the flip and written by the finish
+  /// after it. Kept on the lattice so the hot loop does not reallocate
+  /// every step; released when the lattice converts to another mode.
   std::vector<Real>& aa_fix_scratch() { return aa_fix_; }
 
   // --- cell flags ---
@@ -345,10 +333,11 @@ class Lattice {
 
   // --- precomputed cell classification ---
   /// The span/index classification of the current flags. Rebuilt lazily,
-  /// at most once per flag or face-BC mutation (any number of set_flag
-  /// calls between two kernel invocations cost one rebuild). Not safe to
-  /// call for the first time from concurrent threads — the pooled kernel
-  /// entry points build it on the calling thread before dispatching.
+  /// at most once per flag, face-BC or storage-mode change (any number of
+  /// set_flag calls between two kernel invocations cost one rebuild). Not
+  /// safe to call for the first time from concurrent threads — the pooled
+  /// kernel entry points build it on the calling thread before
+  /// dispatching.
   const CellClass& cell_class() const {
     if (class_dirty_) {
       class_.build(*this);
@@ -455,11 +444,12 @@ class Lattice {
     return p;
   }
   friend struct detail::AaAddr;
-  /// AA pointers of a bulk span that starts at p and whose mapping wraps
-  /// (CellSpan::wraps): rd[i][k] is logical f_i of the span's k-th cell
-  /// under the current mapping, and wr[i][k] the slot the advancing
-  /// collide writes for it. The mapping never wraps between the cells of
-  /// a span, so one pointer per direction serves all of them.
+  /// AA pointers of a span (or a run of slow or solid cells) that starts
+  /// at p and whose mapping wraps (CellSpan::wraps): rd[i][k] is logical
+  /// f_i of its k-th cell under the current mapping, and wr[i][k] the slot
+  /// the advancing collide writes for it. The mapping never wraps between
+  /// the cells of a span or run, so one pointer per direction serves all
+  /// of them.
   void aa_span_ptrs(Int3 p, const Real* rd[Q], Real* wr[Q]);
   /// Compact-storage slot of f_i at compact id m (Sparse mode).
   i64 sparse_slot(int i, i64 m) const { return i64(i) * sparse_n_ + m; }

@@ -18,23 +18,24 @@ namespace gc::lbm {
 /// buffer, with all boundary handling, on ctx.pool when set (the pull
 /// pattern has no write conflicts, so pooled equals serial bit for bit).
 /// DoubleBuffer and Sparse write the pulled values into the back buffer
-/// (zeros at solids), in z-chunks. AA only reads: it collects the pulled
-/// values of the box's slow cells into the lattice's fixup scratch, at
-/// their position in CellClass::slow, in the same z-chunks; its bulk,
-/// which includes the cells on periodic faces, streams in the flip. No
-/// span. A cell pulls only from cells one hop away (or across a periodic
-/// face), so the overlapped step streams the box of cells that read no
-/// ghost while border messages are in flight (core::LocalDomain).
+/// (zeros at solids), in z-chunks. AA only reads: it collects the pulls
+/// of the box's rule links (the links of its slow cells whose source is
+/// not a fluid cell, CellClass::RuleLinks) into the lattice's fixup
+/// scratch, in the same z-chunks; every other link, the bulk's and the
+/// periodic faces' included, streams in the flip. No span. A cell pulls
+/// only from cells one hop away (or across a periodic face), so the
+/// overlapped step streams the box of cells that read no ghost while
+/// border messages are in flight (core::LocalDomain).
 void stream_region(Lattice& lat, const CellBox& box,
                    const StepContext& ctx = {});
 
 /// Completes a stream once region passes have covered every cell exactly
 /// once (any partition of the lattice into boxes, in any order; flags
 /// must not change in between): swaps the buffers (DoubleBuffer, Sparse)
-/// or flips the AA parity, scatters the AA fixups and zeroes solids
+/// or flips the AA parity, writes the AA rule links and zeroes solids
 /// through the new mapping, then re-imposes inlet equilibria and applies
-/// curved-boundary (Bouzidi) corrections. The AA scatter runs on
-/// ctx.pool when set. No span.
+/// curved-boundary (Bouzidi) corrections. The AA writes run on ctx.pool
+/// when set. No span.
 void finish_stream(Lattice& lat, const StepContext& ctx = {});
 
 /// One stream of the whole lattice: stream_region over every cell, then

@@ -1,8 +1,10 @@
-// The precomputed cell classification: span/list partition vs a brute
-// force per-cell reference, bit-exactness of the fused-pooled hot path
-// against the serial split passes, and the rebuild-on-dirty contract.
+// The precomputed cell classification: span/list partition and the AA
+// rule links vs a brute force per-cell reference, bit-exactness of the
+// fused-pooled hot path against the serial split passes, and the
+// rebuild-on-dirty contract.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <vector>
 
 #include "lbm/cell_class.hpp"
@@ -70,6 +72,20 @@ bool reference_wraps(const Lattice& lat, Int3 p) {
   return false;
 }
 
+/// Brute-force rule links of cell p: bit i when the pull of direction i
+/// crosses a face that is not periodic or reaches a cell that is not
+/// fluid.
+u32 reference_rule_links(const Lattice& lat, Int3 p) {
+  u32 mask = 0;
+  for (int i = 0; i < Q; ++i) {
+    Int3 src;
+    if (!wrapped_source(lat, p, i, src) || lat.flag(src) != CellType::Fluid) {
+      mask |= u32(1) << i;
+    }
+  }
+  return mask;
+}
+
 /// Brute-force per-cell category: 0 = bulk-fast, 1 = slow, 2 = solid.
 int reference_category(const Lattice& lat, i64 cell) {
   if (lat.flag(cell) == CellType::Solid) return 2;
@@ -80,10 +96,16 @@ TEST(CellClass, MatchesBruteForceUnderEveryFaceBc) {
   // Every FaceBc appears on every face across the rotated combinations;
   // the flag field is re-randomized per combination. Combination 5 is a
   // periodic box with few obstacles, so most of its face cells are bulk
-  // and their pulls wrap on every axis.
+  // and their pulls wrap on every axis. Each combination is classified on
+  // a double-buffered and on an AA lattice: the same partition, plus the
+  // rule links under AA.
   i64 x_wrapping = 0;
-  for (int combo = 0; combo < 6; ++combo) {
-    Lattice lat(Int3{9, 8, 7});
+  i64 rule_links = 0;
+  for (int run = 0; run < 12; ++run) {
+    const int combo = run / 2;
+    const StorageMode mode =
+        run % 2 ? StorageMode::AA : StorageMode::DoubleBuffer;
+    Lattice lat(Int3{9, 8, 7}, mode);
     for (int face = 0; face < 6; ++face) {
       lat.set_face_bc(static_cast<Face>(face),
                       combo == 5 ? FaceBc::Periodic
@@ -141,8 +163,31 @@ TEST(CellClass, MatchesBruteForceUnderEveryFaceBc) {
     }
     EXPECT_EQ(cc.fluid_slow, want_fluid_slow);
     EXPECT_EQ(cc.inlet, want_inlet);
+
+    // Under AA each slow cell carries its rule links, and its first one's
+    // offset in the fixup scratch: cell order, then direction order.
+    if (mode != StorageMode::AA) {
+      EXPECT_TRUE(cc.slow_links.empty());
+      EXPECT_EQ(cc.rule_links, 0);
+      continue;
+    }
+    ASSERT_EQ(cc.slow_links.size(), cc.slow.size());
+    i64 at = 0;
+    for (std::size_t k = 0; k < cc.slow.size(); ++k) {
+      const Int3 p = lat.coords(cc.slow[k]);
+      const u32 want = reference_rule_links(lat, p);
+      EXPECT_NE(want, 0u) << "slow cell " << p << " has no rule link";
+      EXPECT_EQ(cc.slow_links[k].mask, want)
+          << "cell " << p << " (combo " << combo << ")";
+      EXPECT_EQ(cc.slow_links[k].at, at)
+          << "cell " << p << " (combo " << combo << ")";
+      at += std::popcount(want);
+    }
+    EXPECT_EQ(cc.rule_links, at);
+    rule_links += at;
   }
   EXPECT_GT(x_wrapping, 0);
+  EXPECT_GT(rule_links, 0);
 }
 
 TEST(CellClass, ZPartitionsAreConsistent) {

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "lbm/cell_pass.hpp"
 #include "lbm/collision.hpp"
@@ -208,9 +209,27 @@ TEST(Collision, FusedEquivalentToSeparatePasses) {
 // last, partial tile of a span. These tests cut rows into bulk spans of
 // every length from 1 to 2 kTile + 1 (one partial tile, whole tiles, and
 // whole tiles followed by a partial one) and hold the tiled kernels to
-// the one-cell operator.
+// the one-cell operator. Under AA the collide advances slow and solid
+// cells through the same loop, in runs of one row and one fluidness; a
+// walled lattice cuts them into runs of every length too, on the faces
+// and off them.
 
 constexpr int kMaxSpan = 2 * detail::kTile + 1;
+
+/// Random near-equilibrium values at every cell.
+void randomize_near_equilibrium(Lattice& lat) {
+  Rng rng(17);
+  Real f[Q];
+  for (i64 c = 0; c < lat.num_cells(); ++c) {
+    const Vec3 u{Real(0.05 * (2 * rng.uniform() - 1)),
+                 Real(0.05 * (2 * rng.uniform() - 1)),
+                 Real(0.05 * (2 * rng.uniform() - 1))};
+    equilibrium_all(Real(1 + 0.02 * (rng.uniform() - 0.5)), u, f);
+    for (int i = 0; i < Q; ++i) {
+      lat.set_f(i, c, f[i] * Real(rng.uniform(0.9, 1.1)));
+    }
+  }
+}
 
 /// Rows (y, z) with odd y and z, one per span length len, get solids at
 /// x = 2 and x = len + 5: the bulk span between them is x = 4 .. len + 3.
@@ -226,18 +245,77 @@ Lattice make_tiled_rows(StorageMode mode) {
       lat.set_flag(Int3{len + 5, y, z}, CellType::Solid);
     }
   }
-  Rng rng(17);
-  Real f[Q];
-  for (i64 c = 0; c < lat.num_cells(); ++c) {
-    const Vec3 u{Real(0.05 * (2 * rng.uniform() - 1)),
-                 Real(0.05 * (2 * rng.uniform() - 1)),
-                 Real(0.05 * (2 * rng.uniform() - 1))};
-    equilibrium_all(Real(1 + 0.02 * (rng.uniform() - 0.5)), u, f);
-    for (int i = 0; i < Q; ++i) {
-      lat.set_f(i, c, f[i] * Real(rng.uniform(0.9, 1.1)));
+  randomize_near_equilibrium(lat);
+  return lat;
+}
+
+/// Rows of the walled lattice that hold runs: on the y = 0 face (Wall),
+/// off the faces, and on the y = d.y - 1 face (FreeSlip).
+constexpr int kWalledRows[] = {0, 12, 23};
+
+/// A lattice with no periodic face (x and z-min Wall, y-max and z-max
+/// FreeSlip, y-min Wall), so every face cell is slow. In each row y of
+/// kWalledRows, slice z = len (len = 1 .. kMaxSpan) holds, along x:
+///   0                    an x-end cell
+///   1 .. len             fluid cells (a slow run on a face)
+///   len + 1 .. 2 len     solid cells
+///   2 len + 1            an outflow cell (a slow run that does not collide)
+///   2 len + 2 .. d.x - 2 fluid cells
+///   d.x - 1              an x-end cell
+/// The cells around these rows are slow runs of other lengths, and the
+/// rows between them hold bulk spans. 19 z-slices of 38 x 24 cells make
+/// the z-chunks of a pooled pass split.
+Lattice make_walled_rows(StorageMode mode) {
+  const Int3 dim{2 * kMaxSpan + 4, 24, kMaxSpan + 2};
+  Lattice lat(dim, mode);
+  lat.set_face_bc(FACE_XMIN, FaceBc::Wall);
+  lat.set_face_bc(FACE_XMAX, FaceBc::Wall);
+  lat.set_face_bc(FACE_YMIN, FaceBc::Wall);
+  lat.set_face_bc(FACE_YMAX, FaceBc::FreeSlip);
+  lat.set_face_bc(FACE_ZMIN, FaceBc::Wall);
+  lat.set_face_bc(FACE_ZMAX, FaceBc::FreeSlip);
+  for (const int y : kWalledRows) {
+    for (int len = 1; len <= kMaxSpan; ++len) {
+      lat.fill_solid_box(Int3{len + 1, y, len},
+                         Int3{2 * len + 1, y + 1, len + 1});
+      lat.set_flag(Int3{2 * len + 1, y, len}, CellType::Outflow);
     }
   }
+  randomize_near_equilibrium(lat);
   return lat;
+}
+
+/// One run of the AA collide: consecutive cells of a CellClass list in one
+/// row with one fluidness, each x-end cell alone.
+struct CellRun {
+  Int3 first;
+  i32 len;
+  bool fluid;
+};
+
+/// The runs of a cell list, computed from their definition.
+std::vector<CellRun> runs_of(const Lattice& lat, const std::vector<i64>& list) {
+  std::vector<CellRun> runs;
+  i64 prev = -2;
+  for (const i64 c : list) {
+    const Int3 p = lat.coords(c);
+    const bool fluid = lat.flag(c) == CellType::Fluid;
+    const bool x_end = p.x == 0 || p.x == lat.dim().x - 1;
+    const bool joins = !runs.empty() && c == prev + 1 && !x_end &&
+                       runs.back().first.x != 0 &&
+                       lat.coords(prev).y == p.y && runs.back().fluid == fluid;
+    if (joins) {
+      ++runs.back().len;
+    } else {
+      runs.push_back({p, 1, fluid});
+    }
+    prev = c;
+  }
+  return runs;
+}
+
+bool on_y_face(const Lattice& lat, const CellRun& r) {
+  return r.first.y == 0 || r.first.y == lat.dim().y - 1;
 }
 
 /// collide_bgk_cell on every fluid cell, one cell at a time through
@@ -301,23 +379,81 @@ TEST(CollisionTiles, EverySpanLengthMatchesTheOneCellOperator) {
   }
 }
 
+TEST(CollisionTiles, WalledGeometryHasRunsOfEveryLength) {
+  const Lattice lat = make_walled_rows(StorageMode::AA);
+  const CellClass& cc = lat.cell_class();
+  std::set<i32> slow_on_face, solid_on_face, solid_inside;
+  int x_ends = 0, not_colliding = 0;
+  for (const CellRun& r : runs_of(lat, cc.slow)) {
+    if (r.fluid && on_y_face(lat, r) && r.first.x != 0) {
+      slow_on_face.insert(r.len);
+    }
+    x_ends += r.first.x == 0 || r.first.x == lat.dim().x - 1;
+    not_colliding += !r.fluid;
+  }
+  for (const CellRun& r : runs_of(lat, cc.solid)) {
+    (on_y_face(lat, r) ? solid_on_face : solid_inside).insert(r.len);
+  }
+  for (int len = 1; len <= kMaxSpan; ++len) {
+    EXPECT_TRUE(slow_on_face.count(len)) << "no slow run of length " << len;
+    EXPECT_TRUE(solid_on_face.count(len)) << "no face solid run of " << len;
+    EXPECT_TRUE(solid_inside.count(len)) << "no inner solid run of " << len;
+  }
+  EXPECT_GT(x_ends, 0);
+  EXPECT_GT(not_colliding, 0);
+  EXPECT_GT(cc.bulk_cells, 0);
+}
+
+TEST(CollisionTiles, AaBoundaryRunsMatchTheOneCellOperator) {
+  // Every storage mode on the walled geometry; under AA this is the run
+  // loop at both parities, where odd parity takes the mapping's wrapped
+  // pointers on the faces.
+  ThreadPool pool(3);
+  const BgkParams unforced{Real(0.8), Vec3{}};
+  const BgkParams forced{Real(0.7), Vec3{Real(1e-4), Real(-2e-4), Real(3e-5)}};
+  for (const StorageMode mode :
+       {StorageMode::DoubleBuffer, StorageMode::Sparse, StorageMode::AA}) {
+    const int parities = mode == StorageMode::AA ? 2 : 1;
+    for (int odd = 0; odd < parities; ++odd) {
+      for (const BgkParams* p : {&unforced, &forced}) {
+        for (ThreadPool* run_on : {static_cast<ThreadPool*>(nullptr), &pool}) {
+          Lattice lat = make_walled_rows(mode);
+          if (odd) {
+            collide_bgk(lat, unforced);
+            stream(lat);
+          }
+          Lattice ref = lat;
+          collide_bgk(lat, *p, StepContext(run_on));
+          collide_cell_by_cell(ref, *p);
+          EXPECT_EQ(first_bit_difference(lat, ref), "")
+              << storage_mode_name(mode) << (odd ? " odd" : " even")
+              << (p->force.x != 0 ? " forced" : " unforced")
+              << (run_on ? " pooled" : " serial");
+        }
+      }
+    }
+  }
+}
+
 TEST(CollisionTiles, AaFusedEqualsDoubleBufferSplit) {
   // Fused steps are stream-then-collide, so the split run takes one extra
   // collide and the fused run one leading collide.
   ThreadPool pool(3);
   const BgkParams p{Real(0.8), Vec3{}};
   const int steps = 4;
-  Lattice split = make_tiled_rows(StorageMode::DoubleBuffer);
-  Lattice fused = make_tiled_rows(StorageMode::AA);
-  for (int s = 0; s < steps; ++s) {
+  for (const auto make : {make_tiled_rows, make_walled_rows}) {
+    Lattice split = make(StorageMode::DoubleBuffer);
+    Lattice fused = make(StorageMode::AA);
+    for (int s = 0; s < steps; ++s) {
+      collide_bgk(split, p);
+      stream(split);
+    }
     collide_bgk(split, p);
-    stream(split);
+    const StepContext ctx{&pool};
+    collide_bgk(fused, p, ctx);
+    for (int s = 0; s < steps; ++s) fused_stream_collide(fused, p, ctx);
+    EXPECT_EQ(first_bit_difference(split, fused), "");
   }
-  collide_bgk(split, p);
-  const StepContext ctx{&pool};
-  collide_bgk(fused, p, ctx);
-  for (int s = 0; s < steps; ++s) fused_stream_collide(fused, p, ctx);
-  EXPECT_EQ(first_bit_difference(split, fused), "");
 }
 
 TEST(Collision, FusedRejectsCurvedLinks) {

@@ -42,7 +42,7 @@ const std::vector<Rule> kRules = {
      "wait with an abort-aware predicate, or use wait_for"},
     {"GCL007", "raw-distribution-access", Severity::kError,
      "raw distribution storage access outside the lattice implementation",
-     "use Lattice::f/set_f/gather_cell — the slot mapping is storage-mode "
+     "use Lattice::f/set_f/scatter_cell — the slot mapping is storage-mode "
      "dependent (AA parity), so offset arithmetic on plane pointers is "
      "only valid inside src/lbm/lattice.{hpp,cpp}"},
     {"GCL008", "untyped-catch-in-service", Severity::kError,
