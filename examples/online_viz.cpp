@@ -7,6 +7,7 @@
 //
 //   ./online_viz [output_dir]
 #include <cstdio>
+#include <filesystem>
 #include <string>
 
 #include "core/parallel_lbm.hpp"
@@ -19,6 +20,7 @@
 int main(int argc, char** argv) {
   using namespace gc;
   const std::string out_dir = argc > 1 ? argv[1] : ".";
+  std::filesystem::create_directories(out_dir);
 
   // A small distributed run: 2x2 nodes, plume in a crosswind.
   const Int3 dim{64, 64, 24};

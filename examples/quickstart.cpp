@@ -4,6 +4,7 @@
 //
 //   ./quickstart [output_dir]
 #include <cstdio>
+#include <filesystem>
 #include <string>
 
 #include "io/vtk_writer.hpp"
@@ -14,6 +15,7 @@
 int main(int argc, char** argv) {
   using namespace gc;
   const std::string out_dir = argc > 1 ? argv[1] : ".";
+  std::filesystem::create_directories(out_dir);
 
   // 1. Configure a solver: BGK collision, relaxation time tau = 0.6
   //    (kinematic viscosity nu = (tau - 1/2)/3 = 0.0333 lattice units).

@@ -21,6 +21,7 @@
 //                     [--crash-step N] [--deadline-ms MS] [--retries N]
 //                     (--help for all)
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -63,6 +64,8 @@ int main(int argc, char** argv) {
   const int queries = static_cast<int>(args.get_int("queries"));
   const int winds = static_cast<int>(args.get_int("winds"));
   const std::string trace_path = args.get_string("trace");
+  const std::string out_dir = args.get_string("out");
+  std::filesystem::create_directories(out_dir);
   const long fault_seed = args.get_int("faults");
   obs::TraceRecorder recorder;
 
@@ -178,7 +181,7 @@ int main(int argc, char** argv) {
 
   // Persist the last plume for inspection (Figure 12-style volume).
   if (!results.empty() && !results.back().concentration.empty()) {
-    const std::string vtk = args.get_string("out") + "/scenario_plume.vtk";
+    const std::string vtk = out_dir + "/scenario_plume.vtk";
     io::write_vtk_scalar(vtk, base.dim, results.back().concentration,
                          "contaminant");
     std::printf("Wrote %s\n", vtk.c_str());

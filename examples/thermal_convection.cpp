@@ -7,6 +7,7 @@
 //   ./thermal_convection [--out DIR] [--steps N] (--help for all)
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 
 #include "io/vtk_writer.hpp"
@@ -22,6 +23,7 @@ int main(int argc, char** argv) {
   args.add_int("steps", 3000, "total LBM steps (run in 10 blocks)");
   if (!args.parse(argc, argv)) return 1;
   const std::string out_dir = args.get_string("out");
+  std::filesystem::create_directories(out_dir);
   const int steps = static_cast<int>(args.get_int("steps"));
 
   const Int3 dim{96, 4, 32};

@@ -9,6 +9,7 @@
 //                      (--help for all)
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 
 #include "city/city_model.hpp"
@@ -40,6 +41,7 @@ int main(int argc, char** argv) {
                   "write a Chrome-trace JSON (+ CSV sibling) of the run");
   if (!args.parse(argc, argv)) return 1;
   const std::string out_dir = args.get_string("out");
+  std::filesystem::create_directories(out_dir);
   const std::string trace_path = args.get_string("trace");
   obs::TraceRecorder recorder;
   obs::TraceRecorder* rec = trace_path.empty() ? nullptr : &recorder;

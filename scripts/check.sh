@@ -105,15 +105,17 @@ for stage in "${STAGES[@]}"; do
       # pull rule itself (StreamRegion, CollisionTiles, CellClass), the
       # bulk/slow classification against its brute-force rule, and the one
       # pull rule the host and the simulated GPU share (FaceBcSweep,
-      # PeriodicDomainBitExact, BitExactVsHostReference). Bit-exactness
-      # across storage modes and drivers is a merge gate.
+      # PeriodicDomainBitExact, BitExactVsHostReference), and the
+      # checkpoint round trips across storage modes, which all export the
+      # field through Lattice::read_plane (CheckpointV3, SparseCheckpoint).
+      # Bit-exactness across storage modes and drivers is a merge gate.
       note "equiv: equivalence harness across storage modes and drivers"
       bdir=build-check/equiv
       if cmake -B "$bdir" -S . > "$bdir.cfg.log" 2>&1 \
           && cmake --build "$bdir" -j "$JOBS" --target gc_tests \
               > "$bdir.build.log" 2>&1 \
           && "$bdir/tests/gc_tests" \
-              --gtest_filter='OverlapExec.*:*/OverlapExec.*:StorageAA.*:SparseLattice.KernelsMatchDenseReference:Parallel.*:*/ParallelVsSerial.*:GpuCluster.*:*/GpuClusterVsSerial.*:StreamRegion.*:CollisionTiles.*:CellClass.FusedPooledBitExactVsSerialSplit:CellClass.MatchesBruteForceUnderEveryFaceBc:AxisFaces/FaceBcSweep.*:GpuSolver.PeriodicDomainBitExact:GpuSolver.BitExactVsHostReference'; then
+              --gtest_filter='OverlapExec.*:*/OverlapExec.*:StorageAA.*:SparseLattice.KernelsMatchDenseReference:Parallel.*:*/ParallelVsSerial.*:GpuCluster.*:*/GpuClusterVsSerial.*:StreamRegion.*:CollisionTiles.*:CellClass.FusedPooledBitExactVsSerialSplit:CellClass.MatchesBruteForceUnderEveryFaceBc:AxisFaces/FaceBcSweep.*:GpuSolver.PeriodicDomainBitExact:GpuSolver.BitExactVsHostReference:CheckpointV3.*:SparseCheckpoint.*'; then
         RESULT[equiv]="ok"
       else
         RESULT[equiv]="FAIL"; FAILED=1

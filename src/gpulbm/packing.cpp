@@ -12,11 +12,10 @@ std::vector<float> pack_slice(const lbm::Lattice& lat, int stack, int z) {
   for (int ch = 0; ch < 4; ++ch) {
     const int dir = dir_at(stack, ch);
     if (dir < 0) continue;
-    const Real* plane = lat.plane_ptr(dir);
     for (int y = 0; y < d.y; ++y) {
       for (int x = 0; x < d.x; ++x) {
         rgba[(static_cast<std::size_t>(y) * d.x + x) * 4 + ch] =
-            static_cast<float>(plane[lat.idx(x, y, z)]);
+            static_cast<float>(lat.f(dir, lat.idx(x, y, z)));
       }
     }
   }
@@ -32,11 +31,10 @@ void unpack_slice(lbm::Lattice& lat, int stack, int z,
   for (int ch = 0; ch < 4; ++ch) {
     const int dir = dir_at(stack, ch);
     if (dir < 0) continue;
-    Real* plane = lat.plane_ptr(dir);
     for (int y = 0; y < d.y; ++y) {
       for (int x = 0; x < d.x; ++x) {
-        plane[lat.idx(x, y, z)] =
-            rgba[(static_cast<std::size_t>(y) * d.x + x) * 4 + ch];
+        lat.set_f(dir, lat.idx(x, y, z),
+                  rgba[(static_cast<std::size_t>(y) * d.x + x) * 4 + ch]);
       }
     }
   }

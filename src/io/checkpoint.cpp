@@ -182,21 +182,10 @@ void save_checkpoint(const std::string& path, const lbm::Lattice& lat) {
 
   const i64 n = lat.num_cells();
   body.bytes(lat.flags().data(), static_cast<std::size_t>(n));
-  if (lat.plane_layout_natural()) {
-    for (int i = 0; i < lbm::Q; ++i) {
-      body.bytes(lat.plane_ptr(i), static_cast<std::size_t>(n) * sizeof(Real));
-    }
-  } else {
-    // AA lattice in a relocated phase (e.g. a snapshot at odd parity):
-    // gather each plane through the accessors so the file stays in the
-    // canonical natural order — the on-disk format is storage-agnostic.
-    std::vector<Real> plane(static_cast<std::size_t>(n));
-    for (int i = 0; i < lbm::Q; ++i) {
-      for (i64 c = 0; c < n; ++c) {
-        plane[static_cast<std::size_t>(c)] = lat.f(i, c);
-      }
-      body.bytes(plane.data(), static_cast<std::size_t>(n) * sizeof(Real));
-    }
+  for (int i = 0; i < lbm::Q; ++i) {
+    lat.read_plane(i, [&body](std::span<const Real> plane) {
+      body.bytes(plane.data(), plane.size_bytes());
+    });
   }
 
   body.pod(static_cast<u32>(lat.curved_links().size()));
@@ -256,7 +245,7 @@ lbm::Lattice load_checkpoint_impl(const std::string& path,
   check_dims_fit(d, body.remaining());
 
   // A fresh DoubleBuffer/AA lattice is in the natural layout (AA phase
-  // 0), so the planes can be read straight into plane_ptr. A sparse
+  // 0), so the planes can be read straight into storage. A sparse
   // target has no dense planes at all — load through DoubleBuffer and
   // convert once the flags (which define the compact layout) are final.
   const bool sparse_target = mode == lbm::StorageMode::Sparse;
@@ -287,7 +276,9 @@ lbm::Lattice load_checkpoint_impl(const std::string& path,
     lat.set_flag(c, static_cast<lbm::CellType>(t));
   }
   for (int i = 0; i < lbm::Q; ++i) {
-    body.bytes(lat.plane_ptr(i), static_cast<std::size_t>(n) * sizeof(Real));
+    lat.write_plane(i, [&body](std::span<Real> plane) {
+      body.bytes(plane.data(), plane.size_bytes());
+    });
   }
 
   u32 num_links;

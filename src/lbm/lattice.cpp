@@ -275,12 +275,6 @@ void Lattice::copy_distributions_from(const Lattice& src) {
        << ") — convert_storage first";
     throw StorageMismatchError(os.str());
   }
-  if (mode_ == StorageMode::AA) {
-    // Same mode: adopt the source's buffer and phase wholesale.
-    buf_[cur_] = src.buf_[src.cur_];
-    phase_ = src.phase_;
-    return;
-  }
   if (mode_ == StorageMode::Sparse) {
     // Compact ids only line up when the two lattices prune the same
     // cells; a geometry mismatch is a layout mismatch, not a copy.
@@ -291,13 +285,10 @@ void Lattice::copy_distributions_from(const Lattice& src) {
     }
     ensure_sparse();
     src.ensure_sparse();
-    buf_[cur_] = src.buf_[src.cur_];
-    return;
   }
-  for (int i = 0; i < Q; ++i) {
-    const Real* from = src.plane_ptr(i);
-    std::copy(from, from + n_, plane_ptr(i));
-  }
+  // Same mode (and layout): adopt the source's buffer and phase wholesale.
+  buf_[cur_] = src.buf_[src.cur_];
+  phase_ = src.phase_;
 }
 
 }  // namespace gc::lbm

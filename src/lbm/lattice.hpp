@@ -48,14 +48,17 @@
 //     is rebuilt lazily after flag changes, remapping the surviving
 //     cells' values in place.
 //
-// All observation (f()/set_f, pack/unpack, gather, checkpoints) goes
-// through the phase-transparent accessors, so the two modes are
-// bit-exact. All raw slot arithmetic lives in this header and
-// lattice.cpp — gc_lint rule GCL007 keeps it that way.
+// All observation (f()/set_f, pack/unpack, gather) goes through the
+// phase-transparent accessors, and checkpoints through the natural-order
+// plane access (read_plane/write_plane), so the three modes are
+// bit-exact. The storage itself is private: raw plane pointers reach only
+// the addressing policies of cell_pass.hpp and the two DoubleBuffer
+// back-buffer readers of boundary.cpp, which are friends.
 #pragma once
 
 #include <array>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "lbm/cell_class.hpp"
@@ -66,6 +69,8 @@
 namespace gc::lbm {
 
 namespace detail {
+template <bool kCompact>
+struct PlaneAddr;
 struct AaAddr;
 }  // namespace detail
 
@@ -160,8 +165,8 @@ class Lattice {
   bool aa_collided() const { return (phase_ & 1) != 0; }
   /// True when slot (i, cell) is simply plane(i) + cell — double-buffered
   /// mode, or AA at phase 0 (never sparse: compact storage has no dense
-  /// planes). Kernels with layout-dependent fast paths branch on this;
-  /// everything else uses f()/set_f and never needs to.
+  /// planes). read_plane then passes the storage itself, and write_plane
+  /// requires it.
   bool plane_layout_natural() const {
     return mode_ != StorageMode::Sparse && phase_ == 0;
   }
@@ -223,30 +228,35 @@ class Lattice {
     const Int3 p = coords(cell);
     for (int i = 0; i < Q; ++i) buf_[cur_][slot(i, p, phase_)] = in[i];
   }
-  /// Raw plane pointers for kernels that assume the natural layout
-  /// (double-buffered kernels, checkpoint fast path). Guarded: only
-  /// valid when plane_layout_natural().
-  Real* plane_ptr(int i) {
-    GC_CHECK(plane_layout_natural());
-    return buf_[cur_].data() + plane(i);
+  /// Passes fn plane i in cell order, as a std::span<const Real> of
+  /// f_i(0) .. f_i(n - 1): the storage itself in the natural layout, a
+  /// gathered copy otherwise (AA at a relocated phase, Sparse). The one
+  /// natural-order export of the field: checkpoints write it.
+  template <class Fn>
+  void read_plane(int i, Fn&& fn) const {
+    if (plane_layout_natural()) {
+      fn(std::span<const Real>(buf_[cur_].data() + plane(i),
+                               static_cast<std::size_t>(n_)));
+      return;
+    }
+    std::vector<Real> gathered(static_cast<std::size_t>(n_));
+    for (i64 c = 0; c < n_; ++c) {
+      gathered[static_cast<std::size_t>(c)] = f(i, c);
+    }
+    fn(std::span<const Real>(gathered));
   }
-  const Real* plane_ptr(int i) const {
-    GC_CHECK(plane_layout_natural());
-    return buf_[cur_].data() + plane(i);
-  }
-  Real* back_plane_ptr(int i) {
-    GC_CHECK(mode_ == StorageMode::DoubleBuffer);
-    return buf_[1 - cur_].data() + plane(i);
-  }
-  const Real* back_plane_ptr(int i) const {
-    GC_CHECK(mode_ == StorageMode::DoubleBuffer);
-    return buf_[1 - cur_].data() + plane(i);
+  /// Passes fn plane i's storage as a std::span<Real>, to fill in cell
+  /// order. Natural layout only (a fresh DoubleBuffer or AA lattice), so
+  /// a checkpoint load streams each plane straight into storage.
+  template <class Fn>
+  void write_plane(int i, Fn&& fn) {
+    fn(std::span<Real>(plane_ptr(i), static_cast<std::size_t>(n_)));
   }
 
   // --- sparse compact layout (Sparse mode only) ---
   // Compact storage is addressed by compact ids from sparse_index(), never
-  // by dense cell indices — gc_lint rule GCL009 bans dense-index
-  // arithmetic on these pointers outside lattice.{hpp,cpp}.
+  // by dense cell indices; only CompactAddr (cell_pass.hpp) holds pointers
+  // into it.
 
   /// Number of cells with compact storage (the non-solid cells).
   i64 sparse_active_cells() const {
@@ -268,31 +278,6 @@ class Lattice {
     ensure_sparse();
     return sparse_cells_;
   }
-  /// Compact plane base pointers: base[m] is f_i of the cell with compact
-  /// id m, in the current (read) or back (write) buffer.
-  Real* sparse_plane_ptr(int i) {
-    GC_CHECK(mode_ == StorageMode::Sparse);
-    ensure_sparse();
-    return buf_[cur_].data() + sparse_slot(i, 0);
-  }
-  const Real* sparse_plane_ptr(int i) const {
-    GC_CHECK(mode_ == StorageMode::Sparse);
-    ensure_sparse();
-    return buf_[cur_].data() + sparse_slot(i, 0);
-  }
-  Real* sparse_back_plane_ptr(int i) {
-    GC_CHECK(mode_ == StorageMode::Sparse);
-    ensure_sparse();
-    return buf_[1 - cur_].data() + sparse_slot(i, 0);
-  }
-
-  /// AA bulk base pointers: base[cell] is logical f_i(cell) under the
-  /// current mapping (read) or the slot the advancing collide writes for
-  /// f_i(cell) (write). The affine form only holds where the mapping
-  /// needs no wrap — interior spans and runs; a span or run on a lattice
-  /// face takes its pointers from the mapping at its first cell (AaAddr).
-  const Real* aa_bulk_read_ptr(int i) const;
-  Real* aa_bulk_write_ptr(int i);
 
   /// DoubleBuffer/Sparse: swap current and back buffers (after a
   /// streaming pass). AA: flip parity (phase 1->2 or 3->0) — the
@@ -307,9 +292,9 @@ class Lattice {
   }
 
   /// Copies the distribution state from `src` (same dimensions and same
-  /// storage mode required; mismatched modes throw StorageMismatchError).
-  /// The supported way to restore distribution state wholesale — gc_lint
-  /// bans naked memcpy into plane storage.
+  /// storage mode required; mismatched modes throw StorageMismatchError):
+  /// adopts its current buffer and AA phase. The one way to restore
+  /// distribution state wholesale.
   void copy_distributions_from(const Lattice& src);
 
   /// Reusable scratch for the AA boundary fixups: one value per rule link
@@ -443,7 +428,48 @@ class Lattice {
     if (p.z < 0) p.z += dim_.z; else if (p.z >= dim_.z) p.z -= dim_.z;
     return p;
   }
+  // Raw storage pointers: only the addressing policies (cell_pass.hpp)
+  // and the DoubleBuffer back-buffer readers of boundary.cpp use them.
+  template <bool kCompact>
+  friend struct detail::PlaneAddr;
   friend struct detail::AaAddr;
+  friend void apply_curved_bounce(Lattice& lat);
+  friend Vec3 momentum_exchange_force(const Lattice& lat);
+
+  /// Plane base pointers: base[cell] is f_i(cell) in the natural layout,
+  /// or in the DoubleBuffer back buffer, which the stream writes and which
+  /// holds the post-collision values until the swap.
+  Real* plane_ptr(int i) {
+    GC_CHECK(plane_layout_natural());
+    return buf_[cur_].data() + plane(i);
+  }
+  Real* back_plane_ptr(int i) {
+    GC_CHECK(mode_ == StorageMode::DoubleBuffer);
+    return buf_[1 - cur_].data() + plane(i);
+  }
+  const Real* back_plane_ptr(int i) const {
+    GC_CHECK(mode_ == StorageMode::DoubleBuffer);
+    return buf_[1 - cur_].data() + plane(i);
+  }
+  /// Compact plane base pointers: base[m] is f_i of the cell with compact
+  /// id m, in the current (read) or back (write) buffer.
+  Real* sparse_plane_ptr(int i) {
+    GC_CHECK(mode_ == StorageMode::Sparse);
+    ensure_sparse();
+    return buf_[cur_].data() + sparse_slot(i, 0);
+  }
+  Real* sparse_back_plane_ptr(int i) {
+    GC_CHECK(mode_ == StorageMode::Sparse);
+    ensure_sparse();
+    return buf_[1 - cur_].data() + sparse_slot(i, 0);
+  }
+  /// AA bulk base pointers: base[cell] is logical f_i(cell) under the
+  /// current mapping (read) or the slot the advancing collide writes for
+  /// f_i(cell) (write). The affine form only holds where the mapping
+  /// needs no wrap — interior spans and runs; a span or run on a lattice
+  /// face takes its pointers from the mapping at its first cell (AaAddr).
+  const Real* aa_bulk_read_ptr(int i) const;
+  Real* aa_bulk_write_ptr(int i);
   /// AA pointers of a span (or a run of slow or solid cells) that starts
   /// at p and whose mapping wraps (CellSpan::wraps): rd[i][k] is logical
   /// f_i of its k-th cell under the current mapping, and wr[i][k] the slot

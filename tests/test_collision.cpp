@@ -20,9 +20,8 @@ namespace {
 void randomize_positive(Lattice& lat, u64 seed) {
   Rng rng(seed);
   for (int i = 0; i < Q; ++i) {
-    Real* p = lat.plane_ptr(i);
     for (i64 c = 0; c < lat.num_cells(); ++c) {
-      p[c] = W[i] * Real(rng.uniform(0.7, 1.3));
+      lat.set_f(i, c, W[i] * Real(rng.uniform(0.7, 1.3)));
     }
   }
 }
@@ -234,9 +233,10 @@ void randomize_near_equilibrium(Lattice& lat) {
 /// Rows (y, z) with odd y and z, one per span length len, get solids at
 /// x = 2 and x = len + 5: the bulk span between them is x = 4 .. len + 3.
 /// No other row holds a solid, so every neighbor of those cells is fluid.
-/// 9 z-slices of rows make the z-chunks of a pooled pass split.
+/// 21 z-slices of 26 x 35 cells make a pooled pass run two z-chunks.
 Lattice make_tiled_rows(StorageMode mode) {
-  const Int3 dim{kMaxSpan + 9, 2 * kMaxSpan + 1, 19};
+  const Int3 dim{kMaxSpan + 9, 2 * kMaxSpan + 1, 21};
+  EXPECT_GE(dim.z, 2 * ThreadPool::min_chunk_indices(i64(dim.x) * dim.y));
   Lattice lat(dim, mode);
   for (int z = 1; z < dim.z - 1; z += 2) {
     for (int len = 1; len <= kMaxSpan; ++len) {
@@ -264,9 +264,10 @@ constexpr int kWalledRows[] = {0, 12, 23};
 ///   d.x - 1              an x-end cell
 /// The cells around these rows are slow runs of other lengths, and the
 /// rows between them hold bulk spans. 19 z-slices of 38 x 24 cells make
-/// the z-chunks of a pooled pass split.
+/// a pooled pass run two z-chunks.
 Lattice make_walled_rows(StorageMode mode) {
   const Int3 dim{2 * kMaxSpan + 4, 24, kMaxSpan + 2};
+  EXPECT_GE(dim.z, 2 * ThreadPool::min_chunk_indices(i64(dim.x) * dim.y));
   Lattice lat(dim, mode);
   lat.set_face_bc(FACE_XMIN, FaceBc::Wall);
   lat.set_face_bc(FACE_XMAX, FaceBc::Wall);

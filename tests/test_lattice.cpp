@@ -1,4 +1,5 @@
-// Lattice container: indexing, flags, shapes, curved-link registration.
+// Lattice container: indexing, flags, shapes, curved-link registration,
+// and storage that only its addressing policies can reach.
 #include <gtest/gtest.h>
 
 #include "lbm/lattice.hpp"
@@ -6,6 +7,18 @@
 
 namespace gc::lbm {
 namespace {
+
+/// True when L hands out raw distribution storage: one requirement per
+/// plane-pointer accessor that Lattice keeps private for the addressing
+/// policies of cell_pass.hpp. The build itself is the test.
+template <class L>
+concept HandsOutStorage = requires(L& l) { l.plane_ptr(0); } ||
+                          requires(L& l) { l.back_plane_ptr(0); } ||
+                          requires(L& l) { l.sparse_plane_ptr(0); } ||
+                          requires(L& l) { l.sparse_back_plane_ptr(0); } ||
+                          requires(L& l) { l.aa_bulk_read_ptr(0); } ||
+                          requires(L& l) { l.aa_bulk_write_ptr(0); };
+static_assert(!HandsOutStorage<Lattice>);
 
 TEST(Lattice, IndexCoordsRoundTrip) {
   Lattice lat(Int3{5, 7, 3});
@@ -87,11 +100,12 @@ TEST(Lattice, CurvedLinkValidation) {
 TEST(Lattice, SwapBuffersExchangesPlanes) {
   Lattice lat(Int3{2, 2, 2});
   lat.set_f(3, 0, Real(42));
-  lat.back_plane_ptr(3)[0] = Real(7);
   lat.swap_buffers();
-  EXPECT_FLOAT_EQ(lat.f(3, 0), Real(7));
+  lat.set_f(3, 0, Real(7));
   lat.swap_buffers();
   EXPECT_FLOAT_EQ(lat.f(3, 0), Real(42));
+  lat.swap_buffers();
+  EXPECT_FLOAT_EQ(lat.f(3, 0), Real(7));
 }
 
 TEST(Lattice, StorageBytesMatchesLayout) {

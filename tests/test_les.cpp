@@ -50,9 +50,8 @@ TEST(Les, CollisionConservesMassAndMomentum) {
   Lattice lat(Int3{8, 8, 8});
   Rng rng(5);
   for (int i = 0; i < Q; ++i) {
-    Real* p = lat.plane_ptr(i);
     for (i64 c = 0; c < lat.num_cells(); ++c) {
-      p[c] = W[i] * Real(rng.uniform(0.7, 1.3));
+      lat.set_f(i, c, W[i] * Real(rng.uniform(0.7, 1.3)));
     }
   }
   const double m0 = total_mass(lat);

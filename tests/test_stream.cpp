@@ -41,9 +41,8 @@ TEST(Stream, PeriodicConservesMassExactly) {
   Lattice lat(Int3{7, 6, 5});
   Rng rng(31);
   for (int i = 0; i < Q; ++i) {
-    Real* p = lat.plane_ptr(i);
     for (i64 c = 0; c < lat.num_cells(); ++c) {
-      p[c] = W[i] * Real(rng.uniform(0.5, 1.5));
+      lat.set_f(i, c, W[i] * Real(rng.uniform(0.5, 1.5)));
     }
   }
   const double before = total_mass(lat);

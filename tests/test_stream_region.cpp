@@ -1,5 +1,6 @@
 // The stream region pass: one stream() equals the pull rule cell by cell
-// and the fused step the pull rule then BGK; streaming a lattice box by
+// and the fused step the pull rule then BGK, also when a pooled pass
+// splits the lattice into concurrent z-chunks; streaming a lattice box by
 // box and then finishing equals one stream() bit for bit on every storage
 // mode, serial and pooled; the fused step (the same pass with BGK) equals
 // a stream then a collide; the overlap's inner box never reads a ghost
@@ -164,6 +165,32 @@ TEST(StreamRegion, StreamEqualsThePullRule) {
         fused_stream_collide(fused, bgk, ctx);
         expect_pull_rule(pre, fused, &bgk, what + " fused");
       }
+    }
+  }
+}
+
+TEST(StreamRegion, PooledZChunksEqualThePullRule) {
+  // A pooled pass runs the 9 x 7 x 6 lattices above as one inline chunk.
+  // This lattice splits into two z-chunks on the three-thread pool, so
+  // the stream and the fused step run them concurrently, on every storage
+  // mode, with every face BC on some face and on the periodic box.
+  const Int3 dim{16, 16, 64};
+  ASSERT_GE(dim.z, 2 * ThreadPool::min_chunk_indices(i64(dim.x) * dim.y));
+  const BgkParams bgk{Real(0.8), Vec3{Real(2e-5), Real(-1e-5), Real(3e-5)}};
+  ThreadPool pool(3);
+  const StepContext ctx{&pool, nullptr, 0};
+  for (const StorageMode mode : kModes) {
+    for (const int combo : {0, 5}) {
+      const std::string what = std::string(storage_mode_name(mode)) +
+                               " combo " + std::to_string(combo);
+      Lattice lat = make_lattice(dim, mode, combo, 900 + u64(combo));
+      collide_bgk(lat, bgk);
+      const Lattice pre = lat;
+      Lattice fused = lat;
+      stream(lat, ctx);
+      expect_pull_rule(pre, lat, nullptr, what + " stream");
+      fused_stream_collide(fused, bgk, ctx);
+      expect_pull_rule(pre, fused, &bgk, what + " fused");
     }
   }
 }

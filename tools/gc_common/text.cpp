@@ -176,13 +176,4 @@ bool contains_ci(const std::string& hay, const std::string& needle) {
   return it != hay.end();
 }
 
-std::size_t matching_close(const std::string& code, std::size_t open) {
-  int depth = 0;
-  for (std::size_t p = open; p < code.size(); ++p) {
-    if (code[p] == '(') ++depth;
-    if (code[p] == ')' && --depth == 0) return p;
-  }
-  return std::string::npos;
-}
-
 }  // namespace gc::tool

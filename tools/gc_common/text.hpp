@@ -46,8 +46,4 @@ bool string_literal(const std::string& arg, std::string* out);
 
 bool contains_ci(const std::string& hay, const std::string& needle);
 
-/// Position of the ')' closing the paren at `open` on the same line, or
-/// npos if it does not close there.
-std::size_t matching_close(const std::string& code, std::size_t open);
-
 }  // namespace gc::tool

@@ -20,7 +20,6 @@ using tool::trim;
 using tool::extract_call_args;
 using tool::string_literal;
 using tool::contains_ci;
-using tool::matching_close;
 
 const std::vector<Rule> kRules = {
     {"GCL002", "non-canonical-trace-name", Severity::kError,
@@ -33,30 +32,14 @@ const std::vector<Rule> kRules = {
      "include violates repo layout rules",
      "include subsystem-relative (\"lbm/model.hpp\"); keep <iostream> "
      "out of src/ except io/ and viz/"},
-    {"GCL005", "lattice-memcpy", Severity::kError,
-     "naked memcpy into Lattice plane storage",
-     "use Lattice::copy_distributions_from (checked, and the single "
-     "place allowed to touch raw planes)"},
     {"GCL006", "unbounded-cv-wait", Severity::kError,
      "condition_variable wait without predicate can hang forever",
      "wait with an abort-aware predicate, or use wait_for"},
-    {"GCL007", "raw-distribution-access", Severity::kError,
-     "raw distribution storage access outside the lattice implementation",
-     "use Lattice::f/set_f/scatter_cell — the slot mapping is storage-mode "
-     "dependent (AA parity), so offset arithmetic on plane pointers is "
-     "only valid inside src/lbm/lattice.{hpp,cpp}"},
     {"GCL008", "untyped-catch-in-service", Severity::kError,
      "catch (...) in src/service erases the typed failure taxonomy",
      "catch a concrete type from service/errors.hpp (or std::exception) "
      "so callers can tell ServiceStopped from DeadlineExceeded from "
      "ScenarioFailed"},
-    {"GCL009", "dense-index-on-sparse", Severity::kError,
-     "dense-index arithmetic on sparse lattice storage outside the "
-     "lattice implementation",
-     "compact planes are indexed by sparse_index() compact ids, not dense "
-     "cell ids: hoist sparse_plane_ptr into a local and offset it with "
-     "sparse_index(cell); sparse_map_/sparse_cells_ are private to "
-     "src/lbm/lattice.{hpp,cpp}"},
     {"GCL010", "stale-suppression", Severity::kError,
      "suppression comment no longer suppresses any diagnostic",
      "delete the stale 'gc_lint: allow(...)' comment — or fix the rule "
@@ -76,8 +59,6 @@ struct PathClass {
   bool in_tests = false;
   bool in_service = false;       ///< src/service: typed-error territory
   bool iostream_exempt = false;  ///< src/io, src/viz
-  bool is_lattice_impl = false;  ///< src/lbm/lattice.cpp (blessed memcpy home)
-  bool is_lattice_home = false;  ///< lattice.{hpp,cpp}: owns the slot mapping
 };
 
 PathClass classify(const std::string& path) {
@@ -87,9 +68,6 @@ PathClass classify(const std::string& path) {
   pc.in_service = path.rfind("src/service/", 0) == 0;
   pc.iostream_exempt = path.rfind("src/io/", 0) == 0 ||
                        path.rfind("src/viz/", 0) == 0;
-  pc.is_lattice_impl = path == "src/lbm/lattice.cpp";
-  pc.is_lattice_home =
-      pc.is_lattice_impl || path == "src/lbm/lattice.hpp";
   return pc;
 }
 
@@ -262,27 +240,6 @@ void check_includes(Ctx& ctx) {
   }
 }
 
-// --- GCL005: memcpy into lattice storage ----------------------------------
-
-void check_lattice_memcpy(Ctx& ctx) {
-  if (ctx.pc.is_lattice_impl) return;  // the one blessed implementation
-  for (std::size_t l = 0; l < ctx.v.code.size(); ++l) {
-    const std::string& code = ctx.v.code[l];
-    for (std::size_t p = find_ident(code, "memcpy"); p != std::string::npos;
-         p = find_ident(code, "memcpy", p + 1)) {
-      const std::size_t open = skip_spaces(code, p + 6);
-      if (open >= code.size() || code[open] != '(') continue;
-      std::vector<std::string> args;
-      if (!extract_call_args(ctx.v, l, open, &args) || args.empty()) continue;
-      if (args[0].find("plane_ptr") != std::string::npos) {
-        ctx.report("GCL005", l, p,
-                   "memcpy into Lattice plane storage (destination '" +
-                       trim(args[0]) + "')");
-      }
-    }
-  }
-}
-
 // --- GCL006: unbounded condition_variable waits ---------------------------
 
 void check_unbounded_waits(Ctx& ctx) {
@@ -314,94 +271,6 @@ void check_unbounded_waits(Ctx& ctx) {
         ctx.report("GCL006", l, p,
                    "'" + recv_name + ".wait(lock)' has no predicate — a "
                    "lost notify or world abort hangs this thread forever");
-      }
-    }
-  }
-}
-
-// --- GCL007: raw distribution storage access ------------------------------
-
-void check_raw_distribution_access(Ctx& ctx) {
-  if (ctx.pc.is_lattice_home) return;  // owns the slot mapping by definition
-  for (std::size_t l = 0; l < ctx.v.code.size(); ++l) {
-    const std::string& code = ctx.v.code[l];
-
-    // Direct subscripting of the storage member: `buf_[...]`. Only the
-    // lattice knows which of buf_[0]/buf_[1] is current and how slots are
-    // laid out in the AA phases.
-    for (std::size_t p = find_ident(code, "buf_"); p != std::string::npos;
-         p = find_ident(code, "buf_", p + 1)) {
-      const std::size_t after = skip_spaces(code, p + 4);
-      if (after < code.size() && code[after] == '[') {
-        ctx.report("GCL007", l, p,
-                   "direct buf_[...] access to distribution storage");
-      }
-    }
-
-    // Pointer arithmetic on a plane pointer: `plane_ptr(i) + off` bakes in
-    // the natural layout and silently reads the wrong slot on an AA
-    // lattice at odd parity.
-    for (const char* fn : {"plane_ptr", "back_plane_ptr"}) {
-      for (std::size_t p = find_ident(code, fn); p != std::string::npos;
-           p = find_ident(code, fn, p + 1)) {
-        const std::size_t open = skip_spaces(code, p + std::strlen(fn));
-        if (open >= code.size() || code[open] != '(') continue;
-        const std::size_t close = matching_close(code, open);
-        if (close == std::string::npos) continue;
-        const std::size_t next = skip_spaces(code, close + 1);
-        if (next >= code.size()) continue;
-        const char c = code[next];
-        const char c2 = next + 1 < code.size() ? code[next + 1] : '\0';
-        // `+`/`-` (including `+=` chains) but not `->` member access.
-        if ((c == '+' || (c == '-' && c2 != '>'))) {
-          ctx.report("GCL007", l, p,
-                     std::string("pointer arithmetic on ") + fn +
-                         "(...) outside the lattice implementation");
-        }
-      }
-    }
-  }
-}
-
-// --- GCL009: dense-index arithmetic on sparse storage ---------------------
-
-void check_sparse_storage_access(Ctx& ctx) {
-  if (ctx.pc.is_lattice_home) return;  // owns the compact map by definition
-  for (std::size_t l = 0; l < ctx.v.code.size(); ++l) {
-    const std::string& code = ctx.v.code[l];
-
-    // The dense->compact map members are lattice-private: any other use
-    // of them re-implements the mapping and breaks on the next remap.
-    for (const char* name : {"sparse_map_", "sparse_cells_"}) {
-      for (std::size_t p = find_ident(code, name); p != std::string::npos;
-           p = find_ident(code, name, p + 1)) {
-        ctx.report("GCL009", l, p,
-                   std::string("direct ") + name +
-                       " access outside the lattice implementation");
-      }
-    }
-
-    // Indexing or offsetting the call result inline — `sparse_plane_ptr(i)
-    // [cell]` or `sparse_plane_ptr(i) + cell` — is almost always a dense
-    // cell id applied to compact storage. Kernels hoist the pointer into
-    // a local and offset it with sparse_index(cell), which the linter
-    // cannot misread.
-    for (const char* fn : {"sparse_plane_ptr", "sparse_back_plane_ptr"}) {
-      for (std::size_t p = find_ident(code, fn); p != std::string::npos;
-           p = find_ident(code, fn, p + 1)) {
-        const std::size_t open = skip_spaces(code, p + std::strlen(fn));
-        if (open >= code.size() || code[open] != '(') continue;
-        const std::size_t close = matching_close(code, open);
-        if (close == std::string::npos) continue;
-        const std::size_t next = skip_spaces(code, close + 1);
-        if (next >= code.size()) continue;
-        const char c = code[next];
-        const char c2 = next + 1 < code.size() ? code[next + 1] : '\0';
-        if (c == '[' || c == '+' || (c == '-' && c2 != '>')) {
-          ctx.report("GCL009", l, p,
-                     std::string("index arithmetic on ") + fn +
-                         "(...) outside the lattice implementation");
-        }
       }
     }
   }
@@ -489,10 +358,7 @@ std::vector<Finding> lint_source(const std::string& path,
   check_trace_names(ctx);
   check_raw_tags(ctx);
   check_includes(ctx);
-  check_lattice_memcpy(ctx);
   check_unbounded_waits(ctx);
-  check_raw_distribution_access(ctx);
-  check_sparse_storage_access(ctx);
   check_untyped_catch(ctx);
   check_stale_suppressions(ctx);  // must run last: audits ctx.used
   std::sort(out.begin(), out.end(), [](const Finding& a, const Finding& b) {

@@ -10,27 +10,21 @@
 //                                  never integer literals
 //   GCL004 include-hygiene         no "src/..."-relative includes; no
 //                                  <iostream> in src/ outside io/ and viz/
-//   GCL005 lattice-memcpy          no naked memcpy into Lattice plane
-//                                  storage (use copy_distributions_from)
 //   GCL006 unbounded-cv-wait       no condition_variable wait without a
 //                                  predicate in src/ — every blocking wait
 //                                  must be abort-aware (the "recv without
 //                                  timeout" class of hang)
-//   GCL007 raw-distribution-access no `buf_[...]` access or distribution
-//                                  pointer arithmetic (`plane_ptr(i) + k`)
-//                                  outside src/lbm/lattice.{hpp,cpp} — the
-//                                  slot mapping depends on the storage mode
-//                                  (AA parity), so only the accessors know
-//                                  where a distribution lives
 //   GCL008 untyped-catch-in-service no catch (...) in src/service — the
 //                                  typed failure taxonomy is load-bearing
-//   GCL009 dense-index-on-sparse   no dense-index arithmetic on compact
-//                                  sparse-lattice storage outside the
-//                                  lattice implementation
 //   GCL010 stale-suppression       an allow-comment that no longer
 //                                  suppresses any diagnostic (or names an
 //                                  unknown rule) must be deleted — dead
 //                                  suppressions hide future regressions
+//
+// GCL001, GCL005, GCL007 and GCL009 are retired, and their ids are not
+// reused. The last three policed callers of Lattice's raw plane pointers,
+// which are private to Lattice and its addressing policies, so the
+// compiler rejects that misuse.
 //
 // The engine is a small library so tests can feed synthetic sources
 // through it; the gc_lint binary (main.cpp) adds file walking and the
