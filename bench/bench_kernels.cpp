@@ -3,7 +3,7 @@
 // hop, and the pack/unpack paths of the border exchange — the memory-bound
 // hot paths in all three storage modes (double-buffered, in-place AA, and
 // the sparse fluid-index layout) — plus the pooled fused and split steps
-// on a solid-laden urban scene, dense vs sparse.
+// on a solid-laden urban scene in every storage mode.
 //
 // Machine-readable output is google-benchmark's own, e.g.
 //   bench_kernels --benchmark_filter=Urban --benchmark_out=urban.json
@@ -187,10 +187,11 @@ BENCHMARK(BM_FusedPooled)
     ->Args({80, 8})
     ->UseRealTime();
 
-// The urban scene on the pooled host paths, dense vs sparse: the sparse
-// layout stores and streams only the ~1/4 non-solid cells. Items are
-// non-solid cell updates; the counters are the analytic f-plane traffic
-// of one step, the resident distribution bytes and the non-solid share.
+// The urban scene on the pooled host paths in every storage mode: no
+// pass visits the ~3/4 solid cells, and the sparse layout does not store
+// them either. Items are non-solid cell updates; the counters are the
+// analytic f-plane traffic of one step, the resident distribution bytes
+// and the non-solid share.
 void set_urban_counters(benchmark::State& state, const lbm::Lattice& lat,
                         double bytes_per_step) {
   i64 fluid = 0;
@@ -215,6 +216,9 @@ void BM_UrbanFused(benchmark::State& state, Int3 dim, lbm::StorageMode mode) {
 BENCHMARK_CAPTURE(BM_UrbanFused, DoubleBuffer_80, Int3{80, 80, 80},
                   lbm::StorageMode::DoubleBuffer)
     ->UseRealTime();
+BENCHMARK_CAPTURE(BM_UrbanFused, AA_80, Int3{80, 80, 80},
+                  lbm::StorageMode::AA)
+    ->UseRealTime();
 BENCHMARK_CAPTURE(BM_UrbanFused, Sparse_80, Int3{80, 80, 80},
                   lbm::StorageMode::Sparse)
     ->UseRealTime();
@@ -234,6 +238,9 @@ void BM_UrbanSplit(benchmark::State& state, Int3 dim, lbm::StorageMode mode) {
 }
 BENCHMARK_CAPTURE(BM_UrbanSplit, DoubleBuffer_80, Int3{80, 80, 80},
                   lbm::StorageMode::DoubleBuffer)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_UrbanSplit, AA_80, Int3{80, 80, 80},
+                  lbm::StorageMode::AA)
     ->UseRealTime();
 BENCHMARK_CAPTURE(BM_UrbanSplit, Sparse_80, Int3{80, 80, 80},
                   lbm::StorageMode::Sparse)

@@ -107,7 +107,9 @@ for stage in "${STAGES[@]}"; do
       # pull rule the host and the simulated GPU share (FaceBcSweep,
       # PeriodicDomainBitExact, BitExactVsHostReference), and the
       # checkpoint round trips across storage modes, which all export the
-      # field through Lattice::read_plane (CheckpointV3, SparseCheckpoint).
+      # field through Lattice::read_plane (CheckpointV3, SparseCheckpoint),
+      # the one solid-cell rule of every storage mode and the traffic
+      # model over the cells the passes visit (StepTraffic).
       # Bit-exactness across storage modes and drivers is a merge gate.
       note "equiv: equivalence harness across storage modes and drivers"
       bdir=build-check/equiv
@@ -115,7 +117,7 @@ for stage in "${STAGES[@]}"; do
           && cmake --build "$bdir" -j "$JOBS" --target gc_tests \
               > "$bdir.build.log" 2>&1 \
           && "$bdir/tests/gc_tests" \
-              --gtest_filter='OverlapExec.*:*/OverlapExec.*:StorageAA.*:SparseLattice.KernelsMatchDenseReference:Parallel.*:*/ParallelVsSerial.*:GpuCluster.*:*/GpuClusterVsSerial.*:StreamRegion.*:CollisionTiles.*:CellClass.FusedPooledBitExactVsSerialSplit:CellClass.MatchesBruteForceUnderEveryFaceBc:AxisFaces/FaceBcSweep.*:GpuSolver.PeriodicDomainBitExact:GpuSolver.BitExactVsHostReference:CheckpointV3.*:SparseCheckpoint.*'; then
+              --gtest_filter='OverlapExec.*:*/OverlapExec.*:StorageAA.*:SparseLattice.KernelsMatchDenseReference:Parallel.*:*/ParallelVsSerial.*:GpuCluster.*:*/GpuClusterVsSerial.*:StreamRegion.*:CollisionTiles.*:CellClass.FusedPooledBitExactVsSerialSplit:CellClass.MatchesBruteForceUnderEveryFaceBc:AxisFaces/FaceBcSweep.*:GpuSolver.PeriodicDomainBitExact:GpuSolver.BitExactVsHostReference:CheckpointV3.*:SparseCheckpoint.*:Lattice.SolidCellsReadZeroInEveryStorageMode:Modes/StepTraffic.*'; then
         RESULT[equiv]="ok"
       else
         RESULT[equiv]="FAIL"; FAILED=1
@@ -124,7 +126,7 @@ for stage in "${STAGES[@]}"; do
       # The sparse fluid-index backend: compact layout invariants, sparse
       # kernel equivalence, sparse checkpoint round trips, the fluid-
       # balanced partitioner property suite, and the sparse bench smoke
-      # (the sparse microbench and the dense-vs-sparse urban cases).
+      # (the sparse microbench and the urban cases of every storage mode).
       note "sparse: sparse storage + fluid-balanced partition suite"
       bdir=build-check/sparse
       if cmake -B "$bdir" -S . > "$bdir.cfg.log" 2>&1 \

@@ -4,45 +4,34 @@ namespace gc::io {
 
 namespace {
 
-/// AA: the fixups of one step, a read and a write per rule link.
-double aa_fixup_bytes(const lbm::Lattice& lat) {
-  return 2.0 * static_cast<double>(lat.cell_class().rule_links) *
+/// One read or one write of all 19 values of every non-solid cell: the
+/// cells the passes visit, in every storage mode.
+double plane_set_bytes(const lbm::CellClass& cc) {
+  const i64 cells = cc.bulk_cells + static_cast<i64>(cc.slow.size());
+  return static_cast<double>(lbm::Q) * static_cast<double>(cells) *
          sizeof(Real);
+}
+
+/// The AA fixups of one step, a read and a write per rule link; 0 in the
+/// other modes, whose classification records no rule link.
+double aa_fixup_bytes(const lbm::CellClass& cc) {
+  return 2.0 * static_cast<double>(cc.rule_links) * sizeof(Real);
 }
 
 }  // namespace
 
 double split_step_traffic_bytes(const lbm::Lattice& lat) {
-  const double plane_set =
-      static_cast<double>(lbm::Q) * static_cast<double>(lat.num_cells()) *
-      sizeof(Real);
-  if (lat.storage_mode() == lbm::StorageMode::DoubleBuffer) {
-    // collide: read + write every plane; stream: read front, write back.
-    return 4.0 * plane_set;
-  }
-  if (lat.storage_mode() == lbm::StorageMode::Sparse) {
-    // The dense pattern shrunk to the active cells: solid cells have no
-    // storage, so neither pass ever touches them.
-    return 4.0 * static_cast<double>(lbm::Q) *
-           static_cast<double>(lat.sparse_active_cells()) * sizeof(Real);
-  }
-  // AA: the advancing collide reads + writes every plane in place; the
-  // stream is a parity flip plus one read and one write per rule link.
-  return 2.0 * plane_set + aa_fixup_bytes(lat);
+  // The collide reads + writes every plane. DoubleBuffer and Sparse
+  // streams read the front and write the back buffer; AA streams by a
+  // parity flip plus its fixups.
+  const lbm::CellClass& cc = lat.cell_class();
+  const double passes = lat.storage_mode() == lbm::StorageMode::AA ? 2.0 : 4.0;
+  return passes * plane_set_bytes(cc) + aa_fixup_bytes(cc);
 }
 
 double fused_step_traffic_bytes(const lbm::Lattice& lat) {
-  const double plane_set =
-      static_cast<double>(lbm::Q) * static_cast<double>(lat.num_cells()) *
-      sizeof(Real);
-  if (lat.storage_mode() == lbm::StorageMode::DoubleBuffer) {
-    return 2.0 * plane_set;
-  }
-  if (lat.storage_mode() == lbm::StorageMode::Sparse) {
-    return 2.0 * static_cast<double>(lbm::Q) *
-           static_cast<double>(lat.sparse_active_cells()) * sizeof(Real);
-  }
-  return 2.0 * plane_set + aa_fixup_bytes(lat);
+  const lbm::CellClass& cc = lat.cell_class();
+  return 2.0 * plane_set_bytes(cc) + aa_fixup_bytes(cc);
 }
 
 }  // namespace gc::io

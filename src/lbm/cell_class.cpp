@@ -14,13 +14,11 @@ void CellClass::build(const Lattice& lat) {
   spans.clear();
   slow.clear();
   fluid_slow.clear();
-  solid.clear();
   inlet.clear();
   slow_links.clear();
   span_z.assign(static_cast<std::size_t>(d.z) + 1, 0);
   slow_z.assign(static_cast<std::size_t>(d.z) + 1, 0);
   fluid_slow_z.assign(static_cast<std::size_t>(d.z) + 1, 0);
-  solid_z.assign(static_cast<std::size_t>(d.z) + 1, 0);
   bulk_cells = 0;
   rule_links = 0;
   const bool aa = lat.storage_mode() == StorageMode::AA;
@@ -62,7 +60,6 @@ void CellClass::build(const Lattice& lat) {
     slow_z[static_cast<std::size_t>(z)] = static_cast<i64>(slow.size());
     fluid_slow_z[static_cast<std::size_t>(z)] =
         static_cast<i64>(fluid_slow.size());
-    solid_z[static_cast<std::size_t>(z)] = static_cast<i64>(solid.size());
 
     const bool z_interior = z >= 1 && z < d.z - 1;
     for (int y = 0; y < d.y; ++y) {
@@ -102,20 +99,17 @@ void CellClass::build(const Lattice& lat) {
           continue;
         }
         close_run(cell);
-        if (t == solid_flag) {
-          solid.push_back(cell);
-        } else {
-          slow.push_back(cell);
-          if (aa) {
-            const u32 mask = rule_mask(Int3{x, y, z});
-            slow_links.push_back({mask, static_cast<u32>(rule_links)});
-            rule_links += std::popcount(mask);
-          }
-          if (t == fluid) {
-            fluid_slow.push_back(cell);
-          } else if (t == inlet_flag) {
-            inlet.push_back(cell);
-          }
+        if (t == solid_flag) continue;
+        slow.push_back(cell);
+        if (aa) {
+          const u32 mask = rule_mask(Int3{x, y, z});
+          slow_links.push_back({mask, static_cast<u32>(rule_links)});
+          rule_links += std::popcount(mask);
+        }
+        if (t == fluid) {
+          fluid_slow.push_back(cell);
+        } else if (t == inlet_flag) {
+          inlet.push_back(cell);
         }
       }
       close_run(cell);
@@ -125,7 +119,6 @@ void CellClass::build(const Lattice& lat) {
   slow_z[static_cast<std::size_t>(d.z)] = static_cast<i64>(slow.size());
   fluid_slow_z[static_cast<std::size_t>(d.z)] =
       static_cast<i64>(fluid_slow.size());
-  solid_z[static_cast<std::size_t>(d.z)] = static_cast<i64>(solid.size());
   GC_CHECK_MSG(rule_links <= std::numeric_limits<u32>::max(),
                "AA rule links overflow their u32 offsets: " << rule_links);
 }

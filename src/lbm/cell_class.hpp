@@ -1,15 +1,15 @@
 // Precomputed cell classification for the stream/collide hot path.
 // One pass over the lattice (rebuilt only when flags, face BCs or the
-// storage mode change, see Lattice::cell_class) partitions every cell
-// into bulk-fast / slow / solid and run-length-encodes the bulk-fast
-// cells into per-row spans, so the per-step kernels never re-scan the 18
-// neighbor flags of every cell — the sparse-indexing optimization of
-// Habich et al. and Tomczak & Szafran applied to our host kernels. A
-// pull across a periodic face is a plain copy from the wrapped cell, so
-// cells on a periodic face are bulk too; only cells with a link that
-// needs a rule (a wall, inlet or outflow face, or a non-fluid source)
-// are slow. Under AA storage each slow cell also records which of its
-// links those are (its rule links, the host form of the paper's
+// storage mode change, see Lattice::cell_class) partitions every
+// non-solid cell into bulk-fast / slow and run-length-encodes the
+// bulk-fast cells into per-row spans, so the per-step kernels never
+// re-scan the 18 neighbor flags of every cell — the sparse-indexing
+// optimization of Habich et al. and Tomczak & Szafran applied to our host
+// kernels. A pull across a periodic face is a plain copy from the wrapped
+// cell, so cells on a periodic face are bulk too; only cells with a link
+// that needs a rule (a wall, inlet or outflow face, or a non-fluid
+// source) are slow. Under AA storage each slow cell also records which
+// of its links those are (its rule links, the host form of the paper's
 // per-slice boundary rectangles, §4.2): the parity flip streams every
 // other link, so only rule links need the pull rule.
 #pragma once
@@ -28,7 +28,7 @@ class Lattice;
 /// cells of a periodic x axis (x = 0 and x = d.x - 1) are runs of their
 /// own, so every cell of a span pulls direction i from the source of the
 /// first cell plus its offset in the span. The AA collide describes its
-/// runs of slow and solid cells the same way (cell_pass.hpp).
+/// runs of slow cells the same way (cell_pass.hpp).
 struct CellSpan {
   i64 begin;
   i32 len;
@@ -47,10 +47,11 @@ struct CellSpan {
 ///     outflow face, cells adjacent to solids/inlets/outflows, and
 ///     Inlet/Outflow-flagged cells) — these take the general pull_value
 ///     path, under AA on their rule links only.
-///   - solid: bounce-back obstacles (streaming writes zeros).
-/// Every list is sorted by cell, and the `*_z` arrays partition each one
-/// by z-slice (size dim.z + 1), so pooled kernels hand out contiguous
-/// z-chunks without re-scanning, and a pass clipped to a CellBox finds
+/// Solid cells (bounce-back obstacles) are in no list: no pass visits
+/// them, and the lattice's accessors read them as 0. Every list is sorted
+/// by cell, and the `*_z` arrays partition each one by z-slice (size
+/// dim.z + 1), so pooled kernels hand out contiguous z-chunks without
+/// re-scanning, and a pass clipped to a CellBox finds
 /// the entries of each row of the box by binary search (cell_pass.hpp):
 /// the collide pass and the stream region pass, which the overlapped
 /// step runs on a rank's inner box and then on the shell around it.
@@ -69,14 +70,12 @@ struct CellClass {
   std::vector<CellSpan> spans;    ///< bulk-fast runs, ascending by cell
   std::vector<i64> slow;          ///< non-solid cells needing pull_value
   std::vector<i64> fluid_slow;    ///< the Fluid-flagged subset of `slow`
-  std::vector<i64> solid;         ///< Solid-flagged cells
   std::vector<i64> inlet;         ///< Inlet-flagged cells (finish_stream)
   std::vector<RuleLinks> slow_links;  ///< per `slow` entry; AA only, else empty
 
   std::vector<i64> span_z;        ///< spans index of first span at z
   std::vector<i64> slow_z;        ///< slow index of first cell at z
   std::vector<i64> fluid_slow_z;  ///< fluid_slow index of first cell at z
-  std::vector<i64> solid_z;       ///< solid index of first cell at z
 
   i64 bulk_cells = 0;             ///< total cells covered by `spans`
   i64 rule_links = 0;             ///< set bits over `slow_links`

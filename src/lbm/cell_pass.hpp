@@ -4,13 +4,15 @@
 // policy (where a cell's 19 values live in the lattice's storage mode)
 // times a cell operator (what happens to them), chunked over z on the
 // step's pool and clipped to a CellBox. Bulk spans, and under AA the
-// runs of slow and solid cells too, run the operator over tiles of
-// adjacent cells, the host's stand-in for the GPU's parallel pixel
-// pipes. Streaming is a region pass plus a finish that take an optional
-// cell operator: none for a plain stream, BGK for the fused
-// stream+collide step, so the two share one streaming body. The public
-// kernels in collision/mrt/les/stream.cpp instantiate these templates;
-// outside src/lbm only the kernel tests include this header.
+// runs of slow cells too, run the operator over tiles of adjacent cells,
+// the host's stand-in for the GPU's parallel pixel pipes. No pass visits
+// a solid cell: the lattice's accessors read one as 0 in every storage
+// mode, and no pull reads its storage. Streaming is a region pass plus a
+// finish that take an optional cell operator: none for a plain stream,
+// BGK for the fused stream+collide step, so the two share one streaming
+// body. The public kernels in collision/mrt/les/stream.cpp instantiate
+// these templates; outside src/lbm only the kernel tests include this
+// header.
 #pragma once
 
 #include <algorithm>
@@ -175,8 +177,8 @@ inline constexpr int kLanesOf =
     std::is_invocable_v<const Op&, Real*, Lanes<kTile>> ? kTile : 1;
 
 /// The identity operator: a plain stream's operator (pulled values stay
-/// as pulled), and the one the AA collide runs on cells that do not
-/// collide, so their values move into the post-collide slots unchanged.
+/// as pulled), and the one the AA collide runs on its inlet and outflow
+/// cells, so their values move into the post-collide slots unchanged.
 struct NoOp {
   template <int L>
   void operator()(Real*, Lanes<L>) const {}
@@ -268,13 +270,6 @@ struct PlaneAddr {
     const i64 m = at(cell);
     for (int i = 0; i < Q; ++i) wr[i][m] = f[i];
   }
-  /// Zeroes the written values of a solid cell, which is what a pull
-  /// stream leaves there. Compact storage has no solid cells.
-  void zero_solid(i64 cell) const {
-    if constexpr (!kCompact) {
-      for (int i = 0; i < Q; ++i) wr[i][cell] = Real(0);
-    }
-  }
 
  private:
   PlaneAddr(Lattice& l, bool back) : lat(&l) {
@@ -296,13 +291,15 @@ using CompactAddr = PlaneAddr<true>;
 /// current mapping and write the slots the post-collide mapping assigns,
 /// so the next parity flip streams them for free. Interior spans use the
 /// affine base pointers; a span on a lattice face (CellSpan::wraps) takes
-/// its pointers from the mapping at its first cell. Slow and solid cells
-/// are advanced in runs through the same span pointers (collide_boundary).
-/// Every cell must be advanced, not just fluid ones: the flip streams the
-/// whole field, solid border cells hold their init values until first
-/// streamed, and the exchange packs border cells of any flag. Each cell's
-/// read-slot set equals its write-slot set, so cells can be advanced in
-/// any order and in parallel, and so can whole tiles.
+/// its pointers from the mapping at its first cell. Slow cells are
+/// advanced in runs through the same span pointers (collide_boundary).
+/// Every non-solid cell must be advanced, not just fluid ones: the flip
+/// streams the whole field. Each cell's read-slot set equals its
+/// write-slot set, so cells can be advanced in any order and in parallel,
+/// and so can whole tiles. A solid cell is never advanced: that moves
+/// nothing of another cell's, and the values the flip carries through its
+/// stale slots land only on rule links, which the finish overwrites, or
+/// on solid cells.
 struct AaAddr {
   Lattice* lat;
   const Real* rd[Q];
@@ -354,18 +351,17 @@ void collide_boundary(const Lattice& lat, const CellClass& cc,
                 });
 }
 
-/// AA: advances the cells of a CellClass cell list (slow or solid) in
-/// slices [z0, z1) inside box through the tile loop, in runs of
-/// consecutive cells of one row and one fluidness: fluid runs take op,
-/// the others NoOp, which moves their values into the post-collide slots.
-/// The x-end cells are runs of their own, so the mapping never wraps
-/// between the cells of a run, and a run on a lattice face takes its
-/// pointers from the mapping at its first cell, as a face span does.
+/// AA: advances the slow cells of slices [z0, z1) inside box through the
+/// tile loop, in runs of consecutive cells of one row and one fluidness:
+/// fluid runs take op, inlet and outflow runs NoOp, which moves their
+/// values into the post-collide slots. The x-end cells are runs of their
+/// own, so the mapping never wraps between the cells of a run, and a run
+/// on a lattice face takes its pointers from the mapping at its first
+/// cell, as a face span does.
 template <class Op>
-void advance_runs(const Lattice& lat, const std::vector<i64>& list,
-                  const std::vector<i64>& list_z, const AaAddr& a,
-                  const Op& op, const CellBox& box, int z0, int z1) {
-  if (list.empty()) return;
+void collide_boundary(const Lattice& lat, const CellClass& cc, const AaAddr& a,
+                      const Op& op, const CellBox& box, int z0, int z1) {
+  if (cc.slow.empty()) return;
   const Int3 d = lat.dim();
   CellSpan run{0, 0, false};
   bool fluid = false;
@@ -381,7 +377,7 @@ void advance_runs(const Lattice& lat, const std::vector<i64>& list,
       run_span(in, out, run.len, NoOp{});
     }
   };
-  for_box_cells(lat, list, list_z, box, z0, z1, [&](i64, i64 c) {
+  for_box_cells(lat, cc.slow, cc.slow_z, box, z0, z1, [&](i64, i64 c) {
     const bool f = lat.flag(c) == CellType::Fluid;
     if (c == run.begin + run.len && c < row_end && f == fluid) {
       ++run.len;
@@ -399,22 +395,14 @@ void advance_runs(const Lattice& lat, const std::vector<i64>& list,
   flush();
 }
 
-/// AA: advances every slow and solid cell of slices [z0, z1) inside box.
-template <class Op>
-void collide_boundary(const Lattice& lat, const CellClass& cc, const AaAddr& a,
-                      const Op& op, const CellBox& box, int z0, int z1) {
-  advance_runs(lat, cc.slow, cc.slow_z, a, op, box, z0, z1);
-  advance_runs(lat, cc.solid, cc.solid_z, a, op, box, z0, z1);
-}
-
 /// Collides the cells of box in place with op, chunked over z on
 /// ctx.pool: the one storage-mode dispatch of every collide kernel. Only
-/// fluid cells change value. Under AA every cell in the box is advanced,
-/// slow and solid cells in runs through the tile loop like the bulk, and
-/// the lattice is marked collided; ghost cells outside the box stay
-/// un-advanced, which is safe because unpack rewrites them under the
-/// post-collide mapping before anything reads them. Emits no span: the
-/// caller's "collide" span times the phase.
+/// fluid cells change value, and no solid cell is visited. Under AA every
+/// non-solid cell in the box is advanced, slow cells in runs through the
+/// tile loop like the bulk, and the lattice is marked collided; ghost
+/// cells outside the box stay un-advanced, which is safe because unpack
+/// rewrites them under the post-collide mapping before anything reads
+/// them. Emits no span: the caller's "collide" span times the phase.
 template <class Op>
 void collide_pass(Lattice& lat, const Op& op, const StepContext& ctx,
                   const CellBox& box) {
@@ -461,8 +449,8 @@ void pull_slow_cell(const Lattice& lat, i64 cell, const Op& op, Real f[Q]) {
 /// copy without an operator, the tile loop with one. The compact layout
 /// needs the index map only for each span's base offsets (the pull
 /// sources of a bulk span, or of any piece of one, form another
-/// contiguous run of fluid cells). Slow cells take pull_slow_cell and
-/// solid cells are zeroed where they have storage.
+/// contiguous run of fluid cells). Slow cells take pull_slow_cell; solid
+/// cells are not written.
 template <bool kCompact, class Op>
 void pull_region(Lattice& lat, const CellClass& cc,
                  const PlaneAddr<kCompact>& a, const CellBox& box,
@@ -495,8 +483,6 @@ void pull_region(Lattice& lat, const CellClass& cc,
       pull_slow_cell(lat, cell, op, f);
       a.store(cell, f);
     });
-    for_box_cells(lat, cc.solid, cc.solid_z, box, z0, z1,
-                  [&](i64, i64 cell) { a.zero_solid(cell); });
   });
 }
 
@@ -543,12 +529,11 @@ void stream_pass(Lattice& lat, const CellBox& box, const StepContext& ctx,
 }
 
 /// AA: flips the parity (the zero-copy stream of every plain link), then
-/// writes the region passes' rule links, and zeros at solids, through the
-/// new mapping. Each cell writes its own slot group, so both run in
-/// chunks on ctx.pool. With an operator the whole lattice is then
-/// collided in place by the collide pass and ends collided, so the next
-/// fused step flips first; a lattice fresh from init enters that cycle as
-/// post-collision.
+/// writes the region passes' rule links through the new mapping. Each
+/// cell writes its own slot group, so the writes run in chunks on
+/// ctx.pool. With an operator the whole lattice is then collided in place
+/// by the collide pass and ends collided, so the next fused step flips
+/// first; a lattice fresh from init enters that cycle as post-collision.
 template <class Op>
 void finish_aa(Lattice& lat, const CellClass& cc, const StepContext& ctx,
                const Op& op) {
@@ -559,8 +544,8 @@ void finish_aa(Lattice& lat, const CellClass& cc, const StepContext& ctx,
     if (!lat.aa_collided()) lat.aa_adopt_collided_layout();
   }
   lat.swap_buffers();
-  const i64 min_chunk = ThreadPool::min_chunk_indices(256);
-  for_chunks(ctx.pool, 0, static_cast<i64>(cc.slow.size()), min_chunk,
+  for_chunks(ctx.pool, 0, static_cast<i64>(cc.slow.size()),
+             ThreadPool::min_chunk_indices(256),
              [&](i64 k0, i64 k1) {
                for (i64 k = k0; k < k1; ++k) {
                  const auto kk = static_cast<std::size_t>(k);
@@ -570,13 +555,6 @@ void finish_aa(Lattice& lat, const CellClass& cc, const StepContext& ctx,
                  for (u32 m = r.mask; m != 0; m &= m - 1) {
                    lat.set_f(std::countr_zero(m), p, *v++);
                  }
-               }
-             });
-  const Real zeros[Q] = {};
-  for_chunks(ctx.pool, 0, static_cast<i64>(cc.solid.size()), min_chunk,
-             [&](i64 k0, i64 k1) {
-               for (i64 k = k0; k < k1; ++k) {
-                 lat.scatter_cell(cc.solid[static_cast<std::size_t>(k)], zeros);
                }
              });
   if constexpr (kCollides<Op>) collide_pass(lat, op, ctx, CellBox{});

@@ -15,10 +15,11 @@ struct BgkParams {
 };
 
 /// Collides the fluid cells of `box` in place (current buffer); under AA
-/// storage every cell of the box is advanced, non-fluid ones copied
-/// through. Runs on ctx.pool when set: z-chunks, bit-identical to
-/// serial, since collision is cell-local. Emits no span; callers time it
-/// in their own "collide" span.
+/// storage every non-solid cell of the box is advanced, inlet and outflow
+/// cells copied through. Solid cells are not visited. Runs on ctx.pool
+/// when set: z-chunks, bit-identical to serial, since collision is
+/// cell-local. Emits no span; callers time it in their own "collide"
+/// span.
 ///
 /// `box` is the cells the caller owns, the whole lattice by default.
 /// ParallelLbm passes a rank's owned cells, so the ghost layers, which

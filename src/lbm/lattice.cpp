@@ -68,8 +68,7 @@ void Lattice::aa_adopt_collided_layout() {
 }
 
 std::vector<Real> Lattice::sparse_expand() const {
-  // Pruned (solid) cells read as 0: what a dense lattice holds for a
-  // never-streamed cell, and what a dense post-stream solid cell holds.
+  // Pruned (solid) cells expand to 0, what the accessors read there.
   std::vector<Real> natural(static_cast<std::size_t>(Q * n_), Real(0));
   for (int i = 0; i < Q; ++i) {
     const Real* src = buf_[cur_].data() + sparse_slot(i, 0);
@@ -97,8 +96,8 @@ void Lattice::sparse_compact(std::vector<Real> natural) {
   }
   sparse_map_ = std::move(map);
   sparse_cells_ = std::move(cells);
-  // Dropping solid cells' values is unobservable: no compute path reads
-  // them, and dense comparisons skip Solid.
+  // Dropping solid cells' values is unobservable: they read 0 in every
+  // storage mode.
   const auto size = static_cast<std::size_t>(Q * sparse_n_);
   buf_[1 - cur_] = std::vector<Real>();  // never held beside the new layout
   std::vector<Real> compact(size);

@@ -42,11 +42,14 @@
 //     dense fluid cells stay consecutive compact cells, so the
 //     CellClass bulk spans remain contiguous copies in compact storage
 //     and the kernels keep their branch-free shape. Solid cells have no
-//     storage at all: reads return 0 (exactly what a dense post-stream
-//     solid cell holds) and writes are dropped — both unobservable,
-//     since no compute path ever reads solid-cell storage. The layout
-//     is rebuilt lazily after flag changes, remapping the surviving
-//     cells' values in place.
+//     storage at all. The layout is rebuilt lazily after flag changes,
+//     remapping the surviving cells' values in place.
+//
+// Solid cells, in every mode: the accessors read a Solid-flagged cell as
+// 0 and drop writes to it, and no pass reads, writes or advances one.
+// Nothing needs their storage: bounce-back at an obstacle is a rule link
+// that reads the fluid cell itself. DoubleBuffer and AA keep dense
+// storage there, which holds whatever it last held.
 //
 // All observation (f()/set_f, pack/unpack, gather) goes through the
 // phase-transparent accessors, and checkpoints through the natural-order
@@ -165,8 +168,7 @@ class Lattice {
   bool aa_collided() const { return (phase_ & 1) != 0; }
   /// True when slot (i, cell) is simply plane(i) + cell — double-buffered
   /// mode, or AA at phase 0 (never sparse: compact storage has no dense
-  /// planes). read_plane then passes the storage itself, and write_plane
-  /// requires it.
+  /// planes). write_plane requires it.
   bool plane_layout_natural() const {
     return mode_ != StorageMode::Sparse && phase_ == 0;
   }
@@ -190,38 +192,32 @@ class Lattice {
   void aa_adopt_collided_layout();
 
   // --- distribution access (phase- and layout-transparent) ---
+  // A Solid-flagged cell reads 0 and drops writes, in every storage mode
+  // (the file header).
   Real f(int i, i64 cell) const {
-    if (mode_ == StorageMode::Sparse) {
-      const i64 m = sparse_index(cell);
-      return m < 0 ? Real(0) : buf_[cur_][sparse_slot(i, m)];
-    }
-    return buf_[cur_][slot(i, cell)];
+    return flag(cell) == CellType::Solid ? Real(0) : buf_[cur_][slot(i, cell)];
   }
   /// f(i, idx(p)) for a caller that already has the coordinates, which
   /// the AA mapping needs: it skips the division that recovers them.
   Real f(int i, Int3 p) const {
     if (mode_ == StorageMode::Sparse) return f(i, idx(p));
-    return buf_[cur_][slot(i, p, phase_)];
+    return flag(p) == CellType::Solid ? Real(0)
+                                      : buf_[cur_][slot(i, p, phase_)];
   }
   void set_f(int i, i64 cell, Real v) {
-    if (mode_ == StorageMode::Sparse) {
-      const i64 m = sparse_index(cell);
-      if (m >= 0) buf_[cur_][sparse_slot(i, m)] = v;
-      return;
-    }
-    buf_[cur_][slot(i, cell)] = v;
+    if (flag(cell) != CellType::Solid) buf_[cur_][slot(i, cell)] = v;
   }
   /// set_f(i, idx(p), v), for a caller that already has the coordinates.
   void set_f(int i, Int3 p, Real v) {
     if (mode_ == StorageMode::Sparse) return set_f(i, idx(p), v);
-    buf_[cur_][slot(i, p, phase_)] = v;
+    if (flag(p) != CellType::Solid) buf_[cur_][slot(i, p, phase_)] = v;
   }
 
   /// Writes all 19 logical values of one cell, via the current mapping.
   void scatter_cell(i64 cell, const Real* in) {
+    if (flag(cell) == CellType::Solid) return;
     if (mode_ == StorageMode::Sparse) {
       const i64 m = sparse_index(cell);
-      if (m < 0) return;
       for (int i = 0; i < Q; ++i) buf_[cur_][sparse_slot(i, m)] = in[i];
       return;
     }
@@ -229,16 +225,11 @@ class Lattice {
     for (int i = 0; i < Q; ++i) buf_[cur_][slot(i, p, phase_)] = in[i];
   }
   /// Passes fn plane i in cell order, as a std::span<const Real> of
-  /// f_i(0) .. f_i(n - 1): the storage itself in the natural layout, a
-  /// gathered copy otherwise (AA at a relocated phase, Sparse). The one
-  /// natural-order export of the field: checkpoints write it.
+  /// f_i(0) .. f_i(n - 1): a copy gathered through f, so solid cells
+  /// read 0 whatever their storage holds. The one natural-order export
+  /// of the field: checkpoints write it.
   template <class Fn>
   void read_plane(int i, Fn&& fn) const {
-    if (plane_layout_natural()) {
-      fn(std::span<const Real>(buf_[cur_].data() + plane(i),
-                               static_cast<std::size_t>(n_)));
-      return;
-    }
     std::vector<Real> gathered(static_cast<std::size_t>(n_));
     for (i64 c = 0; c < n_; ++c) {
       gathered[static_cast<std::size_t>(c)] = f(i, c);
@@ -412,10 +403,12 @@ class Lattice {
     return plane(dir) + idx(wrap(p + C[i] * hop));
   }
   /// Storage slot of logical f_i(cell) under the current phase mapping,
-  /// for one-value access (f/set_f, and through them the border
-  /// exchange). Phases 0 and 1 do not wrap, so they skip the division
-  /// that recovers coordinates.
+  /// or its compact slot in Sparse mode, for one-value access (f/set_f,
+  /// and through them the border exchange) to a non-solid cell. Phases 0
+  /// and 1 do not wrap, so they skip the division that recovers
+  /// coordinates.
   i64 slot(int i, i64 cell) const {
+    if (mode_ == StorageMode::Sparse) return sparse_slot(i, sparse_index(cell));
     if (phase_ == 0) return plane(i) + cell;
     if (phase_ == 1) return plane(OPP[i]) + cell;
     return slot(i, coords(cell), phase_);

@@ -17,8 +17,8 @@ namespace gc::lbm {
 /// Streams the cells of `box` (clipped to the lattice) from the current
 /// buffer, with all boundary handling, on ctx.pool when set (the pull
 /// pattern has no write conflicts, so pooled equals serial bit for bit).
-/// DoubleBuffer and Sparse write the pulled values into the back buffer
-/// (zeros at solids), in z-chunks. AA only reads: it collects the pulls
+/// DoubleBuffer and Sparse write the pulled values of the non-solid cells
+/// into the back buffer, in z-chunks. AA only reads: it collects the pulls
 /// of the box's rule links (the links of its slow cells whose source is
 /// not a fluid cell, CellClass::RuleLinks) into the lattice's fixup
 /// scratch, in the same z-chunks; every other link, the bulk's and the
@@ -32,10 +32,11 @@ void stream_region(Lattice& lat, const CellBox& box,
 /// Completes a stream once region passes have covered every cell exactly
 /// once (any partition of the lattice into boxes, in any order; flags
 /// must not change in between): swaps the buffers (DoubleBuffer, Sparse)
-/// or flips the AA parity, writes the AA rule links and zeroes solids
-/// through the new mapping, then re-imposes inlet equilibria and applies
-/// curved-boundary (Bouzidi) corrections. The AA writes run on ctx.pool
-/// when set. No span.
+/// or flips the AA parity and writes the AA rule links through the new
+/// mapping, then re-imposes inlet equilibria and applies curved-boundary
+/// (Bouzidi) corrections. No solid cell is written: it reads 0 through
+/// the lattice's accessors whatever its storage holds. The AA writes run
+/// on ctx.pool when set. No span.
 void finish_stream(Lattice& lat, const StepContext& ctx = {});
 
 /// One stream of the whole lattice: stream_region over every cell, then

@@ -208,10 +208,9 @@ TEST(Collision, FusedEquivalentToSeparatePasses) {
 // last, partial tile of a span. These tests cut rows into bulk spans of
 // every length from 1 to 2 kTile + 1 (one partial tile, whole tiles, and
 // whole tiles followed by a partial one) and hold the tiled kernels to
-// the one-cell operator. Under AA the collide advances slow and solid
-// cells through the same loop, in runs of one row and one fluidness; a
-// walled lattice cuts them into runs of every length too, on the faces
-// and off them.
+// the one-cell operator. Under AA the collide advances slow cells
+// through the same loop, in runs of one row and one fluidness; a walled
+// lattice cuts them into runs of every length too.
 
 constexpr int kMaxSpan = 2 * detail::kTile + 1;
 
@@ -383,7 +382,7 @@ TEST(CollisionTiles, EverySpanLengthMatchesTheOneCellOperator) {
 TEST(CollisionTiles, WalledGeometryHasRunsOfEveryLength) {
   const Lattice lat = make_walled_rows(StorageMode::AA);
   const CellClass& cc = lat.cell_class();
-  std::set<i32> slow_on_face, solid_on_face, solid_inside;
+  std::set<i32> slow_on_face;
   int x_ends = 0, not_colliding = 0;
   for (const CellRun& r : runs_of(lat, cc.slow)) {
     if (r.fluid && on_y_face(lat, r) && r.first.x != 0) {
@@ -392,13 +391,8 @@ TEST(CollisionTiles, WalledGeometryHasRunsOfEveryLength) {
     x_ends += r.first.x == 0 || r.first.x == lat.dim().x - 1;
     not_colliding += !r.fluid;
   }
-  for (const CellRun& r : runs_of(lat, cc.solid)) {
-    (on_y_face(lat, r) ? solid_on_face : solid_inside).insert(r.len);
-  }
   for (int len = 1; len <= kMaxSpan; ++len) {
     EXPECT_TRUE(slow_on_face.count(len)) << "no slow run of length " << len;
-    EXPECT_TRUE(solid_on_face.count(len)) << "no face solid run of " << len;
-    EXPECT_TRUE(solid_inside.count(len)) << "no inner solid run of " << len;
   }
   EXPECT_GT(x_ends, 0);
   EXPECT_GT(not_colliding, 0);

@@ -1,9 +1,16 @@
 // Lattice container: indexing, flags, shapes, curved-link registration,
-// and storage that only its addressing policies can reach.
+// storage that only its addressing policies can reach, and solid cells,
+// which read 0 in every storage mode.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <span>
+#include <string>
+
+#include "lbm/collision.hpp"
 #include "lbm/lattice.hpp"
 #include "lbm/macroscopic.hpp"
+#include "lbm/stream.hpp"
 
 namespace gc::lbm {
 namespace {
@@ -106,6 +113,88 @@ TEST(Lattice, SwapBuffersExchangesPlanes) {
   EXPECT_FLOAT_EQ(lat.f(3, 0), Real(42));
   lat.swap_buffers();
   EXPECT_FLOAT_EQ(lat.f(3, 0), Real(7));
+}
+
+/// An inlet, outflow and wall lattice with distinct values in every cell,
+/// then two solid blocks flagged over them: one on the wall face, one
+/// across the periodic y faces, so the AA flip wraps through it.
+Lattice make_solid_blocks(StorageMode mode) {
+  Lattice lat(Int3{10, 8, 6}, mode);
+  lat.set_face_bc(FACE_XMIN, FaceBc::Inlet);
+  lat.set_face_bc(FACE_XMAX, FaceBc::Outflow);
+  lat.set_face_bc(FACE_ZMIN, FaceBc::Wall);
+  lat.set_face_bc(FACE_ZMAX, FaceBc::Wall);
+  lat.set_inlet(Real(1), Vec3{Real(0.04), 0, 0});
+  for (i64 c = 0; c < lat.num_cells(); ++c) {
+    for (int i = 0; i < Q; ++i) {
+      lat.set_f(i, c, W[i] * (Real(1) + Real(1e-4) * Real((c * Q + i) % 997)));
+    }
+  }
+  lat.fill_solid_box(Int3{3, 2, 0}, Int3{6, 5, 3});
+  lat.fill_solid_box(Int3{7, 0, 2}, Int3{9, 2, 4});
+  lat.fill_solid_box(Int3{7, 7, 2}, Int3{9, 8, 4});
+  return lat;
+}
+
+/// Every solid cell of lat reads 0 through both f overloads and through
+/// read_plane.
+void expect_solids_read_zero(const Lattice& lat, const std::string& when) {
+  for (int i = 0; i < Q; ++i) {
+    lat.read_plane(i, [&](std::span<const Real> plane) {
+      for (i64 c = 0; c < lat.num_cells(); ++c) {
+        if (lat.flag(c) != CellType::Solid) continue;
+        ASSERT_EQ(lat.f(i, c), Real(0)) << "f" << i << " at " << c << when;
+        ASSERT_EQ(lat.f(i, lat.coords(c)), Real(0)) << "f" << i << when;
+        ASSERT_EQ(plane[static_cast<std::size_t>(c)], Real(0))
+            << "plane " << i << " at " << c << when;
+      }
+    });
+  }
+}
+
+TEST(Lattice, SolidCellsReadZeroInEveryStorageMode) {
+  const BgkParams p{Real(0.8), Vec3{}};
+  const StorageMode modes[] = {StorageMode::Sparse, StorageMode::DoubleBuffer,
+                               StorageMode::AA};
+  Lattice sparse(Int3{1, 1, 1});
+  for (const StorageMode mode : modes) {
+    const std::string name = std::string(" on ") + storage_mode_name(mode);
+    Lattice lat = make_solid_blocks(mode);
+    ASSERT_GT(lat.count(CellType::Solid), 0);
+    expect_solids_read_zero(lat, " once flagged" + name);
+
+    Real v[Q];
+    for (int i = 0; i < Q; ++i) v[i] = Real(0.5);
+    for (i64 c = 0; c < lat.num_cells(); ++c) {
+      if (lat.flag(c) != CellType::Solid) continue;
+      lat.set_f(1, c, Real(0.5));
+      lat.set_f(2, lat.coords(c), Real(0.5));
+      lat.scatter_cell(c, v);
+    }
+    expect_solids_read_zero(lat, " after writes" + name);
+
+    for (int s = 0; s < 2; ++s) {
+      collide_bgk(lat, p);
+      stream(lat);
+      expect_solids_read_zero(lat, " after a split step" + name);
+    }
+    for (int s = 0; s < 3; ++s) {
+      fused_stream_collide(lat, p);
+      expect_solids_read_zero(lat, " after a fused step" + name);
+    }
+
+    if (mode == StorageMode::Sparse) {
+      sparse = std::move(lat);
+      continue;
+    }
+    for (int i = 0; i < Q; ++i) {
+      for (i64 c = 0; c < lat.num_cells(); ++c) {
+        ASSERT_EQ(std::bit_cast<u32>(lat.f(i, c)),
+                  std::bit_cast<u32>(sparse.f(i, c)))
+            << "f" << i << " at " << lat.coords(c) << name;
+      }
+    }
+  }
 }
 
 TEST(Lattice, StorageBytesMatchesLayout) {
