@@ -1,9 +1,9 @@
 // Kernel microbenchmarks (google-benchmark): host LBM collision,
 // streaming, fused step, MRT, thermal update, GPU-simulated step, tracer
 // hop, and the pack/unpack paths of the border exchange — the memory-bound
-// hot paths in all three storage modes (double-buffered, in-place AA, and
-// the sparse fluid-index layout) — plus the pooled fused and split steps
-// on a solid-laden urban scene in every storage mode.
+// hot paths on the in-place AA lattice, the default, and on the sparse
+// fluid-index layout — plus the pooled fused and split steps on a
+// solid-laden urban scene in both storage modes.
 //
 // Machine-readable output is google-benchmark's own, e.g.
 //   bench_kernels --benchmark_filter=Urban --benchmark_out=urban.json
@@ -27,9 +27,8 @@ namespace {
 
 using namespace gc;
 
-lbm::Lattice make_lattice(
-    int n, lbm::StorageMode mode = lbm::StorageMode::DoubleBuffer) {
-  lbm::Lattice lat(Int3{n, n, n}, mode);
+lbm::Lattice make_lattice(int n) {
+  lbm::Lattice lat(Int3{n, n, n});
   lat.init_equilibrium(Real(1), Vec3{0.05f, 0.02f, 0.01f});
   return lat;
 }
@@ -50,21 +49,29 @@ lbm::Lattice make_urban(Int3 dim, lbm::StorageMode mode) {
       lat.fill_solid_box(Int3{bx, by, 0}, Int3{bx + 7, by + 7, dim.z - 1});
     }
   }
-  if (mode != lbm::StorageMode::DoubleBuffer) lat.convert_storage(mode);
+  lat.convert_storage(mode);
   lat.cell_class();  // classification built outside the timed loop
   return lat;
 }
 
+// The split path on the in-place AA lattice: the advancing collision
+// performs the slot swap, and the stream after it is a parity flip plus
+// boundary fixups. An AA collide needs a stream before the next one, so
+// the case alternates the two, as a split step does.
 void BM_CollideBgk(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   lbm::Lattice lat = make_lattice(n);
   for (auto _ : state) {
     lbm::collide_bgk(lat, lbm::BgkParams{Real(0.8), Vec3{}});
+    lbm::stream(lat);  // keep the collide/stream alternation valid
   }
   state.SetItemsProcessed(state.iterations() * lat.num_cells());
 }
 BENCHMARK(BM_CollideBgk)->Arg(32)->Arg(64)->Arg(80);
 
+// A stream with no collide before it: on AA that is the identity advance
+// (a read and a write of every plane, the collide's traffic without its
+// arithmetic) plus the parity flip.
 void BM_Stream(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   lbm::Lattice lat = make_lattice(n);
@@ -85,37 +92,13 @@ void BM_FusedStreamCollide(benchmark::State& state) {
 }
 BENCHMARK(BM_FusedStreamCollide)->Arg(32)->Arg(64)->Arg(80);
 
-// Split path on the in-place AA lattice: the advancing collision performs
-// the slot swap, streaming is a parity flip + boundary fixups — half the
-// distribution traffic and half the footprint of the DB split path.
-void BM_CollideBgkAa(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  lbm::Lattice lat = make_lattice(n, lbm::StorageMode::AA);
-  for (auto _ : state) {
-    lbm::collide_bgk(lat, lbm::BgkParams{Real(0.8), Vec3{}});
-    lbm::stream(lat);  // keep the collide/stream alternation valid
-  }
-  state.SetItemsProcessed(state.iterations() * lat.num_cells());
-}
-BENCHMARK(BM_CollideBgkAa)->Arg(32)->Arg(64)->Arg(80);
-
-void BM_FusedStreamCollideAa(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  lbm::Lattice lat = make_lattice(n, lbm::StorageMode::AA);
-  for (auto _ : state) {
-    lbm::fused_stream_collide(lat, lbm::BgkParams{Real(0.8), Vec3{}});
-  }
-  state.SetItemsProcessed(state.iterations() * lat.num_cells());
-}
-BENCHMARK(BM_FusedStreamCollideAa)->Arg(32)->Arg(64)->Arg(80);
-
 // The AA fused step on a box walled on all six faces: its boundary ring
 // is slow (every ring cell has a link that bounces back), so this keeps a
 // number for the AA slow path — the collect before the flip and the
 // fixup scatter after it — which a periodic box no longer has.
-void BM_FusedStreamCollideAaWalled(benchmark::State& state) {
+void BM_FusedStreamCollideWalled(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  lbm::Lattice lat = make_lattice(n, lbm::StorageMode::AA);
+  lbm::Lattice lat = make_lattice(n);
   for (int face = 0; face < 6; ++face) {
     lat.set_face_bc(static_cast<lbm::Face>(face), lbm::FaceBc::Wall);
   }
@@ -125,7 +108,7 @@ void BM_FusedStreamCollideAaWalled(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * lat.num_cells());
 }
-BENCHMARK(BM_FusedStreamCollideAaWalled)->Arg(64);
+BENCHMARK(BM_FusedStreamCollideWalled)->Arg(64);
 
 // Sparse fluid-index storage on a solid-laden domain (same obstacle as
 // BM_StreamSpans): compact buffers over the non-solid cells only, so both
@@ -187,7 +170,7 @@ BENCHMARK(BM_FusedPooled)
     ->Args({80, 8})
     ->UseRealTime();
 
-// The urban scene on the pooled host paths in every storage mode: no
+// The urban scene on the pooled host paths in both storage modes: no
 // pass visits the ~3/4 solid cells, and the sparse layout does not store
 // them either. Items are non-solid cell updates; the counters are the
 // analytic f-plane traffic of one step, the resident distribution bytes
@@ -213,9 +196,6 @@ void BM_UrbanFused(benchmark::State& state, Int3 dim, lbm::StorageMode mode) {
   }
   set_urban_counters(state, lat, io::fused_step_traffic_bytes(lat));
 }
-BENCHMARK_CAPTURE(BM_UrbanFused, DoubleBuffer_80, Int3{80, 80, 80},
-                  lbm::StorageMode::DoubleBuffer)
-    ->UseRealTime();
 BENCHMARK_CAPTURE(BM_UrbanFused, AA_80, Int3{80, 80, 80},
                   lbm::StorageMode::AA)
     ->UseRealTime();
@@ -236,9 +216,6 @@ void BM_UrbanSplit(benchmark::State& state, Int3 dim, lbm::StorageMode mode) {
   }
   set_urban_counters(state, lat, io::split_step_traffic_bytes(lat));
 }
-BENCHMARK_CAPTURE(BM_UrbanSplit, DoubleBuffer_80, Int3{80, 80, 80},
-                  lbm::StorageMode::DoubleBuffer)
-    ->UseRealTime();
 BENCHMARK_CAPTURE(BM_UrbanSplit, AA_80, Int3{80, 80, 80},
                   lbm::StorageMode::AA)
     ->UseRealTime();
@@ -266,6 +243,7 @@ void BM_CollideMrt(benchmark::State& state) {
   const lbm::MrtParams p = lbm::MrtParams::standard(Real(0.8));
   for (auto _ : state) {
     lbm::collide_mrt(lat, p);
+    lbm::stream(lat);  // an AA collide needs a stream before the next
   }
   state.SetItemsProcessed(state.iterations() * lat.num_cells());
 }

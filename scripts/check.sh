@@ -96,11 +96,13 @@ for stage in "${STAGES[@]}"; do
       build_and_test tsan -DGC_SANITIZE=thread -- -L tsan ;;
     equiv)
       # The randomized overlap/serial equivalence harness, which sweeps
-      # ALL lattice storage modes (double-buffered, in-place AA and the
-      # sparse fluid-index layout) per seeded config, the dedicated AA
-      # storage suite, and both distributed drivers (host lattices and
-      # simulated GPUs) against the serial reference and each other — one
-      # border-exchange pipeline runs under both — plus the stream region
+      # both lattice storage modes (in-place AA and the sparse fluid-index
+      # layout) per seeded config, the dedicated AA storage suite, the
+      # curved links that AA streams as rule links (Bouzidi, momentum
+      # exchange, the fused step against the split one), and both
+      # distributed drivers (host lattices and simulated GPUs) against the
+      # serial reference and each other — one border-exchange pipeline
+      # runs under both — plus the stream region
       # pass and the fused step built on it, each storage mode against the
       # pull rule itself (StreamRegion, CollisionTiles, CellClass), the
       # bulk/slow classification against its brute-force rule, and the one
@@ -117,7 +119,7 @@ for stage in "${STAGES[@]}"; do
           && cmake --build "$bdir" -j "$JOBS" --target gc_tests \
               > "$bdir.build.log" 2>&1 \
           && "$bdir/tests/gc_tests" \
-              --gtest_filter='OverlapExec.*:*/OverlapExec.*:StorageAA.*:SparseLattice.KernelsMatchDenseReference:Parallel.*:*/ParallelVsSerial.*:GpuCluster.*:*/GpuClusterVsSerial.*:StreamRegion.*:CollisionTiles.*:CellClass.FusedPooledBitExactVsSerialSplit:CellClass.MatchesBruteForceUnderEveryFaceBc:AxisFaces/FaceBcSweep.*:GpuSolver.PeriodicDomainBitExact:GpuSolver.BitExactVsHostReference:CheckpointV3.*:SparseCheckpoint.*:Lattice.SolidCellsReadZeroInEveryStorageMode:Modes/StepTraffic.*'; then
+              --gtest_filter='OverlapExec.*:*/OverlapExec.*:StorageAA.*:SparseLattice.KernelsMatchDenseReference:CurvedBoundary.*:*/BouzidiQ.*:MomentumExchange.*:Collision.FusedWithCurvedLinksEqualsSplit:Parallel.*:*/ParallelVsSerial.*:GpuCluster.*:*/GpuClusterVsSerial.*:StreamRegion.*:CollisionTiles.*:CellClass.FusedPooledBitExactVsSerialSplit:CellClass.MatchesBruteForceUnderEveryFaceBc:AxisFaces/FaceBcSweep.*:GpuSolver.PeriodicDomainBitExact:GpuSolver.BitExactVsHostReference:CheckpointV3.*:SparseCheckpoint.*:Lattice.SolidCellsReadZeroInEveryStorageMode:Modes/StepTraffic.*'; then
         RESULT[equiv]="ok"
       else
         RESULT[equiv]="FAIL"; FAILED=1
@@ -178,8 +180,9 @@ for stage in "${STAGES[@]}"; do
       fi ;;
     bench)
       # A quick traced run of the benchmark, so its own gates run on every
-      # kernel change: the 32^3 AA-fused run equals the DB-split run
-      # bit-exactly, mass drift, times_square rho/|u| sanity, bit-exact
+      # kernel change: the 32^3 AA-fused run equals the split run (the
+      # library default storage) bit-exactly, mass drift, times_square
+      # rho/|u| sanity, bit-exact
       # scenario replay, and traces that parse. run.py builds bench_suite
       # from source into .bench_build/ and exits nonzero when a gate fails.
       note "bench: bench_suite quick run with its gates"

@@ -9,7 +9,7 @@ GpuClusterLbm::GpuClusterLbm(const lbm::Lattice& global, GpuClusterConfig cfg)
                "GpuClusterLbm decomposes in 2D (dims.z must be 1)");
   for (int node = 0; node < ex_.num_nodes(); ++node) {
     nodes_.push_back(std::make_unique<GpuNode>(
-        *ex_.scatter(global, node, lbm::StorageMode::DoubleBuffer),
+        *ex_.scatter(global, node, lbm::StorageMode::AA),
         ex_.domain(node), cfg.tau, cfg.gpu, cfg.bus));
   }
 }

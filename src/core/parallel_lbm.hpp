@@ -25,10 +25,9 @@
 namespace gc::core {
 
 /// Embeds lbm::RunParams (tau / collision / storage — see run_params.hpp);
-/// `storage` selects the per-node backend: double-buffered or the
-/// in-place AA pattern (half the footprint per rank, bit-exact,
-/// wire-compatible — pack/unpack go through the phase-transparent
-/// accessors).
+/// `storage` selects the per-node backend: the in-place AA pattern or
+/// the compact Sparse layout (bit-exact and wire-compatible — pack/unpack
+/// go through the phase-transparent accessors).
 struct ParallelConfig : lbm::RunParams {
   netsim::NodeGrid grid;
   /// Hybrid thermal model (requires MRT): the finite-difference temperature

@@ -55,7 +55,7 @@ i64 load_cluster_checkpoint(const std::string& dir, ParallelLbm& sim) {
   for (int node = 0; node < sim.decomposition().num_nodes(); ++node) {
     // The v3 header records the storage mode the snapshot was taken in,
     // so the load auto-detects; converting covers a restore across modes
-    // (e.g. an old DoubleBuffer snapshot into an AA simulation).
+    // (e.g. a Sparse snapshot into an AA simulation).
     lbm::Lattice saved = io::load_checkpoint(
         dir + "/" + m.rank_files[static_cast<std::size_t>(node)]);
     if (saved.storage_mode() != sim.local(node).storage_mode()) {

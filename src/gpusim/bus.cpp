@@ -25,7 +25,6 @@ double Bus::upload_cost(i64 bytes) const {
 
 double Bus::download_seconds(i64 bytes) {
   const double t = download_cost(bytes);
-  total_down_ += t;
   bytes_down_ += bytes;
   return t;
 }
@@ -38,7 +37,7 @@ double Bus::upload_seconds(i64 bytes) {
 }
 
 void Bus::reset_ledger() {
-  total_down_ = total_up_ = 0.0;
+  total_up_ = 0.0;
   bytes_down_ = bytes_up_ = 0;
 }
 

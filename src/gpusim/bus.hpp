@@ -39,7 +39,6 @@ class Bus {
   double download_cost(i64 bytes) const;
   double upload_cost(i64 bytes) const;
 
-  double total_download_seconds() const { return total_down_; }
   double total_upload_seconds() const { return total_up_; }
   i64 total_download_bytes() const { return bytes_down_; }
   i64 total_upload_bytes() const { return bytes_up_; }
@@ -47,7 +46,6 @@ class Bus {
 
  private:
   BusSpec spec_;
-  double total_down_ = 0.0;
   double total_up_ = 0.0;
   i64 bytes_down_ = 0;
   i64 bytes_up_ = 0;

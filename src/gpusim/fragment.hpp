@@ -50,7 +50,6 @@ class FragmentContext {
     return bound_[static_cast<std::size_t>(unit)]->fetch(x, y);
   }
 
-  int num_bound() const { return static_cast<int>(bound_.size()); }
   const std::array<float, 4>& uniform(const std::string& name) const {
     return uniforms_.get(name);
   }

@@ -45,13 +45,6 @@ GpuSpec GpuSpec::geforce_6800_ultra() {
   return s;
 }
 
-GpuSpec GpuSpec::geforce_fx5800_ultra_256mb() {
-  GpuSpec s = geforce_fx5800_ultra();
-  s.name = "GeForce FX 5800 Ultra (256 MB)";
-  s.texture_memory_bytes = i64(256) * 1024 * 1024;
-  return s;
-}
-
 double GpuPerfModel::pass_seconds(i64 fragments, int arith_instructions,
                                   i64 tex_fetches, i64 bytes_written) const {
   GC_CHECK(fragments >= 0 && arith_instructions >= 0 && tex_fetches >= 0 &&

@@ -37,8 +37,6 @@ struct GpuSpec {
   static GpuSpec geforce_fx5900_ultra();
   /// The 40-GFlops card the paper cites as "at least 2.5x faster".
   static GpuSpec geforce_6800_ultra();
-  /// 256 MB variant used in the "larger sub-domain" projection.
-  static GpuSpec geforce_fx5800_ultra_256mb();
 };
 
 class GpuPerfModel {

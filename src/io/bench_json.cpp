@@ -21,9 +21,9 @@ double aa_fixup_bytes(const lbm::CellClass& cc) {
 }  // namespace
 
 double split_step_traffic_bytes(const lbm::Lattice& lat) {
-  // The collide reads + writes every plane. DoubleBuffer and Sparse
-  // streams read the front and write the back buffer; AA streams by a
-  // parity flip plus its fixups.
+  // The collide reads + writes every plane. A Sparse stream reads the
+  // front and writes the back buffer; AA streams by a parity flip plus
+  // its fixups.
   const lbm::CellClass& cc = lat.cell_class();
   const double passes = lat.storage_mode() == lbm::StorageMode::AA ? 2.0 : 4.0;
   return passes * plane_set_bytes(cc) + aa_fixup_bytes(cc);

@@ -16,9 +16,9 @@ namespace gc::io {
 /// Analytic f-plane main-memory traffic of one step of the split
 /// collide+stream path, over the non-solid cells, which are the cells
 /// the passes visit in every mode (collide reads+writes every plane;
-/// DoubleBuffer and Sparse streaming reads the front and writes the back
-/// buffer, AA streams in place via the parity flip, reading and writing
-/// only the slow cells' rule links).
+/// Sparse streaming reads the front and writes the back buffer, AA
+/// streams in place via the parity flip, reading and writing only the
+/// slow cells' rule links).
 double split_step_traffic_bytes(const lbm::Lattice& lat);
 
 /// Same for the fused stream+collide path (one read + one write of every

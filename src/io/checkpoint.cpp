@@ -14,8 +14,8 @@ constexpr char kMagic[4] = {'G', 'C', 'L', 'B'};
 // v2: storage-agnostic body, no storage-mode field (pre-dates the AA
 // backend reaching the header). v3: u8 StorageMode after the velocity
 // count. v4: same layout, the storage byte may also say Sparse (v3
-// readers must reject such files, hence the bump). All load; v2 is
-// detected as DoubleBuffer.
+// readers must reject such files, hence the bump). All load; v2 and
+// storage byte 0, the retired DoubleBuffer mode, load as AA.
 constexpr u32 kMinVersion = 2;
 constexpr u32 kVersion = 4;
 constexpr char kManifestMagic[4] = {'G', 'C', 'M', 'F'};
@@ -200,7 +200,7 @@ void save_checkpoint(const std::string& path, const lbm::Lattice& lat) {
 namespace {
 
 /// Reads the dims / velocity-count / storage-mode header prefix shared by
-/// v2 and v3 bodies (v2 has no storage byte: DoubleBuffer).
+/// v2 and v3 bodies (v2 has no storage byte: AA).
 lbm::StorageMode read_header_prefix(EnvelopeReader& body, Int3* d) {
   body.pod(d->x);
   body.pod(d->y);
@@ -209,14 +209,14 @@ lbm::StorageMode read_header_prefix(EnvelopeReader& body, Int3* d) {
   body.pod(q);
   GC_CHECK_MSG(q == static_cast<u32>(lbm::Q),
                "checkpoint has " << q << " velocities, expected " << lbm::Q);
-  if (body.version() < 3) return lbm::StorageMode::DoubleBuffer;
+  if (body.version() < 3) return lbm::StorageMode::AA;
   u8 mode;
   body.pod(mode);
   const u8 max_mode = body.version() >= 4
                           ? static_cast<u8>(lbm::StorageMode::Sparse)
                           : static_cast<u8>(lbm::StorageMode::AA);
   GC_CHECK_MSG(mode <= max_mode, "invalid storage mode in checkpoint");
-  return static_cast<lbm::StorageMode>(mode);
+  return mode == 0 ? lbm::StorageMode::AA : static_cast<lbm::StorageMode>(mode);
 }
 
 /// The dims come from a body whose CRC is checked only once it has all
@@ -244,12 +244,9 @@ lbm::Lattice load_checkpoint_impl(const std::string& path,
   const lbm::StorageMode mode = forced_mode ? *forced_mode : recorded;
   check_dims_fit(d, body.remaining());
 
-  // A fresh DoubleBuffer/AA lattice is in the natural layout (AA phase
-  // 0), so the planes can be read straight into storage. A sparse
-  // target has no dense planes at all — load through DoubleBuffer and
-  // convert once the flags (which define the compact layout) are final.
-  const bool sparse_target = mode == lbm::StorageMode::Sparse;
-  lbm::Lattice lat(d, sparse_target ? lbm::StorageMode::DoubleBuffer : mode);
+  // The flags are read before the planes, so a Sparse target packs each
+  // plane into its final compact layout (Lattice::write_plane).
+  lbm::Lattice lat(d, mode);
   for (int face = 0; face < 6; ++face) {
     u8 bc;
     body.pod(bc);
@@ -291,7 +288,6 @@ lbm::Lattice load_checkpoint_impl(const std::string& path,
     lat.add_curved_link(link);
   }
   body.finish();
-  if (sparse_target) lat.convert_storage(lbm::StorageMode::Sparse);
   return lat;
 }
 

@@ -21,9 +21,9 @@
 // the canonical natural order, so the payload is storage-agnostic —
 // sparse lattices are expanded to natural planes on save and recompacted
 // on load). v4 allows that byte to say Sparse, which a v3 reader must
-// reject. v2 files — which predate the header field — still load,
-// detected as DoubleBuffer, the only mode that existed when they were
-// written.
+// reject. v2 files, which predate the header field, and files whose
+// storage byte is 0 (a retired double-buffered mode, whose natural
+// planes AA holds at phase 0) load as AA.
 #pragma once
 
 #include <string>
@@ -43,7 +43,7 @@ void save_checkpoint(const std::string& path, const lbm::Lattice& lat);
 /// always in the canonical natural order). The single-argument form
 /// materializes the lattice in the StorageMode recorded in the header —
 /// callers no longer guess the mode; the overload forces a specific
-/// backend (e.g. to restore a DoubleBuffer file straight into an AA
+/// backend (e.g. to restore an AA file straight into a Sparse
 /// simulation).
 lbm::Lattice load_checkpoint(const std::string& path);
 lbm::Lattice load_checkpoint(const std::string& path, lbm::StorageMode mode);
@@ -53,7 +53,7 @@ lbm::Lattice load_checkpoint(const std::string& path, lbm::StorageMode mode);
 /// checkpoint is small next to the simulation it snapshots.)
 struct CheckpointInfo {
   Int3 dim{};
-  lbm::StorageMode storage = lbm::StorageMode::DoubleBuffer;
+  lbm::StorageMode storage = lbm::StorageMode::AA;
   u32 version = 0;
 };
 CheckpointInfo read_checkpoint_info(const std::string& path);

@@ -1,7 +1,9 @@
 #include "lbm/cell_class.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <limits>
+#include <utility>
 
 #include "lbm/lattice.hpp"
 #include "lbm/stream.hpp"
@@ -55,6 +57,19 @@ void CellClass::build(const Lattice& lat) {
     return mask;
   };
 
+  // Under AA the reflected direction of each curved link is a rule link
+  // of its cell, the slot its Bouzidi value is written to. The links'
+  // (cell, index) pairs in cell order are walked beside the scan, which
+  // visits every cell in order; a link on a solid cell keeps slot -1.
+  const std::vector<CurvedLink>& links = lat.curved_links();
+  curved_at.assign(aa ? links.size() : 0, -1);
+  std::vector<std::pair<i64, std::size_t>> curved;
+  for (std::size_t k = 0; k < curved_at.size(); ++k) {
+    curved.emplace_back(links[k].cell, k);
+  }
+  std::sort(curved.begin(), curved.end());
+  auto next_curved = curved.begin();
+
   for (int z = 0; z < d.z; ++z) {
     span_z[static_cast<std::size_t>(z)] = static_cast<i64>(spans.size());
     slow_z[static_cast<std::size_t>(z)] = static_cast<i64>(slow.size());
@@ -76,8 +91,16 @@ void CellClass::build(const Lattice& lat) {
       for (int x = 0; x < d.x; ++x, ++cell) {
         const u8 t = flags[static_cast<std::size_t>(cell)];
         const bool x_interior = x >= 1 && x < d.x - 1;
+        const auto cell_curved = next_curved;
+        u32 curved_mask = 0;
+        for (; next_curved != curved.end() && next_curved->first == cell;
+             ++next_curved) {
+          curved_mask |= u32(1) << OPP[links[next_curved->second].dir];
+        }
+        // A cell with a curved link is slow, whatever its neighbours.
+        const bool candidate = t == fluid && curved_mask == 0;
         bool fast = false;
-        if (t == fluid && row_interior && x_interior) {
+        if (candidate && row_interior && x_interior) {
           fast = true;
           for (int i = 1; i < Q; ++i) {
             if (flags[static_cast<std::size_t>(cell + shift[i])] != fluid) {
@@ -85,7 +108,7 @@ void CellClass::build(const Lattice& lat) {
               break;
             }
           }
-        } else if (t == fluid && row_open && open(0, x)) {
+        } else if (candidate && row_open && open(0, x)) {
           fast = rule_mask(Int3{x, y, z}) == 0;
         }
         if (fast) {
@@ -102,8 +125,12 @@ void CellClass::build(const Lattice& lat) {
         if (t == solid_flag) continue;
         slow.push_back(cell);
         if (aa) {
-          const u32 mask = rule_mask(Int3{x, y, z});
+          const u32 mask = rule_mask(Int3{x, y, z}) | curved_mask;
           slow_links.push_back({mask, static_cast<u32>(rule_links)});
+          for (auto c = cell_curved; c != next_curved; ++c) {
+            const u32 below = (u32(1) << OPP[links[c->second].dir]) - 1;
+            curved_at[c->second] = rule_links + std::popcount(mask & below);
+          }
           rule_links += std::popcount(mask);
         }
         if (t == fluid) {

@@ -8,10 +8,11 @@
 // kernels. A pull across a periodic face is a plain copy from the wrapped
 // cell, so cells on a periodic face are bulk too; only cells with a link
 // that needs a rule (a wall, inlet or outflow face, or a non-fluid
-// source) are slow. Under AA storage each slow cell also records which
-// of its links those are (its rule links, the host form of the paper's
-// per-slice boundary rectangles, §4.2): the parity flip streams every
-// other link, so only rule links need the pull rule.
+// source) are slow, and so is a cell with a curved link. Under AA
+// storage each slow cell also records which of its links those are (its
+// rule links, the host form of the paper's per-slice boundary
+// rectangles, §4.2): the parity flip streams every other link, so only
+// rule links need the pull rule, or the Bouzidi rule of a curved link.
 #pragma once
 
 #include <vector>
@@ -44,9 +45,10 @@ struct CellSpan {
 ///     collision needs no flag test. Stored as spans for branch-free
 ///     tight loops.
 ///   - slow: every other non-solid cell (cells on a wall, inlet or
-///     outflow face, cells adjacent to solids/inlets/outflows, and
-///     Inlet/Outflow-flagged cells) — these take the general pull_value
-///     path, under AA on their rule links only.
+///     outflow face, cells adjacent to solids/inlets/outflows,
+///     Inlet/Outflow-flagged cells, and under AA the cells of curved
+///     links) — these take the general pull_value path, under AA on
+///     their rule links only.
 /// Solid cells (bounce-back obstacles) are in no list: no pass visits
 /// them, and the lattice's accessors read them as 0. Every list is sorted
 /// by cell, and the `*_z` arrays partition each one by z-slice (size
@@ -59,9 +61,11 @@ struct CellClass {
   /// The rule links of one slow cell (AA storage): bit i of `mask` is set
   /// when the pull source of direction i, wrapped across periodic faces as
   /// the pull rule wraps it, lies outside the domain or is not a Fluid
-  /// cell — the bulk test applied per link. `at` is the offset of the
-  /// cell's first rule link in the AA fixup scratch, which holds one value
-  /// per rule link, in cell order and then direction order.
+  /// cell — the bulk test applied per link — or when i is the reflected
+  /// direction OPP[dir] of one of the cell's curved links, whatever the
+  /// far cell's flag. `at` is the offset of the cell's first rule link in
+  /// the AA fixup scratch, which holds one value per rule link, in cell
+  /// order and then direction order.
   struct RuleLinks {
     u32 mask;
     u32 at;
@@ -72,6 +76,10 @@ struct CellClass {
   std::vector<i64> fluid_slow;    ///< the Fluid-flagged subset of `slow`
   std::vector<i64> inlet;         ///< Inlet-flagged cells (finish_stream)
   std::vector<RuleLinks> slow_links;  ///< per `slow` entry; AA only, else empty
+  /// Per curved link (Lattice::curved_links, AA only): the fixup scratch
+  /// offset of its reflected direction, or -1 on a solid cell, which no
+  /// pass writes.
+  std::vector<i64> curved_at;
 
   std::vector<i64> span_z;        ///< spans index of first span at z
   std::vector<i64> slow_z;        ///< slow index of first cell at z

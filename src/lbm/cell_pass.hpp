@@ -177,8 +177,9 @@ inline constexpr int kLanesOf =
     std::is_invocable_v<const Op&, Real*, Lanes<kTile>> ? kTile : 1;
 
 /// The identity operator: a plain stream's operator (pulled values stay
-/// as pulled), and the one the AA collide runs on its inlet and outflow
-/// cells, so their values move into the post-collide slots unchanged.
+/// as pulled), the one the AA collide runs on its inlet and outflow
+/// cells, so their values move into the post-collide slots unchanged,
+/// and the one the AA finish advances an un-collided lattice with.
 struct NoOp {
   template <int L>
   void operator()(Real*, Lanes<L>) const {}
@@ -227,34 +228,26 @@ void run_span(const Real* const in[Q], Real* const out[Q], i32 len,
 // ---- addressing policies ---------------------------------------------------
 // A policy tells a pass where a cell's 19 values are:
 //   rd[i], wr[i]  plane bases the pass reads and writes; a bulk cell c
-//                 sits at at(c) (DoubleBuffer, Sparse), and the cells of
-//                 a bulk span at consecutive offsets from its first
+//                 sits at at(c) (Sparse), and the cells of a bulk span at
+//                 consecutive offsets from its first
 //   span          the read and write pointers of a span's cells for a
 //                 collide (in place)
-//   load, store   the values of one slow cell (DoubleBuffer, Sparse)
+//   load, store   the values of one slow cell (Sparse)
 
-/// Plane addressing: a cell's values sit at one index of 19 planes. The
-/// index is the cell itself in the double-buffered layout (NaturalAddr)
-/// and its compact id from sparse_index in the sparse one (CompactAddr).
-/// The compact cell list keeps dense order, so a bulk span is contiguous
-/// in both. A collide reads and writes the current buffer (in_place); a
-/// stream reads it and writes the back buffer (to_back).
-template <bool kCompact>
-struct PlaneAddr {
+/// Compact addressing (Sparse): a cell's values sit at its compact id
+/// from sparse_index in 19 planes. The compact cell list keeps dense
+/// order, so a bulk span is contiguous. A collide reads and writes the
+/// current buffer (in_place); a stream reads it and writes the back
+/// buffer (to_back).
+struct CompactAddr {
   const Lattice* lat;
   const Real* rd[Q];
   Real* wr[Q];
 
-  static PlaneAddr in_place(Lattice& l) { return PlaneAddr(l, false); }
-  static PlaneAddr to_back(Lattice& l) { return PlaneAddr(l, true); }
+  static CompactAddr in_place(Lattice& l) { return CompactAddr(l, false); }
+  static CompactAddr to_back(Lattice& l) { return CompactAddr(l, true); }
 
-  i64 at(i64 cell) const {
-    if constexpr (kCompact) {
-      return lat->sparse_index(cell);
-    } else {
-      return cell;
-    }
-  }
+  i64 at(i64 cell) const { return lat->sparse_index(cell); }
   void span(const CellSpan& sp, const Real* in[Q], Real* out[Q]) const {
     const i64 m = at(sp.begin);
     for (int i = 0; i < Q; ++i) {
@@ -272,20 +265,13 @@ struct PlaneAddr {
   }
 
  private:
-  PlaneAddr(Lattice& l, bool back) : lat(&l) {
+  CompactAddr(Lattice& l, bool back) : lat(&l) {
     for (int i = 0; i < Q; ++i) {
-      if constexpr (kCompact) {
-        rd[i] = l.sparse_plane_ptr(i);
-        wr[i] = back ? l.sparse_back_plane_ptr(i) : l.sparse_plane_ptr(i);
-      } else {
-        rd[i] = l.plane_ptr(i);
-        wr[i] = back ? l.back_plane_ptr(i) : l.plane_ptr(i);
-      }
+      rd[i] = l.sparse_plane_ptr(i);
+      wr[i] = back ? l.sparse_back_plane_ptr(i) : l.sparse_plane_ptr(i);
     }
   }
 };
-using NaturalAddr = PlaneAddr<false>;
-using CompactAddr = PlaneAddr<true>;
 
 /// AA addressing, for the advancing collide: cells read through the
 /// current mapping and write the slots the post-collide mapping assigns,
@@ -335,13 +321,12 @@ void collide_spans(const Lattice& lat, const CellClass& cc, const Addr& a,
   });
 }
 
-/// DoubleBuffer, Sparse: applies op to the slow fluid cells of slices
-/// [z0, z1) inside box, one cell at a time through the policy's
-/// load/store.
-template <bool kCompact, class Op>
+/// Sparse: applies op to the slow fluid cells of slices [z0, z1) inside
+/// box, one cell at a time through the policy's load/store.
+template <class Op>
 void collide_boundary(const Lattice& lat, const CellClass& cc,
-                      const PlaneAddr<kCompact>& a, const Op& op,
-                      const CellBox& box, int z0, int z1) {
+                      const CompactAddr& a, const Op& op, const CellBox& box,
+                      int z0, int z1) {
   Real f[Q];
   for_box_cells(lat, cc.fluid_slow, cc.fluid_slow_z, box, z0, z1,
                 [&](i64, i64 c) {
@@ -414,9 +399,6 @@ void collide_pass(Lattice& lat, const Op& op, const StepContext& ctx,
     });
   };
   switch (lat.storage_mode()) {
-    case StorageMode::DoubleBuffer:
-      run(NaturalAddr::in_place(lat));
-      return;
     case StorageMode::Sparse:
       run(CompactAddr::in_place(lat));
       return;
@@ -443,18 +425,16 @@ void pull_slow_cell(const Lattice& lat, i64 cell, const Op& op, Real f[Q]) {
   }
 }
 
-/// DoubleBuffer and Sparse: streams the cells of box into the back
-/// buffer. A bulk cell's pull is a copy from its source, so a bulk span
-/// reads plane pointers shifted to its sources (span_sources): a plain
-/// copy without an operator, the tile loop with one. The compact layout
-/// needs the index map only for each span's base offsets (the pull
-/// sources of a bulk span, or of any piece of one, form another
-/// contiguous run of fluid cells). Slow cells take pull_slow_cell; solid
-/// cells are not written.
-template <bool kCompact, class Op>
-void pull_region(Lattice& lat, const CellClass& cc,
-                 const PlaneAddr<kCompact>& a, const CellBox& box,
-                 const StepContext& ctx, const Op& op) {
+/// Sparse: streams the cells of box into the back buffer. A bulk cell's
+/// pull is a copy from its source, so a bulk span reads plane pointers
+/// shifted to its sources (span_sources): a plain copy without an
+/// operator, the tile loop with one. The compact layout needs the index
+/// map only for each span's base offsets (the pull sources of a bulk
+/// span, or of any piece of one, form another contiguous run of fluid
+/// cells). Slow cells take pull_slow_cell; solid cells are not written.
+template <class Op>
+void pull_region(Lattice& lat, const CellClass& cc, const CompactAddr& a,
+                 const CellBox& box, const StepContext& ctx, const Op& op) {
   i64 shift[Q];
   for (int i = 0; i < Q; ++i) shift[i] = pull_offset(lat.dim(), i);
   for_z_chunks(lat, ctx, box, [&](int z0, int z1) {
@@ -489,8 +469,8 @@ void pull_region(Lattice& lat, const CellClass& cc,
 /// AA: collects the pulls of the box's rule links (CellClass::RuleLinks)
 /// into the fixup scratch, at each slow cell's offset. A pure read of the
 /// post-collide field through the accessors, which is exactly what the
-/// double-buffered pull reads; every other link of every cell, the bulk
-/// and the periodic faces included, streams in the flip.
+/// pull rule reads; every other link of every cell, the bulk and the
+/// periodic faces included, streams in the flip.
 inline void collect_region(Lattice& lat, const CellClass& cc,
                            const CellBox& box, const StepContext& ctx) {
   std::vector<Real>& fix = lat.aa_fix_scratch();
@@ -516,9 +496,6 @@ void stream_pass(Lattice& lat, const CellBox& box, const StepContext& ctx,
                  const Op& op = {}) {
   const CellClass& cc = lat.cell_class();  // build before dispatch
   switch (lat.storage_mode()) {
-    case StorageMode::DoubleBuffer:
-      pull_region(lat, cc, NaturalAddr::to_back(lat), box, ctx, op);
-      return;
     case StorageMode::Sparse:
       pull_region(lat, cc, CompactAddr::to_back(lat), box, ctx, op);
       return;
@@ -528,21 +505,23 @@ void stream_pass(Lattice& lat, const CellBox& box, const StepContext& ctx,
   }
 }
 
-/// AA: flips the parity (the zero-copy stream of every plain link), then
-/// writes the region passes' rule links through the new mapping. Each
-/// cell writes its own slot group, so the writes run in chunks on
-/// ctx.pool. With an operator the whole lattice is then collided in place
-/// by the collide pass and ends collided, so the next fused step flips
-/// first; a lattice fresh from init enters that cycle as post-collision.
+/// AA: writes the curved links' Bouzidi values over their rule links'
+/// pulls, advances an un-collided lattice with NoOp (so a stream with no
+/// collide before it, or a lattice fresh from init entering the fused
+/// cycle, streams as post-collision), flips the parity (the zero-copy
+/// stream of every plain link), then writes the rule links through the
+/// new mapping. Each cell writes its own slot group, so the writes run in
+/// chunks on ctx.pool. With an operator the whole lattice is then
+/// collided in place by the collide pass and ends collided, so the next
+/// fused step flips first.
 template <class Op>
 void finish_aa(Lattice& lat, const CellClass& cc, const StepContext& ctx,
                const Op& op) {
   const std::vector<Real>& fix = lat.aa_fix_scratch();
   GC_CHECK_MSG(static_cast<i64>(fix.size()) == cc.rule_links,
                "finish_stream(AA) needs the region passes' fixups first");
-  if constexpr (kCollides<Op>) {
-    if (!lat.aa_collided()) lat.aa_adopt_collided_layout();
-  }
+  curved_link_fixups(lat, cc);
+  if (!lat.aa_collided()) collide_pass(lat, NoOp{}, ctx, CellBox{});
   lat.swap_buffers();
   for_chunks(ctx.pool, 0, static_cast<i64>(cc.slow.size()),
              ThreadPool::min_chunk_indices(256),
@@ -561,8 +540,8 @@ void finish_aa(Lattice& lat, const CellClass& cc, const StepContext& ctx,
 }
 
 /// finish_stream, with op the operator of the region passes it
-/// completes: swaps the buffers or finishes AA, then imposes the inlets
-/// and applies the curved links.
+/// completes: finishes AA or swaps the Sparse buffers, then imposes the
+/// inlets.
 template <class Op = NoOp>
 void finish_pass(Lattice& lat, const StepContext& ctx, const Op& op = {}) {
   if (lat.storage_mode() == StorageMode::AA) {
@@ -571,7 +550,6 @@ void finish_pass(Lattice& lat, const StepContext& ctx, const Op& op = {}) {
     lat.swap_buffers();
   }
   impose_inlets(lat);
-  apply_curved_bounce(lat);
 }
 
 }  // namespace gc::lbm::detail

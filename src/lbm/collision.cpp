@@ -96,10 +96,6 @@ void collide_bgk(Lattice& lat, const BgkParams& p, const StepContext& ctx,
 
 void fused_stream_collide(Lattice& lat, const BgkParams& p,
                           const StepContext& ctx) {
-  // The fused pass cannot interpose the Bouzidi correction between
-  // streaming and collision; use the separate passes for curved boundaries.
-  GC_CHECK_MSG(lat.curved_links().empty(),
-               "fused_stream_collide does not support curved links");
   obs::ScopedSpan span(ctx.trace, "fused", ctx.rank, "lbm");
   const auto op = bgk_op(p);
   detail::stream_pass(lat, CellBox{}, ctx, op);

@@ -39,14 +39,14 @@ void collide_bgk_cell(Real f[Q], Real tau, Vec3 force);
 /// Fused stream+collide ("pull then collide"), the memory-traffic
 /// optimization of Massaioli & Amati cited in Section 4.4: the stream
 /// region pass over the whole lattice plus the finish (stream.hpp), with
-/// BGK as their cell operator. On DoubleBuffer and Sparse each fluid cell
-/// is collided right after its pull; under AA the finish flips, writes
-/// the rule links and then collides the whole lattice in place with the
-/// collide pass, which are the passes of stream() then collide_bgk(). So
-/// one fused step equals stream() then collide_bgk() bit for bit, with
-/// the same boundary handling; curved links are rejected. Runs on
-/// ctx.pool when set, bit-identical to serial, and emits one "fused" span
-/// on ctx.trace when attached.
+/// BGK as their cell operator. Under AA the finish flips, writes the rule
+/// links (curved links' Bouzidi values included) and then collides the
+/// whole lattice in place with the collide pass, which are the passes of
+/// stream() then collide_bgk(); on Sparse, which has no curved links,
+/// each fluid cell is collided right after its pull. So one fused step
+/// equals stream() then collide_bgk() bit for bit, with the same boundary
+/// handling. Runs on ctx.pool when set, bit-identical to serial, and
+/// emits one "fused" span on ctx.trace when attached.
 void fused_stream_collide(Lattice& lat, const BgkParams& p,
                           const StepContext& ctx = {});
 

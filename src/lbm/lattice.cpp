@@ -10,11 +10,9 @@ Lattice::Lattice(Int3 dim, StorageMode mode)
   GC_CHECK_MSG(dim.x > 0 && dim.y > 0 && dim.z > 0,
                "lattice dimensions must be positive, got " << dim);
   // Sparse storage is sized lazily by rebuild_sparse_layout() once the
-  // flags are known; dense modes allocate their full planes up front.
-  if (mode_ != StorageMode::Sparse) {
+  // flags are known; AA allocates its full planes up front.
+  if (mode_ == StorageMode::AA) {
     buf_[0].assign(static_cast<std::size_t>(Q * n_), Real(0));
-    if (mode_ == StorageMode::DoubleBuffer)
-      buf_[1].assign(static_cast<std::size_t>(Q * n_), Real(0));
   }
   flags_.assign(static_cast<std::size_t>(n_), static_cast<u8>(CellType::Fluid));
   face_bc_.fill(FaceBc::Periodic);
@@ -51,20 +49,6 @@ void Lattice::aa_span_ptrs(Int3 p, const Real* rd[Q], Real* wr[Q]) {
   Real* base = buf_[cur_].data();
   for (int i = 0; i < Q; ++i) wr[OPP[i]] = base + slot(i, p, phase_);
   for (int i = 0; i < Q; ++i) rd[i] = wr[OPP[i]];
-}
-
-void Lattice::aa_adopt_collided_layout() {
-  GC_CHECK_MSG(mode_ == StorageMode::AA && phase_ == 0,
-               "fused-cycle entry conversion starts from AA phase 0");
-  // Phase 1 stores f_i in plane OPP[i]: swapping each opposing plane pair
-  // relabels the storage without touching the logical field.
-  Real* base = buf_[cur_].data();
-  for (int i = 1; i < Q; ++i) {
-    if (OPP[i] < i) continue;
-    std::swap_ranges(base + plane(i), base + plane(i) + n_,
-                     base + plane(OPP[i]));
-  }
-  phase_ = 1;
 }
 
 std::vector<Real> Lattice::sparse_expand() const {
@@ -118,62 +102,61 @@ void Lattice::rebuild_sparse_layout() {
   sparse_compact(sparse_expand());
 }
 
+void Lattice::sparse_pack_plane(int i, const std::vector<Real>& natural) {
+  ensure_sparse();
+  Real* dst = buf_[cur_].data() + sparse_slot(i, 0);
+  for (i64 m = 0; m < sparse_n_; ++m) dst[m] = natural[sparse_cells_[m]];
+}
+
 void Lattice::convert_storage(StorageMode mode) {
   if (mode == mode_) return;
-  // Every conversion funnels through the natural double-buffered layout
-  // in buf_[0]: normalize the source, then relabel/compact into the
-  // target mode. What the old mode held and the new one does not use is
-  // released: the AA fixups, the sparse index pair, a second buffer. The
-  // classification records rule links under AA only, so it is rebuilt.
-  aa_fix_ = std::vector<Real>();
+  GC_CHECK_MSG(mode != StorageMode::Sparse || curved_links_.empty(),
+               "sparse storage does not support curved boundary links");
+  // The two layouts meet in the natural planes, which AA holds at phase
+  // 0. What the old mode held and the new one does not use is released:
+  // the AA fixups and curved-link record, or the sparse index pair and
+  // second buffer. The classification records rule links under AA only,
+  // so it is rebuilt.
   class_dirty_ = true;
-  if (mode_ == StorageMode::AA && phase_ != 0) {
-    std::vector<Real> natural(static_cast<std::size_t>(Q * n_));
-    for (int i = 0; i < Q; ++i)
-      for (i64 c = 0; c < n_; ++c)
-        natural[plane(i) + c] = buf_[cur_][slot(i, c)];
-    buf_[0] = std::move(natural);
-  } else if (mode_ == StorageMode::Sparse) {
-    ensure_sparse();
-    buf_[0] = sparse_expand();
-    sparse_map_ = std::vector<i64>();
-    sparse_cells_ = std::vector<i64>();
-    sparse_n_ = 0;
-    sparse_dirty_ = true;
-  } else if (cur_ == 1) {
-    std::swap(buf_[0], buf_[1]);
-  }
-  cur_ = 0;
-  phase_ = 0;
-  switch (mode) {
-    case StorageMode::AA:
-      GC_CHECK_MSG(curved_links_.empty(),
-                   "AA storage does not support curved boundary links");
-      buf_[1] = std::vector<Real>();
-      break;
-    case StorageMode::Sparse: {
-      GC_CHECK_MSG(curved_links_.empty(),
-                   "sparse storage does not support curved boundary links");
-      mode_ = StorageMode::Sparse;
-      // Compact straight from the natural planes now in buf_[0].
-      sparse_compact(std::move(buf_[0]));
-      return;
+  if (mode == StorageMode::Sparse) {
+    std::vector<Real> natural;
+    if (phase_ == 0) {
+      natural = std::move(buf_[cur_]);
+    } else {
+      natural.resize(static_cast<std::size_t>(Q * n_));
+      for (int i = 0; i < Q; ++i)
+        for (i64 c = 0; c < n_; ++c)
+          natural[plane(i) + c] = buf_[cur_][slot(i, c)];
     }
-    case StorageMode::DoubleBuffer:
-      buf_[1] = std::vector<Real>(static_cast<std::size_t>(Q * n_), Real(0));
-      break;
+    aa_fix_ = std::vector<Real>();
+    curved_out_ = std::vector<Real>();
+    cur_ = 0;
+    phase_ = 0;
+    mode_ = StorageMode::Sparse;
+    sparse_compact(std::move(natural));
+    return;
   }
-  mode_ = mode;
+  ensure_sparse();
+  std::vector<Real> natural = sparse_expand();
+  buf_[1] = std::vector<Real>();
+  buf_[0] = std::move(natural);
+  sparse_map_ = std::vector<i64>();
+  sparse_cells_ = std::vector<i64>();
+  sparse_n_ = 0;
+  sparse_dirty_ = true;
+  cur_ = 0;
+  mode_ = StorageMode::AA;
 }
 
 void Lattice::add_curved_link(CurvedLink link) {
-  GC_CHECK_MSG(mode_ == StorageMode::DoubleBuffer,
-               "curved boundary links require double-buffered storage");
+  GC_CHECK_MSG(mode_ == StorageMode::AA,
+               "sparse storage does not support curved boundary links");
   GC_CHECK_MSG(link.q > Real(0) && link.q <= Real(1),
                "curved link fraction must be in (0,1], got " << link.q);
   GC_CHECK(link.dir >= 1 && link.dir < Q);
   GC_CHECK(link.cell >= 0 && link.cell < n_);
   curved_links_.push_back(link);
+  class_dirty_ = true;  // its reflected direction is a rule link
 }
 
 void Lattice::init_equilibrium(Real rho, Vec3 u) {
@@ -189,14 +172,10 @@ void Lattice::init_equilibrium(Real rho, Vec3 u) {
     }
     return;
   }
-  phase_ = 0;  // canonical post-stream state in AA mode; no-op in DB mode
+  phase_ = 0;  // the canonical post-stream state
   for (int i = 0; i < Q; ++i) {
     Real* p = plane_ptr(i);
     std::fill(p, p + n_, feq[i]);
-    if (mode_ == StorageMode::DoubleBuffer) {
-      Real* pb = back_plane_ptr(i);
-      std::fill(pb, pb + n_, feq[i]);
-    }
   }
 }
 
@@ -280,7 +259,7 @@ void Lattice::copy_distributions_from(const Lattice& src) {
     if (src.flags_ != flags_) {
       throw StorageMismatchError(
           "copy_distributions_from: sparse layouts differ (cell flags do "
-          "not match) — convert_storage through DoubleBuffer first");
+          "not match) — convert_storage through AA first");
     }
     ensure_sparse();
     src.ensure_sparse();

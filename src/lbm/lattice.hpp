@@ -1,20 +1,15 @@
 // The LBM lattice container: a structured 3D grid of D3Q19 distribution
-// values stored as 19 contiguous planes (structure-of-arrays), in one of
-// three storage modes:
+// values stored as 19 planes (structure-of-arrays), in one of two storage
+// modes. The simulated GPU keeps the texture stacks of Section 4.2 itself
+// (src/gpulbm); the host stores what moves the fewest bytes per update.
 //
-//   DoubleBuffer — the classic A/B pattern: streaming pulls from the
-//     current buffer into the back buffer and swaps. Mirrors the
-//     texture-stack layout of Section 4.2 (one "volume" per distribution,
-//     packed 4-at-a-time on the simulated GPU, see src/gpulbm).
-//
-//   AA — the in-place AA-pattern (Bailey et al.): ONE buffer, half the
-//     footprint and half the main-memory traffic on the split
-//     collide+stream path. The logical field f_i(x) is related to the
-//     stored values by a per-phase affine bijection; bulk streaming is a
-//     zero-copy reinterpretation (parity flip) and the collision pass
-//     absorbs the slot swap by writing each cell's post-collision values
-//     into the slots the next flip expects. The phase cycles through
-//     four storage mappings (slot of logical f_i at cell x):
+//   AA — the in-place AA-pattern (Bailey et al.), the dense default: ONE
+//     buffer. The logical field f_i(x) is related to the stored values by
+//     a per-phase affine bijection; bulk streaming is a zero-copy
+//     reinterpretation (parity flip) and the collision pass absorbs the
+//     slot swap by writing each cell's post-collision values into the
+//     slots the next flip expects. The phase cycles through four storage
+//     mappings (slot of logical f_i at cell x):
 //
 //       phase 0  even, post-stream   (i, x)              "natural"
 //       phase 1  even, post-collide  (OPP[i], x)
@@ -26,37 +21,38 @@
 //     parity flip: for every link whose pull is a plain copy, the
 //     post-flip logical value IS the streamed value). Only the rule
 //     links of the slow cells (CellClass::RuleLinks: a non-fluid or
-//     out-of-domain source) need explicit fixups, which the stream region
-//     passes collect into one scratch before the flip and finish_stream
-//     writes after it; the flip streams the slow cells' other links with
-//     the bulk.
+//     out-of-domain source, or the reflected direction of a curved link)
+//     need explicit fixups, which the stream region passes collect into
+//     one scratch before the flip and finish_stream writes after it; the
+//     flip streams the slow cells' other links with the bulk. A stream
+//     with no collide before it first advances the lattice with the
+//     identity operator, so it streams at either parity.
 //     `wrap` is a per-axis periodic index wrap — an internal address
 //     bijection, independent of the face boundary conditions. Across a
 //     periodic face it is also the periodic pull, so the flip streams
 //     the cells on periodic faces with the rest of the bulk.
 //
 //   Sparse — indirect fluid-index addressing (Tomczak & Szafran's
-//     sparse-geometry GPU LBM): two compact buffers hold only the
-//     non-solid cells, plus a dense->compact index map. Because the
-//     compact cell list is built in ascending dense order, consecutive
-//     dense fluid cells stay consecutive compact cells, so the
-//     CellClass bulk spans remain contiguous copies in compact storage
-//     and the kernels keep their branch-free shape. Solid cells have no
-//     storage at all. The layout is rebuilt lazily after flag changes,
-//     remapping the surviving cells' values in place.
+//     sparse-geometry GPU LBM), for solid-heavy scenes: two compact
+//     buffers hold only the non-solid cells, plus a dense->compact index
+//     map. Because the compact cell list is built in ascending dense
+//     order, consecutive dense fluid cells stay consecutive compact cells,
+//     so the CellClass bulk spans remain contiguous copies in compact
+//     storage and the kernels keep their branch-free shape. Solid cells
+//     have no storage at all. The layout is rebuilt lazily after flag
+//     changes, remapping the surviving cells' values in place.
 //
-// Solid cells, in every mode: the accessors read a Solid-flagged cell as
+// Solid cells, in both modes: the accessors read a Solid-flagged cell as
 // 0 and drop writes to it, and no pass reads, writes or advances one.
 // Nothing needs their storage: bounce-back at an obstacle is a rule link
-// that reads the fluid cell itself. DoubleBuffer and AA keep dense
-// storage there, which holds whatever it last held.
+// that reads the fluid cell itself. AA keeps dense storage there, which
+// holds whatever it last held.
 //
 // All observation (f()/set_f, pack/unpack, gather) goes through the
 // phase-transparent accessors, and checkpoints through the natural-order
-// plane access (read_plane/write_plane), so the three modes are
-// bit-exact. The storage itself is private: raw plane pointers reach only
-// the addressing policies of cell_pass.hpp and the two DoubleBuffer
-// back-buffer readers of boundary.cpp, which are friends.
+// plane access (read_plane/write_plane), so the two modes are bit-exact.
+// The storage itself is private: raw plane pointers reach only the
+// addressing policies of cell_pass.hpp, which are friends.
 #pragma once
 
 #include <array>
@@ -72,8 +68,7 @@
 namespace gc::lbm {
 
 namespace detail {
-template <bool kCompact>
-struct PlaneAddr;
+struct CompactAddr;
 struct AaAddr;
 }  // namespace detail
 
@@ -110,17 +105,17 @@ struct CurvedLink {
   Real q;    ///< intersection fraction along the link, in (0, 1]
 };
 
-/// How the distribution planes are stored (see the file header).
+/// How the distribution planes are stored (see the file header). The
+/// values are stored in checkpoint headers and flow-cache keys, so they
+/// keep their numbers.
 enum class StorageMode : u8 {
-  DoubleBuffer = 0,  ///< two buffers, stream A->B then swap
-  AA = 1,            ///< one buffer, in-place AA-pattern phase machine
-  Sparse = 2,        ///< two compact buffers over non-solid cells only
+  AA = 1,      ///< one buffer, in-place AA-pattern phase machine
+  Sparse = 2,  ///< two compact buffers over non-solid cells only
 };
 
 /// Human-readable storage-mode name (error messages, logs).
 inline const char* storage_mode_name(StorageMode m) {
   switch (m) {
-    case StorageMode::DoubleBuffer: return "DoubleBuffer";
     case StorageMode::AA: return "AA";
     case StorageMode::Sparse: return "Sparse";
   }
@@ -137,7 +132,7 @@ class StorageMismatchError : public Error {
 
 class Lattice {
  public:
-  explicit Lattice(Int3 dim, StorageMode mode = StorageMode::DoubleBuffer);
+  explicit Lattice(Int3 dim, StorageMode mode = StorageMode::AA);
 
   Int3 dim() const { return dim_; }
   i64 num_cells() const { return n_; }
@@ -163,14 +158,13 @@ class Lattice {
   // --- storage mode and AA phase machine ---
   StorageMode storage_mode() const { return mode_; }
   /// AA phase in [0, 4): bit 0 = collided, bit 1 = odd parity. Always 0
-  /// in double-buffered mode.
+  /// in sparse mode.
   int aa_phase() const { return phase_; }
   bool aa_collided() const { return (phase_ & 1) != 0; }
-  /// True when slot (i, cell) is simply plane(i) + cell — double-buffered
-  /// mode, or AA at phase 0 (never sparse: compact storage has no dense
-  /// planes). write_plane requires it.
+  /// True when slot (i, cell) is simply plane(i) + cell: AA at phase 0
+  /// (never sparse: compact storage has no dense planes).
   bool plane_layout_natural() const {
-    return mode_ != StorageMode::Sparse && phase_ == 0;
+    return mode_ == StorageMode::AA && phase_ == 0;
   }
 
   /// Marks the AA lattice collided (phase 0->1 or 2->3) after an
@@ -185,11 +179,6 @@ class Lattice {
   /// Rebuilds the lattice in the given storage mode, preserving the
   /// logical distribution field, flags and boundary state bit-exactly.
   void convert_storage(StorageMode mode);
-
-  /// One-time entry into the fused-kernel cycle from the canonical
-  /// post-stream state: relabels phase 0 as phase 1 by swapping opposing
-  /// plane pairs (the logical field is unchanged).
-  void aa_adopt_collided_layout();
 
   // --- distribution access (phase- and layout-transparent) ---
   // A Solid-flagged cell reads 0 and drops writes, in every storage mode
@@ -236,12 +225,20 @@ class Lattice {
     }
     fn(std::span<const Real>(gathered));
   }
-  /// Passes fn plane i's storage as a std::span<Real>, to fill in cell
-  /// order. Natural layout only (a fresh DoubleBuffer or AA lattice), so
-  /// a checkpoint load streams each plane straight into storage.
+  /// Passes fn plane i as a std::span<Real>, to fill with f_i(0) ..
+  /// f_i(n - 1): the one natural-order import of the field, which
+  /// checkpoint loads use. AA in the natural layout (phase 0, as built)
+  /// hands out its storage; Sparse a scratch plane, which it packs into
+  /// the compact plane after fn returns, dropping the solid cells.
   template <class Fn>
   void write_plane(int i, Fn&& fn) {
-    fn(std::span<Real>(plane_ptr(i), static_cast<std::size_t>(n_)));
+    if (mode_ == StorageMode::AA) {
+      fn(std::span<Real>(plane_ptr(i), static_cast<std::size_t>(n_)));
+      return;
+    }
+    std::vector<Real> natural(static_cast<std::size_t>(n_));
+    fn(std::span<Real>(natural));
+    sparse_pack_plane(i, natural);
   }
 
   // --- sparse compact layout (Sparse mode only) ---
@@ -270,11 +267,11 @@ class Lattice {
     return sparse_cells_;
   }
 
-  /// DoubleBuffer/Sparse: swap current and back buffers (after a
-  /// streaming pass). AA: flip parity (phase 1->2 or 3->0) — the
-  /// zero-copy bulk stream; requires a collided lattice.
+  /// Sparse: swap current and back buffers (after a streaming pass). AA:
+  /// flip parity (phase 1->2 or 3->0) — the zero-copy bulk stream;
+  /// requires a collided lattice.
   void swap_buffers() {
-    if (mode_ != StorageMode::AA) {
+    if (mode_ == StorageMode::Sparse) {
       cur_ = 1 - cur_;
       return;
     }
@@ -294,6 +291,15 @@ class Lattice {
   /// after it. Kept on the lattice so the hot loop does not reallocate
   /// every step; released when the lattice converts to another mode.
   std::vector<Real>& aa_fix_scratch() { return aa_fix_; }
+
+  /// Per curved link, in curved_links() order: f*_dir of its cell before
+  /// the last stream, the value heading into the wall. The AA stream
+  /// records it beside the link's Bouzidi fixup (boundary.hpp), because
+  /// the fixup replaces the reflected value that plain bounce-back would
+  /// leave equal to it; momentum_exchange_force reads it. Released with
+  /// the fixup scratch.
+  const std::vector<Real>& curved_link_out() const { return curved_out_; }
+  std::vector<Real>& curved_link_out() { return curved_out_; }
 
   // --- cell flags ---
   CellType flag(i64 cell) const { return static_cast<CellType>(flags_[cell]); }
@@ -357,9 +363,11 @@ class Lattice {
   }
 
   // --- curved boundary links ---
+  /// Registers a Bouzidi link (AA only: sparse storage rejects curved
+  /// links). Its reflected direction becomes a rule link of its cell, so
+  /// the classification is rebuilt.
   void add_curved_link(CurvedLink link);
   const std::vector<CurvedLink>& curved_links() const { return curved_links_; }
-  void clear_curved_links() { curved_links_.clear(); }
 
   // --- initialization and shape helpers ---
   /// Sets every fluid cell to equilibrium at (rho, u).
@@ -377,13 +385,13 @@ class Lattice {
 
   /// Bytes of distribution storage, as the texture-memory footprint of
   /// Section 2 would account for them: what the buffers hold (their
-  /// capacity), so the figure cannot under-report. That is both buffers
-  /// in double-buffered mode, one buffer plus the fixup scratch in AA
-  /// mode, and two compact buffers plus the index pair in sparse mode.
+  /// capacity), so the figure cannot under-report. That is one buffer
+  /// plus the fixup scratch and the curved-link record in AA mode, and
+  /// two compact buffers plus the index pair in sparse mode.
   i64 storage_bytes() const {
     if (mode_ == StorageMode::Sparse) ensure_sparse();
-    const std::size_t reals =
-        buf_[0].capacity() + buf_[1].capacity() + aa_fix_.capacity();
+    const std::size_t reals = buf_[0].capacity() + buf_[1].capacity() +
+                              aa_fix_.capacity() + curved_out_.capacity();
     const std::size_t ids = sparse_map_.capacity() + sparse_cells_.capacity();
     return static_cast<i64>(reals * sizeof(Real) + ids * sizeof(i64));
   }
@@ -391,8 +399,8 @@ class Lattice {
  private:
   i64 plane(int i) const { return i64(i) * n_; }
 
-  /// Storage slot of logical f_i at cell p under AA phase `phase` (0 in
-  /// double-buffered mode): the one place the phase mapping is written.
+  /// Storage slot of logical f_i at cell p under AA phase `phase`: the one
+  /// place the phase mapping is written.
   ///   phase 0: (i, x)   1: (OPP[i], x)   2: (OPP[i], x - c_i)   3: (i, x + c_i)
   /// Taking coordinates lets a caller that visits all 19 slots of a cell
   /// recover them once, not once per direction. Written without a switch
@@ -422,27 +430,14 @@ class Lattice {
     return p;
   }
   // Raw storage pointers: only the addressing policies (cell_pass.hpp)
-  // and the DoubleBuffer back-buffer readers of boundary.cpp use them.
-  template <bool kCompact>
-  friend struct detail::PlaneAddr;
+  // use them.
+  friend struct detail::CompactAddr;
   friend struct detail::AaAddr;
-  friend void apply_curved_bounce(Lattice& lat);
-  friend Vec3 momentum_exchange_force(const Lattice& lat);
 
-  /// Plane base pointers: base[cell] is f_i(cell) in the natural layout,
-  /// or in the DoubleBuffer back buffer, which the stream writes and which
-  /// holds the post-collision values until the swap.
+  /// Plane base pointers: base[cell] is f_i(cell) in the natural layout.
   Real* plane_ptr(int i) {
     GC_CHECK(plane_layout_natural());
     return buf_[cur_].data() + plane(i);
-  }
-  Real* back_plane_ptr(int i) {
-    GC_CHECK(mode_ == StorageMode::DoubleBuffer);
-    return buf_[1 - cur_].data() + plane(i);
-  }
-  const Real* back_plane_ptr(int i) const {
-    GC_CHECK(mode_ == StorageMode::DoubleBuffer);
-    return buf_[1 - cur_].data() + plane(i);
   }
   /// Compact plane base pointers: base[m] is f_i of the cell with compact
   /// id m, in the current (read) or back (write) buffer.
@@ -479,6 +474,8 @@ class Lattice {
     if (sparse_dirty_) const_cast<Lattice*>(this)->rebuild_sparse_layout();
   }
   void rebuild_sparse_layout();
+  /// Packs a natural-order plane into compact plane i (write_plane).
+  void sparse_pack_plane(int i, const std::vector<Real>& natural);
   /// The one compaction path: sparse_expand() unpacks the compact planes
   /// through the current map into natural planes (0 at pruned cells);
   /// sparse_compact() rebuilds the map from the flags, in ascending dense
@@ -491,11 +488,12 @@ class Lattice {
 
   Int3 dim_;
   i64 n_;
-  StorageMode mode_ = StorageMode::DoubleBuffer;
+  StorageMode mode_ = StorageMode::AA;
   int phase_ = 0;
   std::array<std::vector<Real>, 2> buf_;
   int cur_ = 0;
   std::vector<Real> aa_fix_;
+  std::vector<Real> curved_out_;
   std::vector<i64> sparse_map_;    ///< dense cell -> compact id, -1 pruned
   std::vector<i64> sparse_cells_;  ///< compact id -> dense cell, ascending
   i64 sparse_n_ = 0;               ///< active (non-solid) cell count

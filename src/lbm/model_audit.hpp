@@ -147,13 +147,4 @@ static_assert(diagonals_decompose_into_two_axial_hops(),
               "every diagonal link must be the sum of two axial links — "
               "the §4.3 indirect-routing precondition");
 
-/// All proofs bundled, for tests that want a single runtime-visible
-/// witness that this header's checks are in force.
-constexpr bool model_audit_passed() {
-  return opp_is_involution() && link_norms_match_blocks() &&
-         links_distinct() && weights_positive_and_shell_uniform() &&
-         weights_normalized() && first_moment_zero() &&
-         second_moment_isotropic() && diagonals_decompose_into_two_axial_hops();
-}
-
 }  // namespace gc::lbm::audit

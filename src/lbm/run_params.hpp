@@ -20,9 +20,9 @@ enum class CollisionKind { BGK, MRT };
 struct RunParams {
   Real tau = Real(0.8);
   CollisionKind collision = CollisionKind::BGK;
-  /// Distribution storage backend: the double-buffered default or the
-  /// in-place AA pattern (half the footprint and traffic, bit-exact).
-  StorageMode storage = StorageMode::DoubleBuffer;
+  /// Distribution storage backend: the in-place AA pattern, or the
+  /// compact fluid-index layout for solid-heavy scenes (bit-exact).
+  StorageMode storage = StorageMode::AA;
 };
 
 }  // namespace gc::lbm

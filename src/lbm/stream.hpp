@@ -17,12 +17,12 @@ namespace gc::lbm {
 /// Streams the cells of `box` (clipped to the lattice) from the current
 /// buffer, with all boundary handling, on ctx.pool when set (the pull
 /// pattern has no write conflicts, so pooled equals serial bit for bit).
-/// DoubleBuffer and Sparse write the pulled values of the non-solid cells
-/// into the back buffer, in z-chunks. AA only reads: it collects the pulls
-/// of the box's rule links (the links of its slow cells whose source is
-/// not a fluid cell, CellClass::RuleLinks) into the lattice's fixup
-/// scratch, in the same z-chunks; every other link, the bulk's and the
-/// periodic faces' included, streams in the flip. No span. A cell pulls
+/// AA only reads: it collects the pulls of the box's rule links (the
+/// links of its slow cells whose source is not a fluid cell,
+/// CellClass::RuleLinks) into the lattice's fixup scratch, in z-chunks;
+/// every other link, the bulk's and the periodic faces' included, streams
+/// in the flip. Sparse writes the pulled values of the non-solid cells
+/// into the back buffer, in the same z-chunks. No span. A cell pulls
 /// only from cells one hop away (or across a periodic face), so the
 /// overlapped step streams the box of cells that read no ghost while
 /// border messages are in flight (core::LocalDomain).
@@ -31,12 +31,13 @@ void stream_region(Lattice& lat, const CellBox& box,
 
 /// Completes a stream once region passes have covered every cell exactly
 /// once (any partition of the lattice into boxes, in any order; flags
-/// must not change in between): swaps the buffers (DoubleBuffer, Sparse)
-/// or flips the AA parity and writes the AA rule links through the new
-/// mapping, then re-imposes inlet equilibria and applies curved-boundary
-/// (Bouzidi) corrections. No solid cell is written: it reads 0 through
-/// the lattice's accessors whatever its storage holds. The AA writes run
-/// on ctx.pool when set. No span.
+/// must not change in between): under AA, writes the curved links'
+/// Bouzidi values over their rule links (boundary.hpp), advances an
+/// un-collided lattice with the identity operator, flips the parity and
+/// writes the rule links through the new mapping; under Sparse, swaps the
+/// buffers. Then re-imposes inlet equilibria. No solid cell is written:
+/// it reads 0 through the lattice's accessors whatever its storage holds.
+/// The AA writes run on ctx.pool when set. No span.
 void finish_stream(Lattice& lat, const StepContext& ctx = {});
 
 /// One stream of the whole lattice: stream_region over every cell, then

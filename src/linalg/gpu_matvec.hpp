@@ -23,8 +23,6 @@ class GpuSparseMatrix {
 
   int rows() const { return rows_; }
   int ell_width() const { return k_; }
-  int tex_width() const { return w_; }
-  int tex_height() const { return h_; }
 
   /// y = A x: uploads x, runs the matvec pass, reads y back. Functionally
   /// exact against CsrMatrix::multiply up to float summation order.

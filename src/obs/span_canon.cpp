@@ -30,6 +30,11 @@ constexpr SpanCanon kSpans[] = {
     {"unpack", "net"},
 };
 
+/// One canonical counter or gauge name.
+struct MetricCanon {
+  const char* name;
+};
+
 constexpr MetricCanon kCounters[] = {
     {"ft.checkpoints"},
     {"ft.corrupt_detected"},
@@ -65,26 +70,11 @@ constexpr MetricCanon kGauges[] = {
     {"urban.ms_per_step"},
 };
 
-template <std::size_t N>
-constexpr std::size_t size_of(const MetricCanon (&)[N]) {
-  return N;
-}
-
 }  // namespace
 
 const SpanCanon* span_canon(std::size_t* count) {
   *count = sizeof(kSpans) / sizeof(kSpans[0]);
   return kSpans;
-}
-
-const MetricCanon* counter_canon(std::size_t* count) {
-  *count = size_of(kCounters);
-  return kCounters;
-}
-
-const MetricCanon* gauge_canon(std::size_t* count) {
-  *count = size_of(kGauges);
-  return kGauges;
 }
 
 bool is_canonical_span(std::string_view name) {

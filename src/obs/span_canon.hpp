@@ -21,15 +21,8 @@ struct SpanCanon {
   const char* cat;
 };
 
-/// One canonical counter or gauge name.
-struct MetricCanon {
-  const char* name;
-};
-
 /// All canonical spans (sorted by name). `count` receives the table size.
 const SpanCanon* span_canon(std::size_t* count);
-const MetricCanon* counter_canon(std::size_t* count);
-const MetricCanon* gauge_canon(std::size_t* count);
 
 /// True when `name` is a canonical span name.
 bool is_canonical_span(std::string_view name);

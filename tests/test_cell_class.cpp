@@ -4,6 +4,7 @@
 // rebuild-on-dirty contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <vector>
 
@@ -97,14 +98,14 @@ TEST(CellClass, MatchesBruteForceUnderEveryFaceBc) {
   // the flag field is re-randomized per combination. Combination 5 is a
   // periodic box with few obstacles, so most of its face cells are bulk
   // and their pulls wrap on every axis. Each combination is classified on
-  // a double-buffered and on an AA lattice: the same partition, plus the
-  // rule links under AA.
+  // a Sparse and on an AA lattice: the same partition, plus the rule links
+  // under AA.
   i64 x_wrapping = 0;
   i64 rule_links = 0;
   for (int run = 0; run < 12; ++run) {
     const int combo = run / 2;
     const StorageMode mode =
-        run % 2 ? StorageMode::AA : StorageMode::DoubleBuffer;
+        run % 2 ? StorageMode::AA : StorageMode::Sparse;
     Lattice lat(Int3{9, 8, 7}, mode);
     for (int face = 0; face < 6; ++face) {
       lat.set_face_bc(static_cast<Face>(face),
@@ -192,6 +193,42 @@ TEST(CellClass, MatchesBruteForceUnderEveryFaceBc) {
   }
   EXPECT_GT(x_wrapping, 0);
   EXPECT_GT(rule_links, 0);
+}
+
+TEST(CellClass, CurvedLinksAreRuleLinksOfTheirCells) {
+  // Under AA the reflected direction of a curved link is a rule link of
+  // its cell whatever lies beyond, so a cell that would be bulk turns
+  // slow; the link's slot is that rule link's fixup offset, and a link on
+  // a solid cell has none.
+  Lattice lat(Int3{8, 8, 8});
+  const i64 bulk = lat.idx(4, 4, 4);  // all-fluid neighbours
+  const i64 solid = lat.idx(2, 2, 2);
+  lat.set_flag(solid, CellType::Solid);
+  const std::vector<i64>& before = lat.cell_class().slow;
+  ASSERT_EQ(std::find(before.begin(), before.end(), bulk), before.end());
+  lat.add_curved_link({bulk, 1, Real(0.3)});
+  lat.add_curved_link({bulk, 4, Real(0.6)});
+  lat.add_curved_link({solid, 1, Real(0.5)});
+
+  const CellClass& cc = lat.cell_class();
+  const auto it = std::find(cc.slow.begin(), cc.slow.end(), bulk);
+  ASSERT_NE(it, cc.slow.end());
+  const CellClass::RuleLinks r =
+      cc.slow_links[static_cast<std::size_t>(it - cc.slow.begin())];
+  const u32 reflected = (u32(1) << OPP[1]) | (u32(1) << OPP[4]);
+  EXPECT_EQ(r.mask & reflected, reflected);
+  ASSERT_EQ(cc.curved_at.size(), 3u);
+  auto slot = [&r](int dir) {
+    return i64(r.at) + std::popcount(r.mask & ((u32(1) << dir) - 1));
+  };
+  EXPECT_EQ(cc.curved_at[0], slot(OPP[1]));
+  EXPECT_EQ(cc.curved_at[1], slot(OPP[4]));
+  EXPECT_EQ(cc.curved_at[2], -1);
+
+  // Sparse storage rejects curved links, so it has no such slot.
+  Lattice sparse(Int3{8, 8, 8}, StorageMode::Sparse);
+  EXPECT_THROW(sparse.add_curved_link({bulk, 1, Real(0.3)}), Error);
+  EXPECT_TRUE(sparse.cell_class().curved_at.empty());
 }
 
 TEST(CellClass, ZPartitionsAreConsistent) {

@@ -229,14 +229,15 @@ TEST(CheckpointV2, ManifestRoundTrips) {
 
 // ---------------------------------------------------------------------------
 // Format v3+: the header records the StorageMode; loads auto-detect it,
-// and v2 files (no mode field) still load as DoubleBuffer. The writer
-// emits v4 (same layout; the storage byte may additionally say Sparse).
+// and v2 files (no mode field) and storage byte 0 (the retired
+// double-buffered mode) load as AA. The writer emits v4 (same layout; the
+// storage byte may additionally say Sparse).
 
 namespace {
 /// Rewrites a saved v3 checkpoint into the v2 wire format: drops the
 /// storage-mode byte from the body, sets the version word to 2 and
 /// re-derives body_size and CRC32 — byte-for-byte what the pre-v3 writer
-/// produced for a DoubleBuffer lattice.
+/// produced: the planes are stored in natural order in every mode.
 std::string downgrade_to_v2(const std::string& v3) {
   // Envelope: [magic 4][version 4][body_size 8][crc 4][body]; the
   // storage byte sits at body offset 16 (3 x i32 dims + u32 Q).
@@ -252,7 +253,7 @@ std::string downgrade_to_v2(const std::string& v3) {
 TEST(CheckpointV3, RecordsAndDetectsStorageMode) {
   TempPath f("mode.gclb");
   for (const lbm::StorageMode mode :
-       {lbm::StorageMode::DoubleBuffer, lbm::StorageMode::AA}) {
+       {lbm::StorageMode::AA, lbm::StorageMode::Sparse}) {
     Lattice lat(Int3{6, 5, 4}, mode);
     lat.init_equilibrium(Real(1), Vec3{0.02f, 0, 0});
     save_checkpoint(f.path(), lat);
@@ -271,17 +272,40 @@ TEST(CheckpointV3, ExplicitModeOverridesTheHeader) {
   Lattice lat(Int3{6, 5, 4}, lbm::StorageMode::AA);
   lat.init_equilibrium(Real(1), Vec3{0.02f, 0, 0});
   save_checkpoint(f.path(), lat);
-  const Lattice as_db =
-      load_checkpoint(f.path(), lbm::StorageMode::DoubleBuffer);
-  EXPECT_EQ(as_db.storage_mode(), lbm::StorageMode::DoubleBuffer);
+  const Lattice as_sparse = load_checkpoint(f.path(), lbm::StorageMode::Sparse);
+  EXPECT_EQ(as_sparse.storage_mode(), lbm::StorageMode::Sparse);
   for (int i = 0; i < lbm::Q; ++i) {
     for (i64 c = 0; c < lat.num_cells(); ++c) {
-      ASSERT_EQ(as_db.f(i, c), lat.f(i, c));
+      ASSERT_EQ(as_sparse.f(i, c), lat.f(i, c));
     }
   }
 }
 
-TEST(CheckpointV3, LoadsLegacyV2FilesAsDoubleBuffer) {
+TEST(CheckpointV3, LoadsStorageByteZeroAsAA) {
+  // Byte 0 named the retired double-buffered mode, whose natural planes
+  // an AA lattice holds at phase 0.
+  TempPath f("byte0.gclb");
+  const Lattice original = make_state();
+  save_checkpoint(f.path(), original);
+  std::string file = slurp(f.path());
+  // The storage byte sits at body offset 16 (3 x i32 dims + u32 Q).
+  ASSERT_EQ(file[kHeader + 16], char(lbm::StorageMode::AA));
+  file[kHeader + 16] = 0;
+  reseal(file);
+  spit(f.path(), file);
+
+  EXPECT_EQ(read_checkpoint_info(f.path()).storage, lbm::StorageMode::AA);
+  const Lattice restored = load_checkpoint(f.path());
+  EXPECT_EQ(restored.storage_mode(), lbm::StorageMode::AA);
+  EXPECT_EQ(restored.aa_phase(), 0);
+  for (int i = 0; i < lbm::Q; ++i) {
+    for (i64 c = 0; c < original.num_cells(); ++c) {
+      ASSERT_EQ(restored.f(i, c), original.f(i, c));
+    }
+  }
+}
+
+TEST(CheckpointV3, LoadsLegacyV2FilesAsAA) {
   TempPath f("legacy.gclb");
   const Lattice original = make_state();
   save_checkpoint(f.path(), original);
@@ -289,10 +313,10 @@ TEST(CheckpointV3, LoadsLegacyV2FilesAsDoubleBuffer) {
 
   const CheckpointInfo info = read_checkpoint_info(f.path());
   EXPECT_EQ(info.version, 2u);
-  EXPECT_EQ(info.storage, lbm::StorageMode::DoubleBuffer);
+  EXPECT_EQ(info.storage, lbm::StorageMode::AA);
 
   const Lattice restored = load_checkpoint(f.path());
-  EXPECT_EQ(restored.storage_mode(), lbm::StorageMode::DoubleBuffer);
+  EXPECT_EQ(restored.storage_mode(), lbm::StorageMode::AA);
   for (int i = 0; i < lbm::Q; ++i) {
     for (i64 c = 0; c < original.num_cells(); ++c) {
       ASSERT_EQ(restored.f(i, c), original.f(i, c));
@@ -382,7 +406,7 @@ struct Sample {
   }
 };
 
-/// v4 DoubleBuffer with a curved link, v4 Sparse, and the first one
+/// v4 AA with a curved link, v4 Sparse, and the first one
 /// relabelled v3 and rewritten as v2. 12x10x6 puts every file well above
 /// the allocation floor.
 std::vector<Sample> checkpoint_samples(const std::string& path) {

@@ -128,7 +128,7 @@ i64 count_rule_links(const lbm::Lattice& lat) {
 lbm::Lattice traffic_lattice(bool solid_block, lbm::StorageMode mode) {
   if (!solid_block) {
     lbm::Lattice lat(Int3{8, 8, 8});
-    if (mode != lbm::StorageMode::DoubleBuffer) lat.convert_storage(mode);
+    lat.convert_storage(mode);
     return lat;
   }
   lbm::Lattice lat(Int3{12, 10, 8});
@@ -136,7 +136,7 @@ lbm::Lattice traffic_lattice(bool solid_block, lbm::StorageMode mode) {
   lat.set_face_bc(lbm::FACE_XMAX, lbm::FaceBc::Outflow);
   lat.set_face_bc(lbm::FACE_ZMIN, lbm::FaceBc::Wall);
   lat.fill_solid_box(Int3{3, 2, 0}, Int3{7, 6, 5});
-  if (mode != lbm::StorageMode::DoubleBuffer) lat.convert_storage(mode);
+  lat.convert_storage(mode);
   return lat;
 }
 
@@ -152,7 +152,6 @@ TEST_P(StepTraffic, MatchesTheStorageModesPlaneTraffic) {
     const i64 cells = lat.num_cells() - lat.count(lbm::CellType::Solid);
     EXPECT_EQ(cells < lat.num_cells(), solid_block);
     switch (mode) {
-      case lbm::StorageMode::DoubleBuffer:
       case lbm::StorageMode::Sparse:
         EXPECT_DOUBLE_EQ(split, 4 * kPlanes * cells);
         EXPECT_DOUBLE_EQ(fused, split / 2);
@@ -176,8 +175,7 @@ TEST_P(StepTraffic, MatchesTheStorageModesPlaneTraffic) {
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, StepTraffic,
-    ::testing::Values(lbm::StorageMode::DoubleBuffer, lbm::StorageMode::AA,
-                      lbm::StorageMode::Sparse),
+    ::testing::Values(lbm::StorageMode::AA, lbm::StorageMode::Sparse),
     [](const ::testing::TestParamInfo<lbm::StorageMode>& info) {
       return std::string(lbm::storage_mode_name(info.param));
     });

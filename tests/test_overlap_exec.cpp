@@ -5,10 +5,10 @@
 // face BCs, random solids, BGK/MRT, thermal on/off — the overlapped step
 // must be bit-identical to the synchronous path and the serial reference,
 // wire-compatible (same payload volume), and deterministic for a fixed
-// seed even under an adversarial FaultSpec. Every configuration is additionally swept
-// across the storage backends (AA in-place, sparse fluid-index) and the
-// fluid-balanced decomposition, all of which must reproduce the
-// double-buffered uniform reference bit-for-bit.
+// seed even under an adversarial FaultSpec. Every configuration runs on
+// the default AA storage and is additionally swept across the sparse
+// fluid-index backend and the fluid-balanced decomposition, all of which
+// must reproduce the AA uniform reference bit-for-bit.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -167,9 +167,8 @@ struct ParResult {
   double hidden_ms = 0;
 };
 
-ParResult run_parallel(
-    const Sample& s, bool overlap,
-    lbm::StorageMode storage = lbm::StorageMode::DoubleBuffer) {
+ParResult run_parallel(const Sample& s, bool overlap,
+                       lbm::StorageMode storage = lbm::StorageMode::AA) {
   ParallelConfig cfg;
   cfg.tau = Real(0.8);
   cfg.grid = netsim::NodeGrid{s.grid};
@@ -240,44 +239,12 @@ TEST_P(OverlapExec, OverlapMatchesSyncAndSerialBitExact) {
   EXPECT_EQ(sync.payload_values, ovl.payload_values);
   EXPECT_GE(ovl.hidden_ms, 0.0);
 
-  // Storage sweep: the same configuration on the single-lattice AA
-  // backend — serial, synchronous and overlapped — must stay bit-identical
-  // to the double-buffered reference, and wire-compatible (the border
-  // payloads are read through the accessors, so the storage mode never
-  // reaches the wire).
-  lbm::Solver aa_serial(s.dim, scfg);
-  aa_serial.lattice() = make_global(s);
-  aa_serial.lattice().convert_storage(lbm::StorageMode::AA);
-  if (s.thermal) {
-    seed_temperature(s, [&aa_serial](int x, int y, int z, Real v) {
-      aa_serial.thermal()->set_t(aa_serial.lattice().idx(x, y, z), v);
-    });
-  }
-  aa_serial.run(s.steps);
-  expect_lattices_equal(serial.lattice(), aa_serial.lattice(),
-                        "AA serial vs DB serial");
-
-  const ParResult sync_aa = run_parallel(s, false, lbm::StorageMode::AA);
-  const ParResult ovl_aa = run_parallel(s, true, lbm::StorageMode::AA);
-  expect_lattices_equal(serial.lattice(), sync_aa.gathered,
-                        "AA sync vs serial");
-  expect_lattices_equal(serial.lattice(), ovl_aa.gathered,
-                        "AA overlap vs serial");
-  EXPECT_EQ(sync.payload_values, sync_aa.payload_values);
-  EXPECT_EQ(ovl.payload_values, ovl_aa.payload_values);
-  if (s.thermal) {
-    for (i64 c = 0; c < serial.lattice().num_cells(); ++c) {
-      ASSERT_EQ(ovl_aa.temperature[static_cast<std::size_t>(c)],
-                serial.thermal()->t(c))
-          << "AA T at " << serial.lattice().coords(c);
-    }
-  }
-
   // Sparse sweep: the fluid-index backend prunes the solid cells out of
-  // storage entirely, yet must still be bit-identical on every path —
-  // solid storage is unobservable (reads come back 0, exactly the dense
-  // post-stream value; bounce-back never consults the solid cell) — and
-  // wire-compatible, since pack/unpack go through the same accessors.
+  // storage entirely, yet must still be bit-identical to the AA runs
+  // above on every path — solid storage is unobservable (reads come back
+  // 0, exactly the dense post-stream value; bounce-back never consults
+  // the solid cell) — and wire-compatible, since pack/unpack go through
+  // the same accessors, so the storage mode never reaches the wire.
   lbm::Solver sp_serial(s.dim, scfg);
   sp_serial.lattice() = make_global(s);
   sp_serial.lattice().convert_storage(lbm::StorageMode::Sparse);
@@ -288,7 +255,7 @@ TEST_P(OverlapExec, OverlapMatchesSyncAndSerialBitExact) {
   }
   sp_serial.run(s.steps);
   expect_lattices_equal(serial.lattice(), sp_serial.lattice(),
-                        "sparse serial vs DB serial");
+                        "sparse serial vs AA serial");
 
   const ParResult sync_sp = run_parallel(s, false, lbm::StorageMode::Sparse);
   const ParResult ovl_sp = run_parallel(s, true, lbm::StorageMode::Sparse);
@@ -347,8 +314,7 @@ TEST(OverlapExec, SameSeedScheduleIsDeterministicUnderFaults) {
   auto run_once = [&](Lattice& out, netsim::FaultCounters& fc,
                       netsim::ReliabilityStats& rs,
                       std::vector<netsim::RankTraffic>& traffic,
-                      lbm::StorageMode storage =
-                          lbm::StorageMode::DoubleBuffer) {
+                      lbm::StorageMode storage = lbm::StorageMode::AA) {
     netsim::FaultSpec faults(909);
     faults.rates.corrupt = 0.15;
     ParallelConfig cfg;
@@ -370,43 +336,35 @@ TEST(OverlapExec, SameSeedScheduleIsDeterministicUnderFaults) {
     }
   };
 
-  Lattice a(s.dim), b(s.dim), c(s.dim), d(s.dim);
-  netsim::FaultCounters fa, fb, fc2, fd;
-  netsim::ReliabilityStats ra, rb, rc, rd;
-  std::vector<netsim::RankTraffic> ta, tb, tc, td;
+  Lattice a(s.dim), b(s.dim), c(s.dim);
+  netsim::FaultCounters fa, fb, fc2;
+  netsim::ReliabilityStats ra, rb, rc;
+  std::vector<netsim::RankTraffic> ta, tb, tc;
   run_once(a, fa, ra, ta);
   run_once(b, fb, rb, tb);
   // The AA and sparse backends send byte-identical payloads, so the fault
   // schedule, CRC detections and retransmits replay exactly.
-  run_once(c, fc2, rc, tc, lbm::StorageMode::AA);
-  run_once(d, fd, rd, td, lbm::StorageMode::Sparse);
+  run_once(c, fc2, rc, tc, lbm::StorageMode::Sparse);
 
   expect_lattices_equal(a, b, "run 1 vs run 2");
-  expect_lattices_equal(a, c, "AA vs double-buffered under faults");
-  expect_lattices_equal(a, d, "sparse vs double-buffered under faults");
+  expect_lattices_equal(a, c, "sparse vs AA under faults");
   EXPECT_GT(fa.corruptions, 0);
   EXPECT_EQ(fa.corruptions, fb.corruptions);
   EXPECT_EQ(fa.corruptions, fc2.corruptions);
-  EXPECT_EQ(fa.corruptions, fd.corruptions);
   EXPECT_EQ(fa.drops, fb.drops);
   EXPECT_GT(ra.retransmits, 0);
   EXPECT_EQ(ra.retransmits, rb.retransmits);
   EXPECT_EQ(ra.retransmits, rc.retransmits);
-  EXPECT_EQ(ra.retransmits, rd.retransmits);
   EXPECT_EQ(ra.corrupt_detected, rb.corrupt_detected);
   EXPECT_EQ(ra.corrupt_detected, rc.corrupt_detected);
-  EXPECT_EQ(ra.corrupt_detected, rd.corrupt_detected);
   EXPECT_EQ(ra.duplicates_dropped, rb.duplicates_dropped);
   ASSERT_EQ(ta.size(), tb.size());
   ASSERT_EQ(ta.size(), tc.size());
-  ASSERT_EQ(ta.size(), td.size());
   for (std::size_t r = 0; r < ta.size(); ++r) {
     EXPECT_EQ(ta[r].messages, tb[r].messages) << "rank " << r;
     EXPECT_EQ(ta[r].payload_values, tb[r].payload_values) << "rank " << r;
-    EXPECT_EQ(ta[r].messages, tc[r].messages) << "AA rank " << r;
-    EXPECT_EQ(ta[r].payload_values, tc[r].payload_values) << "AA rank " << r;
-    EXPECT_EQ(ta[r].messages, td[r].messages) << "sparse rank " << r;
-    EXPECT_EQ(ta[r].payload_values, td[r].payload_values)
+    EXPECT_EQ(ta[r].messages, tc[r].messages) << "sparse rank " << r;
+    EXPECT_EQ(ta[r].payload_values, tc[r].payload_values)
         << "sparse rank " << r;
   }
 }
@@ -462,21 +420,22 @@ TEST(OverlapExec, GpuClusterOverlapMatchesSync) {
     expect_lattices_equal(sync, ovl, "gpu overlap vs sync");
     EXPECT_GE(hidden, 0.0);
 
-    // The interop boundary with AA host storage: the cluster keeps its
-    // own texture-side layout, but seeding from an AA global and
-    // gathering into an AA lattice go through the phase-aware
-    // accessors, so the result is bit-exact vs the double-buffered run.
-    Lattice aa_global = make_gpu_global();
-    aa_global.convert_storage(lbm::StorageMode::AA);
+    // The interop boundary with Sparse host storage: the cluster keeps
+    // its own texture-side layout, but seeding from a Sparse global and
+    // gathering into a Sparse lattice go through the layout-transparent
+    // accessors, so the result is bit-exact vs the AA run.
+    Lattice sp_global = make_gpu_global();
+    sp_global.convert_storage(lbm::StorageMode::Sparse);
     GpuClusterConfig cfg;
     cfg.tau = Real(0.8);
     cfg.grid = netsim::NodeGrid{s.grid};
     cfg.overlap = true;
-    GpuClusterLbm cluster(aa_global, cfg);
+    GpuClusterLbm cluster(sp_global, cfg);
     cluster.run(s.steps);
-    Lattice aa_out(s.dim, lbm::StorageMode::AA);
-    cluster.gather(aa_out);
-    expect_lattices_equal(sync, aa_out, "gpu seeded from / gathered into AA");
+    Lattice sp_out(s.dim, lbm::StorageMode::Sparse);
+    cluster.gather(sp_out);
+    expect_lattices_equal(sync, sp_out,
+                          "gpu seeded from / gathered into Sparse");
   }
 }
 

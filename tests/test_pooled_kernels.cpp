@@ -101,7 +101,7 @@ TEST(PooledSolver, MultiStepTrajectoriesMatch) {
 
 TEST(PooledSolver, ThermalMrtMatchesSerialBitExact) {
   // The hybrid thermal step on a pool (pooled MRT, serial temperature and
-  // forcing) against the serial run, on both dense storage modes.
+  // forcing) against the serial run, on both storage modes.
   ThreadPool pool(3);
   SolverConfig serial_cfg;
   serial_cfg.collision = CollisionKind::MRT;
@@ -111,7 +111,7 @@ TEST(PooledSolver, ThermalMrtMatchesSerialBitExact) {
   tp.buoyancy = Real(4e-4);
   tp.t_ref = Real(0.5);
   serial_cfg.thermal = tp;
-  for (const StorageMode mode : {StorageMode::DoubleBuffer, StorageMode::AA}) {
+  for (const StorageMode mode : {StorageMode::AA, StorageMode::Sparse}) {
     SCOPED_TRACE(storage_mode_name(mode));
     serial_cfg.storage = mode;
     SolverConfig pooled_cfg = serial_cfg;

@@ -68,7 +68,7 @@ TEST(FlowKeyTest, StemIsDeterministicAndSensitiveToEveryField) {
   k.params.tau += Real(0.05);
   EXPECT_NE(flow_key_stem(k), flow_key_stem(base));
   k = base;
-  k.params.storage = lbm::StorageMode::AA;
+  k.params.storage = lbm::StorageMode::Sparse;
   EXPECT_NE(flow_key_stem(k), flow_key_stem(base));
   k = base;
   k.geometry_hash ^= 1;

@@ -1,8 +1,8 @@
 // The sparse fluid-index backend (StorageMode::Sparse): compact layout
 // invariants against the flag field, dense <-> sparse round trips at
 // every buffer phase, accessor semantics on pruned (solid) cells, lazy
-// remapping under flag mutations, kernel equivalence of the AA and sparse
-// backends against the dense reference, and checkpoint save/load across
+// remapping under flag mutations, kernel equivalence of the sparse and AA
+// backends, each held to the other, and checkpoint save/load across
 // storage layouts.
 #include <gtest/gtest.h>
 
@@ -24,9 +24,9 @@ namespace {
 
 using test::TempPath;
 
-/// A double-buffered lattice with mixed BCs, a solid obstacle and a
-/// spatially varying near-equilibrium state — the dense reference every
-/// sparse expectation compares against.
+/// An AA lattice with mixed BCs, a solid obstacle and a spatially varying
+/// near-equilibrium state — the dense reference every sparse expectation
+/// compares against.
 Lattice make_dense(Int3 dim = Int3{12, 9, 7}) {
   Lattice lat(dim);
   lat.set_face_bc(FACE_XMIN, FaceBc::Inlet);
@@ -89,10 +89,10 @@ TEST(SparseLattice, CompactLayoutMatchesFlagField) {
   }
 
   // Pruning must show up in the footprint once the solid fraction
-  // outweighs the index-map overhead (~10% at 4-byte Reals): a half-solid
-  // scene stores far less compactly than double-buffered.
+  // outweighs the second buffer and the index map: a 3/4-solid scene,
+  // the urban shape, stores in less than the one dense AA buffer.
   Lattice heavy(Int3{16, 16, 16});
-  heavy.fill_solid_box(Int3{0, 0, 0}, Int3{16, 16, 8});
+  heavy.fill_solid_box(Int3{0, 0, 0}, Int3{16, 16, 12});
   const i64 dense_bytes = heavy.storage_bytes();
   heavy.convert_storage(StorageMode::Sparse);
   EXPECT_LT(heavy.storage_bytes(), dense_bytes);
@@ -105,8 +105,8 @@ TEST(SparseLattice, RoundTripPreservesActiveValues) {
   lat.convert_storage(StorageMode::Sparse);
   expect_equal_active(dense, lat, "dense -> sparse");
 
-  lat.convert_storage(StorageMode::DoubleBuffer);
-  EXPECT_EQ(lat.storage_mode(), StorageMode::DoubleBuffer);
+  lat.convert_storage(StorageMode::AA);
+  EXPECT_EQ(lat.storage_mode(), StorageMode::AA);
   expect_equal_active(dense, lat, "sparse -> dense");
   // Solid values do not survive the compact layout; they come back as 0,
   // which is also what dense post-stream state stores there.
@@ -119,17 +119,17 @@ TEST(SparseLattice, RoundTripPreservesActiveValues) {
 TEST(SparseLattice, RoundTripFromEveryAaPhase) {
   const BgkParams p{Real(0.8), Vec3{}};
 
-  // Natural parity: a full collide+stream cycle lands AA back at phase 0.
+  // Odd parity: one collide+stream cycle leaves AA at phase 2.
   {
     Lattice ref = make_dense();
     Lattice aa = make_dense();
-    aa.convert_storage(StorageMode::AA);
     collide_bgk(ref, p);
     stream(ref);
     collide_bgk(aa, p);
     stream(aa);
+    ASSERT_EQ(aa.aa_phase(), 2);
     aa.convert_storage(StorageMode::Sparse);
-    expect_equal_active(ref, aa, "AA phase 0 -> sparse");
+    expect_equal_active(ref, aa, "AA phase 2 -> sparse");
     aa.convert_storage(StorageMode::AA);
     expect_equal_active(ref, aa, "sparse -> AA");
   }
@@ -140,13 +140,12 @@ TEST(SparseLattice, RoundTripFromEveryAaPhase) {
   {
     Lattice ref = make_dense();
     Lattice aa = make_dense();
-    aa.convert_storage(StorageMode::AA);
     collide_bgk(ref, p);
     collide_bgk(aa, p);
     aa.convert_storage(StorageMode::Sparse);
     expect_equal_active(ref, aa, "AA collided phase -> sparse");
-    aa.convert_storage(StorageMode::DoubleBuffer);
-    expect_equal_active(ref, aa, "sparse -> dense");
+    aa.convert_storage(StorageMode::AA);
+    expect_equal_active(ref, aa, "sparse -> AA");
   }
 }
 
@@ -195,12 +194,13 @@ TEST(SparseLattice, FlagMutationRemapsSurvivingValues) {
   EXPECT_EQ(lat.f(3, probe), kept);
 }
 
-/// Every kernel on `mode` storage against the dense reference: serial +
-/// pooled stream with BGK, MRT and LES collides, a box-clipped collide and
-/// the fused kernel, against the dense lattice stepping the same schedule
-/// (the randomized cross-backend harness lives in test_overlap_exec.cpp;
-/// this is the focused unit).
-void expect_kernels_match_dense(StorageMode mode) {
+/// Every kernel on `mode` storage against the same lattice on `ref_mode`:
+/// serial + pooled stream with BGK, MRT and LES collides, a box-clipped
+/// collide (serial on the reference, pooled on `mode`) and the fused
+/// kernel, both lattices stepping the same schedule (the randomized
+/// cross-backend harness lives in test_overlap_exec.cpp; this is the
+/// focused unit).
+void expect_kernels_match(StorageMode ref_mode, StorageMode mode) {
   ThreadPool pool(3);
   const StepContext serial;
   const StepContext threaded(pool);
@@ -209,6 +209,7 @@ void expect_kernels_match_dense(StorageMode mode) {
   const SmagorinskyParams les;
 
   Lattice dense = make_dense();
+  dense.convert_storage(ref_mode);
   Lattice other = make_dense();
   other.convert_storage(mode);
   auto split_steps = [&](const char* label, int steps,
@@ -276,11 +277,12 @@ void expect_kernels_match_dense(StorageMode mode) {
 }
 
 TEST(SparseLattice, KernelsMatchDenseReference) {
-  expect_kernels_match_dense(StorageMode::Sparse);
+  expect_kernels_match(StorageMode::AA, StorageMode::Sparse);
 }
 
 TEST(StorageAA, KernelsMatchDenseReference) {
-  expect_kernels_match_dense(StorageMode::AA);
+  // AA's kernels, the box-clipped collide pooled, against Sparse.
+  expect_kernels_match(StorageMode::Sparse, StorageMode::AA);
 }
 
 TEST(SparseLattice, CopyDistributionsDemandsMatchingLayout) {
@@ -309,8 +311,8 @@ TEST(SparseLattice, CurvedLinksAreRejectedWithTypedError) {
 }
 
 TEST(SparseLattice, ConversionHoldsWhatBuildingHolds) {
-  // However a lattice reaches the sparse layout (converted from
-  // DoubleBuffer, converted from AA after a step with its fixups filled,
+  // However a lattice reaches the sparse layout (converted from a fresh
+  // AA lattice, converted from AA after a step with its fixups filled,
   // loaded from a sparse checkpoint, or rebuilt after cells turn solid),
   // it holds what the same geometry built Sparse holds: no buffer keeps
   // the capacity of the layout it came from, and storage_bytes() counts
@@ -330,12 +332,12 @@ TEST(SparseLattice, ConversionHoldsWhatBuildingHolds) {
                       (built.num_cells() + active) *
                           static_cast<i64>(sizeof(i64)));
 
-  Lattice from_db(dim);
-  shape(from_db);
-  from_db.convert_storage(StorageMode::Sparse);
-  EXPECT_EQ(from_db.storage_bytes(), want);
+  Lattice from_fresh(dim);
+  shape(from_fresh);
+  from_fresh.convert_storage(StorageMode::Sparse);
+  EXPECT_EQ(from_fresh.storage_bytes(), want);
 
-  Lattice from_aa(dim, StorageMode::AA);
+  Lattice from_aa(dim);
   shape(from_aa);
   collide_bgk(from_aa, bgk);
   stream(from_aa);
@@ -374,10 +376,9 @@ TEST(SparseCheckpoint, SaveLoadRoundTripsAcrossLayouts) {
 
   // Cross-layout restores: sparse file into dense, dense file into
   // sparse — the on-disk format is storage-agnostic.
-  const Lattice as_db =
-      io::load_checkpoint(f.path(), StorageMode::DoubleBuffer);
-  EXPECT_EQ(as_db.storage_mode(), StorageMode::DoubleBuffer);
-  expect_equal_active(dense, as_db, "sparse file as dense");
+  const Lattice as_aa = io::load_checkpoint(f.path(), StorageMode::AA);
+  EXPECT_EQ(as_aa.storage_mode(), StorageMode::AA);
+  expect_equal_active(dense, as_aa, "sparse file as dense");
 
   io::save_checkpoint(f.path(), dense);
   const Lattice as_sparse = io::load_checkpoint(f.path(), StorageMode::Sparse);

@@ -1,8 +1,8 @@
 // The AA-pattern storage backend: phase machine invariants, storage
 // conversion round-trips, bit-exactness of every host kernel path against
-// the double-buffered reference, checkpointing from relocated (odd /
-// collided) phases, checkpoint-based recovery on an AA cluster, and the
-// typed error on cross-mode distribution copies.
+// the Sparse layout, checkpointing from relocated (odd / collided)
+// phases, checkpoint-based recovery on an AA cluster, and the typed error
+// on cross-mode distribution copies.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -12,6 +12,7 @@
 #include "core/parallel_lbm.hpp"
 #include "core/recovery.hpp"
 #include "io/checkpoint.hpp"
+#include "lbm/cell_pass.hpp"
 #include "lbm/collision.hpp"
 #include "lbm/les.hpp"
 #include "lbm/macroscopic.hpp"
@@ -35,7 +36,7 @@ using test::TempPath;
 /// Non-trivial domain: mixed face BCs, spatially varying state, a solid
 /// box crossing the middle (slow cells, solids and bulk spans all
 /// exercised).
-Lattice make_state(Int3 dim, StorageMode mode = StorageMode::DoubleBuffer) {
+Lattice make_state(Int3 dim, StorageMode mode = StorageMode::AA) {
   Lattice lat(dim, mode);
   lat.set_face_bc(lbm::FACE_XMIN, FaceBc::Inlet);
   lat.set_face_bc(lbm::FACE_XMAX, FaceBc::Outflow);
@@ -101,40 +102,48 @@ TEST(StorageAA, PhaseMachineCyclesThroughFourStates) {
 TEST(StorageAA, ConvertStorageRoundTripsBitExact) {
   const Lattice original = make_state(Int3{9, 7, 6});
   Lattice lat = original;
+  lat.convert_storage(StorageMode::Sparse);
+  EXPECT_EQ(lat.storage_mode(), StorageMode::Sparse);
+  expect_fields_equal(original, lat, "after AA->Sparse");
   lat.convert_storage(StorageMode::AA);
   EXPECT_EQ(lat.storage_mode(), StorageMode::AA);
-  expect_fields_equal(original, lat, "after DB->AA");
-  lat.convert_storage(StorageMode::DoubleBuffer);
-  EXPECT_EQ(lat.storage_mode(), StorageMode::DoubleBuffer);
-  expect_fields_equal(original, lat, "after AA->DB");
+  EXPECT_EQ(lat.aa_phase(), 0);
+  expect_fields_equal(original, lat, "after Sparse->AA");
 }
 
 TEST(StorageAA, AdoptCollidedLayoutPreservesTheLogicalField) {
-  Lattice lat = make_state(Int3{8, 8, 6}, StorageMode::AA);
+  // An un-collided lattice enters the post-collide layout through the
+  // collide pass with the identity operator, which is how a stream with
+  // no collide before it starts (finish_stream).
+  Lattice lat = make_state(Int3{8, 8, 6});
   const Lattice before = lat;
-  lat.aa_adopt_collided_layout();
+  lbm::detail::collide_pass(lat, lbm::detail::NoOp{}, lbm::StepContext{},
+                            lbm::CellBox{});
   EXPECT_EQ(lat.aa_phase(), 1);
-  expect_fields_equal(before, lat, "adopt collided layout");
+  expect_fields_equal(before, lat, "identity advance");
 }
 
 TEST(StorageAA, ConvertFromRelocatedPhaseMaterializesNaturalOrder) {
-  Lattice lat = make_state(Int3{8, 6, 6}, StorageMode::AA);
+  Lattice lat = make_state(Int3{8, 6, 6});
   const lbm::BgkParams p{Real(0.8), Vec3{}};
   lbm::collide_bgk(lat, p);
   lbm::stream(lat);  // phase 2: odd parity
-  Lattice db = lat;
-  db.convert_storage(StorageMode::DoubleBuffer);
-  expect_fields_equal(lat, db, "AA phase 2 -> DB");
+  Lattice sparse = lat;
+  sparse.convert_storage(StorageMode::Sparse);
+  expect_fields_equal(lat, sparse, "AA phase 2 -> Sparse");
+  sparse.convert_storage(StorageMode::AA);
+  EXPECT_EQ(sparse.aa_phase(), 0);
+  expect_fields_equal(lat, sparse, "AA phase 2 -> Sparse -> AA");
 }
 
 // --- typed cross-mode copy error ------------------------------------------
 
 TEST(StorageAA, CopyDistributionsBetweenModesThrowsTypedError) {
   const Int3 dim{6, 6, 6};
-  Lattice db(dim);
+  Lattice sparse(dim, StorageMode::Sparse);
   Lattice aa(dim, StorageMode::AA);
-  EXPECT_THROW(db.copy_distributions_from(aa), lbm::StorageMismatchError);
-  EXPECT_THROW(aa.copy_distributions_from(db), lbm::StorageMismatchError);
+  EXPECT_THROW(sparse.copy_distributions_from(aa), lbm::StorageMismatchError);
+  EXPECT_THROW(aa.copy_distributions_from(sparse), lbm::StorageMismatchError);
   // Same-mode copies stay supported in both backends.
   Lattice aa2 = make_state(dim, StorageMode::AA);
   aa.copy_distributions_from(aa2);
@@ -143,29 +152,33 @@ TEST(StorageAA, CopyDistributionsBetweenModesThrowsTypedError) {
 
 // --- gated features -------------------------------------------------------
 
-TEST(StorageAA, CurvedLinksAreDoubleBufferOnly) {
-  Lattice aa(Int3{6, 6, 6}, StorageMode::AA);
-  EXPECT_THROW(aa.add_curved_link({aa.idx(2, 2, 2), 1, Real(0.5)}), Error);
+TEST(StorageAA, CurvedLinksAreRejectedOnlyBySparse) {
+  Lattice sparse(Int3{6, 6, 6}, StorageMode::Sparse);
+  EXPECT_THROW(sparse.add_curved_link({sparse.idx(2, 2, 2), 1, Real(0.5)}),
+               Error);
 
-  Lattice db(Int3{6, 6, 6});
-  db.add_curved_link({db.idx(2, 2, 2), 1, Real(0.5)});
-  EXPECT_THROW(db.convert_storage(StorageMode::AA), Error);
+  Lattice aa(Int3{6, 6, 6});
+  aa.add_curved_link({aa.idx(2, 2, 2), 1, Real(0.5)});
+  EXPECT_THROW(aa.convert_storage(StorageMode::Sparse), Error);
+  EXPECT_EQ(aa.storage_mode(), StorageMode::AA);
 }
 
 // --- kernel-path equivalence sweep ----------------------------------------
 
 TEST(StorageAA, LesCollisionMatchesDoubleBufferBitExact) {
+  // The reference is the Sparse layout; the name keeps the retired
+  // double-buffered mode that the check once compared against.
   const Int3 dim{8, 6, 6};
-  Lattice db = make_state(dim);
-  Lattice aa = make_state(dim, StorageMode::AA);
+  Lattice sparse = make_state(dim, StorageMode::Sparse);
+  Lattice aa = make_state(dim);
   const lbm::SmagorinskyParams lp;
   for (int s = 0; s < 3; ++s) {
-    lbm::collide_bgk_les(db, lp);
-    lbm::stream(db);
+    lbm::collide_bgk_les(sparse, lp);
+    lbm::stream(sparse);
     lbm::collide_bgk_les(aa, lp);
     lbm::stream(aa);
   }
-  expect_fields_equal(db, aa, "LES collide + stream");
+  expect_fields_equal(sparse, aa, "LES collide + stream");
 }
 
 struct PathCase {
@@ -178,6 +191,7 @@ struct PathCase {
 };
 
 TEST(StorageAA, SolverPathsMatchDoubleBufferBitExact) {
+  // Every solver path on AA against the same path on the Sparse layout.
   const PathCase cases[] = {
       {"split BGK serial"},
       {"fused BGK serial", lbm::CollisionKind::BGK, true},
@@ -208,10 +222,7 @@ TEST(StorageAA, SolverPathsMatchDoubleBufferBitExact) {
 
     auto build = [&](StorageMode mode) {
       lbm::Solver s(dim, cfg);
-      s.lattice() = make_state(dim);
-      if (mode == StorageMode::AA) {
-        s.lattice().convert_storage(StorageMode::AA);
-      }
+      s.lattice() = make_state(dim, mode);
       if (pc.thermal) {
         for (i64 c = 0; c < s.lattice().num_cells(); ++c) {
           const Int3 p = s.lattice().coords(c);
@@ -221,17 +232,19 @@ TEST(StorageAA, SolverPathsMatchDoubleBufferBitExact) {
       }
       return s;
     };
-    lbm::Solver db = build(StorageMode::DoubleBuffer);
+    lbm::Solver sparse = build(StorageMode::Sparse);
     lbm::Solver aa = build(StorageMode::AA);
-    db.run(5);
+    sparse.run(5);
     aa.run(5);
-    expect_fields_equal(db.lattice(), aa.lattice(), pc.name);
-    // Derived observables agree bit-for-bit too (the accumulation order
-    // of the AA accessor paths matches the natural-layout fast paths).
-    EXPECT_EQ(lbm::total_mass(db.lattice()), lbm::total_mass(aa.lattice()));
+    expect_fields_equal(sparse.lattice(), aa.lattice(), pc.name);
+    // Derived observables agree bit-for-bit too (both layouts are read
+    // through the same accessors, in the same cell order).
+    EXPECT_EQ(lbm::total_mass(sparse.lattice()),
+              lbm::total_mass(aa.lattice()));
     if (pc.thermal) {
-      for (i64 c = 0; c < db.lattice().num_cells(); ++c) {
-        ASSERT_EQ(db.thermal()->t(c), aa.thermal()->t(c)) << "T cell " << c;
+      for (i64 c = 0; c < sparse.lattice().num_cells(); ++c) {
+        ASSERT_EQ(sparse.thermal()->t(c), aa.thermal()->t(c))
+            << "T cell " << c;
       }
     }
   }
@@ -255,13 +268,18 @@ TEST(StorageAA, BytesAllocatedGaugeIsEmitted) {
 }
 
 TEST(StorageAA, StorageBytesRoughlyHalved) {
+  // One buffer where the two-buffer Sparse layout holds two, plus its
+  // index pair, on a lattice with no solid cell to prune.
   const Int3 dim{20, 20, 20};
-  Lattice db(dim);
-  Lattice aa(dim, StorageMode::AA);
-  EXPECT_EQ(aa.storage_bytes() * 2, db.storage_bytes());
+  const i64 n = dim.volume();
+  Lattice sparse(dim, StorageMode::Sparse);
+  Lattice aa(dim);
+  EXPECT_EQ(aa.storage_bytes(), lbm::Q * n * static_cast<i64>(sizeof(Real)));
+  EXPECT_EQ(aa.storage_bytes() * 2 + 2 * n * static_cast<i64>(sizeof(i64)),
+            sparse.storage_bytes());
   // The footprint headline: ~2x the cells in less distribution memory.
-  Lattice big(Int3{25, 25, 25}, StorageMode::AA);  // 1.95x the cells
-  EXPECT_LT(big.storage_bytes(), db.storage_bytes());
+  Lattice big(Int3{25, 25, 25});  // 1.95x the cells
+  EXPECT_LT(big.storage_bytes(), sparse.storage_bytes());
 }
 
 // --- checkpointing from every phase ---------------------------------------
@@ -284,10 +302,9 @@ TEST(StorageAA, CheckpointRoundTripsFromRelocatedPhases) {
     const Lattice detected = io::load_checkpoint(path);
     EXPECT_EQ(detected.storage_mode(), StorageMode::AA);
     expect_fields_equal(lat, detected, "restored via detected mode");
-    const Lattice as_db =
-        io::load_checkpoint(path, StorageMode::DoubleBuffer);
-    EXPECT_EQ(as_db.storage_mode(), StorageMode::DoubleBuffer);
-    expect_fields_equal(lat, as_db, "restored as DB");
+    const Lattice as_sparse = io::load_checkpoint(path, StorageMode::Sparse);
+    EXPECT_EQ(as_sparse.storage_mode(), StorageMode::Sparse);
+    expect_fields_equal(lat, as_sparse, "restored as Sparse");
     const Lattice as_aa = io::load_checkpoint(path, StorageMode::AA);
     EXPECT_EQ(as_aa.storage_mode(), StorageMode::AA);
     EXPECT_EQ(as_aa.aa_phase(), 0);
@@ -330,12 +347,14 @@ TEST(StorageAA, RestoredAaStateEvolvesIdentically) {
 // --- cluster recovery on AA -----------------------------------------------
 
 TEST(StorageAA, RecoveryRollbackMatchesCleanDoubleBufferRun) {
+  // The clean reference runs on the Sparse layout.
   const Int3 dim{16, 16, 8};
   const Lattice init = make_state(dim);
   const int steps = 12;
 
   core::ParallelConfig clean;
   clean.grid = netsim::NodeGrid{Int3{2, 2, 1}};
+  clean.storage = StorageMode::Sparse;
   core::ParallelLbm ref(init, clean);
   ref.run(steps);
   Lattice want(dim);
@@ -365,7 +384,7 @@ TEST(StorageAA, RecoveryRollbackMatchesCleanDoubleBufferRun) {
   EXPECT_GE(report.rollbacks, 1);
   Lattice got(dim);
   sim.gather(got);
-  expect_fields_equal(want, got, "AA recovery vs clean DB");
+  expect_fields_equal(want, got, "AA recovery vs clean Sparse");
 }
 
 }  // namespace
