@@ -62,8 +62,9 @@ for stage in "${STAGES[@]}"; do
       # The BGK lane operator's moment and relaxation loops must stay
       # vectorized under the plain build's flags (no -march, no
       # -ffast-math): compile collision.cpp with GCC's vectorizer report
-      # and require a "loop vectorized" line for each loop the source
-      # marks with a "// vec: <name>" comment.
+      # and require a "loop vectorized" line for every line the source
+      # marks with a "// vec: <name>" comment, and at least one such line
+      # per name.
       note "vec: BGK lane loops stay vectorized"
       bdir=build-check/vec
       src=src/lbm/collision.cpp
@@ -73,13 +74,19 @@ for stage in "${STAGES[@]}"; do
           && make -C "$bdir/src" lbm/collision.cpp.o > "$bdir.build.log" 2>&1; then
         RESULT[vec]="ok"
         for loop in moments relax; do
-          line=$(grep -n "// vec: $loop\$" "$src" | cut -d: -f1)
-          if [ -z "$line" ] || ! grep -q \
-              "collision.cpp:$line:[0-9]*: optimized: loop vectorized" \
-              "$bdir.build.log"; then
-            echo "vec: the $loop loop ($src:${line:-?}) is not vectorized" >&2
-            RESULT[vec]="FAIL ($loop loop, see $bdir.build.log)"; FAILED=1
+          lines=$(grep -n "// vec: $loop\$" "$src" | cut -d: -f1)
+          if [ -z "$lines" ]; then
+            echo "vec: no line of $src is marked // vec: $loop" >&2
+            RESULT[vec]="FAIL (no $loop marker)"; FAILED=1
           fi
+          for line in $lines; do
+            if ! grep -q \
+                "collision.cpp:$line:[0-9]*: optimized: loop vectorized" \
+                "$bdir.build.log"; then
+              echo "vec: the $loop loop ($src:$line) is not vectorized" >&2
+              RESULT[vec]="FAIL ($loop loop, see $bdir.build.log)"; FAILED=1
+            fi
+          done
         done
         grep "collision.cpp:.*loop vectorized" "$bdir.build.log" | sort | uniq -c
       else

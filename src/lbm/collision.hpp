@@ -1,7 +1,9 @@
 // BGK (single-relaxation-time) collision, Section 4.1: a statistical
 // redistribution of momentum toward equilibrium that conserves mass and
 // momentum. Optional body force uses the Guo forcing scheme (needed by the
-// thermal Boussinesq coupling and by channel-flow tests).
+// thermal Boussinesq coupling and by channel-flow tests). The operator is
+// written once, in explicit D3Q19 terms with opposite directions taken as
+// pairs (collision.cpp); every pass below and collide_bgk_cell run it.
 #pragma once
 
 #include "lbm/lattice.hpp"
@@ -32,8 +34,9 @@ void collide_bgk(Lattice& lat, const BgkParams& p, const StepContext& ctx = {},
                  const CellBox& box = {});
 
 /// Collides one cell given its 19 distribution values (in/out). Exposed so
-/// the simulated-GPU fragment program and the CPU kernel share one
-/// definition — keeping the two paths bit-identical.
+/// the simulated-GPU fragment program, LES and the CPU kernels share one
+/// definition — keeping the paths bit-identical: a lane tile computes each
+/// lane exactly as this computes one cell.
 void collide_bgk_cell(Real f[Q], Real tau, Vec3 force);
 
 /// Fused stream+collide ("pull then collide"), the memory-traffic

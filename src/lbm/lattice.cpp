@@ -85,10 +85,12 @@ void Lattice::sparse_compact(std::vector<Real> natural) {
   const auto size = static_cast<std::size_t>(Q * sparse_n_);
   buf_[1 - cur_] = std::vector<Real>();  // never held beside the new layout
   std::vector<Real> compact(size);
-  for (int i = 0; i < Q; ++i) {
-    const Real* src = natural.data() + plane(i);
-    Real* dst = compact.data() + sparse_slot(i, 0);
-    for (i64 m = 0; m < sparse_n_; ++m) dst[m] = src[sparse_cells_[m]];
+  if (!natural.empty()) {
+    for (int i = 0; i < Q; ++i) {
+      const Real* src = natural.data() + plane(i);
+      Real* dst = compact.data() + sparse_slot(i, 0);
+      for (i64 m = 0; m < sparse_n_; ++m) dst[m] = src[sparse_cells_[m]];
+    }
   }
   buf_[cur_] = std::move(compact);
   buf_[1 - cur_] = std::vector<Real>(size, Real(0));
@@ -98,8 +100,10 @@ void Lattice::sparse_compact(std::vector<Real> natural) {
 void Lattice::rebuild_sparse_layout() {
   GC_CHECK(mode_ == StorageMode::Sparse);
   // Expanding through the OLD map keeps the values of cells that survive
-  // a flag change; newly active cells start at 0.
-  sparse_compact(sparse_expand());
+  // a flag change; newly active cells start at 0. A layout that holds no
+  // cell, such as a new lattice's, expands to zeros, so its successor is
+  // compacted from the flags without the dense field.
+  sparse_compact(sparse_n_ == 0 ? std::vector<Real>() : sparse_expand());
 }
 
 void Lattice::sparse_pack_plane(int i, const std::vector<Real>& natural) {

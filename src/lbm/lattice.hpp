@@ -479,8 +479,8 @@ class Lattice {
   /// The one compaction path: sparse_expand() unpacks the compact planes
   /// through the current map into natural planes (0 at pruned cells);
   /// sparse_compact() rebuilds the map from the flags, in ascending dense
-  /// order, packs `natural` into the current buffer and zeroes the back
-  /// one.
+  /// order, packs `natural` into the current buffer (zeros when `natural`
+  /// is empty) and zeroes the back one.
   std::vector<Real> sparse_expand() const;
   void sparse_compact(std::vector<Real> natural);
   /// Linear offset of one hop along C[i] (no wrap).

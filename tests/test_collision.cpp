@@ -120,6 +120,72 @@ TEST(Collision, GuoForcingAddsMomentum) {
   EXPECT_NEAR(m1[2] - m0[2], F.z, 1e-7);
 }
 
+/// Float rounding of one collide on near-equilibrium values of order
+/// w_i <= 1/3: float's unit roundoff is 6e-8 and a collide takes a few
+/// dozen rounded operations, so 1e-6 bounds it with room to spare, while a
+/// wrong or missing term moves some f_i by 1e-5 or more.
+constexpr double kCollideRounding = 1e-6;
+
+/// One BGK collision with Guo forcing, direction by direction in double
+/// from C, W and the equilibrium formula: the textbook form the pair form
+/// of collide_bgk_cell must reproduce.
+void collide_per_direction(const Real f[Q], Real tau, Vec3 force,
+                           double out[Q]) {
+  double rho = 0, j[3] = {0, 0, 0};
+  for (int i = 0; i < Q; ++i) {
+    rho += f[i];
+    for (int a = 0; a < 3; ++a) j[a] += double(f[i]) * C[i][a];
+  }
+  double u[3], uu = 0;
+  for (int a = 0; a < 3; ++a) {
+    u[a] = (j[a] + 0.5 * force[a]) / rho;
+    uu += u[a] * u[a];
+  }
+  const double omega = 1.0 / tau;
+  for (int i = 0; i < Q; ++i) {
+    double cu = 0, guo = 0;
+    for (int a = 0; a < 3; ++a) cu += C[i][a] * u[a];
+    for (int a = 0; a < 3; ++a) {
+      guo += (3 * (C[i][a] - u[a]) + 9 * cu * C[i][a]) * force[a];
+    }
+    const double feq = W[i] * rho * (1 + 3 * cu + 4.5 * cu * cu - 1.5 * uu);
+    // The same formula as the library's equilibrium(), in float.
+    EXPECT_NEAR(equilibrium(i, Real(rho),
+                            Vec3{Real(u[0]), Real(u[1]), Real(u[2])}),
+                feq, kCollideRounding);
+    out[i] = f[i] - omega * (f[i] - feq) + (1 - 0.5 * omega) * W[i] * guo;
+  }
+}
+
+TEST(Collision, MatchesPerDirectionFormInDouble) {
+  // Seeded near-equilibrium cells: rho in [0.9, 1.1], |u_a| <= 0.08 and
+  // each f_i within 5% of its equilibrium.
+  const Vec3 forces[] = {Vec3{},
+                         Vec3{Real(1e-3), Real(-2e-3), Real(1.5e-3)}};
+  Rng rng(2718);
+  for (const Real tau : {Real(0.6), Real(0.8), Real(1.9)}) {
+    for (const Vec3& force : forces) {
+      for (int cell = 0; cell < 300; ++cell) {
+        const Real rho = Real(rng.uniform(0.9, 1.1));
+        const Vec3 u{Real(rng.uniform(-0.08, 0.08)),
+                     Real(rng.uniform(-0.08, 0.08)),
+                     Real(rng.uniform(-0.08, 0.08))};
+        Real f[Q];
+        equilibrium_all(rho, u, f);
+        for (int i = 0; i < Q; ++i) f[i] *= Real(rng.uniform(0.95, 1.05));
+        double want[Q];
+        collide_per_direction(f, tau, force, want);
+        collide_bgk_cell(f, tau, force);
+        for (int i = 0; i < Q; ++i) {
+          ASSERT_NEAR(f[i], want[i], kCollideRounding)
+              << "tau=" << tau << (force.x != 0 ? " forced" : " unforced")
+              << " cell " << cell << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(Collision, RegionVariantMatchesFull) {
   Lattice a(Int3{6, 6, 6}), b(Int3{6, 6, 6});
   randomize_positive(a, 5);
@@ -432,11 +498,9 @@ TEST(CollisionTiles, AaBoundaryRunsMatchTheOneCellOperator) {
   }
 }
 
-TEST(CollisionTiles, AaFusedEqualsDoubleBufferSplit) {
-  // The split run is on the Sparse layout; the name keeps the retired
-  // double-buffered mode it once ran on. Fused steps are
-  // stream-then-collide, so the split run takes one extra collide and the
-  // fused run one leading collide.
+TEST(CollisionTiles, AaFusedEqualsSparseSplit) {
+  // Fused steps are stream-then-collide, so the split run takes one extra
+  // collide and the fused run one leading collide.
   ThreadPool pool(3);
   const BgkParams p{Real(0.8), Vec3{}};
   const int steps = 4;

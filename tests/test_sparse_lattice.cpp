@@ -17,6 +17,7 @@
 #include "lbm/stream.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+#include "alloc_probe.hpp"
 #include "temp_path.hpp"
 
 namespace gc::lbm {
@@ -356,6 +357,23 @@ TEST(SparseLattice, ConversionHoldsWhatBuildingHolds) {
   stream(grown);
   shape(grown);
   EXPECT_EQ(grown.storage_bytes(), want);
+}
+
+TEST(SparseLattice, FirstLayoutBuildHoldsNoDenseField) {
+  // A new Sparse lattice has no values to keep, so its first layout is
+  // compacted straight from the flags into zeroed compact planes: no
+  // allocation of that build is as large as the Q*n dense field a
+  // rebuild after a flag change expands into.
+  const Int3 dim{40, 30, 20};
+  Lattice lat(dim, StorageMode::Sparse);
+  lat.fill_solid_box(Int3{0, 0, 0}, Int3{40, 27, 20});  // 90% solid
+  test::reset_largest_allocation();
+  EXPECT_EQ(lat.sparse_active_cells(), 40 * 3 * 20);  // the first build
+  EXPECT_LT(test::largest_allocation(),
+            static_cast<std::size_t>(Q * lat.num_cells()) * sizeof(Real));
+  for (int i = 0; i < Q; ++i) {
+    EXPECT_EQ(lat.f(i, lat.idx(7, 28, 11)), Real(0)) << "i=" << i;
+  }
 }
 
 TEST(SparseCheckpoint, SaveLoadRoundTripsAcrossLayouts) {

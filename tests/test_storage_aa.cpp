@@ -165,9 +165,7 @@ TEST(StorageAA, CurvedLinksAreRejectedOnlyBySparse) {
 
 // --- kernel-path equivalence sweep ----------------------------------------
 
-TEST(StorageAA, LesCollisionMatchesDoubleBufferBitExact) {
-  // The reference is the Sparse layout; the name keeps the retired
-  // double-buffered mode that the check once compared against.
+TEST(StorageAA, LesCollisionMatchesSparseBitExact) {
   const Int3 dim{8, 6, 6};
   Lattice sparse = make_state(dim, StorageMode::Sparse);
   Lattice aa = make_state(dim);
@@ -190,7 +188,7 @@ struct PathCase {
   bool thermal = false;
 };
 
-TEST(StorageAA, SolverPathsMatchDoubleBufferBitExact) {
+TEST(StorageAA, SolverPathsMatchSparseBitExact) {
   // Every solver path on AA against the same path on the Sparse layout.
   const PathCase cases[] = {
       {"split BGK serial"},
@@ -346,7 +344,7 @@ TEST(StorageAA, RestoredAaStateEvolvesIdentically) {
 
 // --- cluster recovery on AA -----------------------------------------------
 
-TEST(StorageAA, RecoveryRollbackMatchesCleanDoubleBufferRun) {
+TEST(StorageAA, RecoveryRollbackMatchesCleanSparseRun) {
   // The clean reference runs on the Sparse layout.
   const Int3 dim{16, 16, 8};
   const Lattice init = make_state(dim);
